@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
-from .ddm import canonicalize, ddm_from_fuzz, ddm_kraus
 from .demos import DEMO_NAMES, run_black_fuzztones, run_paint_it_black
 from .density import TRACE_FLOOR, DensityMatrix, purity
 from .errors import FuzzPhaserError, ZeroTraceError
@@ -160,16 +158,6 @@ def cmd_verify(args) -> int:
     return 0 if ok else 4
 
 
-def _gate_kraus(gate) -> list[np.ndarray]:
-    if gate.mechanism == "projector":
-        return [gate.operand.matrix]
-    if gate.mechanism == "fuzz":
-        return ddm_kraus(ddm_from_fuzz(gate.operand))
-    if gate.mechanism == "phaser":
-        return [linalg.matrix_sqrt(gate.operand.matrix)]
-    return ddm_kraus(canonicalize(gate.operand))
-
-
 def cmd_export(args) -> int:
     text = Path(args.text).read_text(encoding="utf-8")
     lexicon = load_lexicon(args.lexicon)
@@ -189,7 +177,7 @@ def cmd_export(args) -> int:
                 "label": g.label,
                 "mechanism": g.mechanism,
                 "slots": list(g.slots),
-                "kraus": [_matrix_out(k) for k in _gate_kraus(g)],
+                "kraus": [_matrix_out(k) for k in g.kraus],
             }
             for g in circuit.gates
         ],

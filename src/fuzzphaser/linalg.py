@@ -1,10 +1,9 @@
-"""Dense complex matrix kernel.
+"""Dense complex matrix helpers.
 
 Hermitian eigendecomposition with eigenvalue grouping, principal matrix
-square root, Kronecker products, embedding of operators on selected
-subsystems, and partial traces. Everything is dense, row-major and
-desk-scale: per-wire dimensions of a few dozen, joint dimensions capped
-at ``DIM_CAP``.
+square root, Kronecker products, partial traces, and the embedding of
+operators on selected subsystems that serves only as a dense oracle:
+text evaluation works on each gate's own wires, never on D × D operands.
 """
 
 from __future__ import annotations
@@ -243,8 +242,7 @@ def embed_on_subsystem(op, slot_dims: Sequence[int], slots) -> np.ndarray:
 
     ``slots`` is a sequence of wire indices; its order fixes which tensor
     factor of ``op`` acts on which wire (a plain set is applied in sorted
-    order). Non-contiguous or permuted slots are handled by index
-    permutation; ascending contiguous slots take a direct kron fast path.
+    order). The verify oracle for text evaluation's local gate kernel.
     """
     dims = [int(d) for d in slot_dims]
     if any(d <= 0 for d in dims):
@@ -262,11 +260,6 @@ def embed_on_subsystem(op, slot_dims: Sequence[int], slots) -> np.ndarray:
         raise DimensionOverflowError(
             f"joint dimension {total} exceeds the cap {DIM_CAP}"
         )
-    lo, hi = min(slot_list, default=0), max(slot_list, default=-1)
-    if slot_list == list(range(lo, hi + 1)):
-        left = np.eye(math.prod(dims[:lo]), dtype=np.complex128)
-        right = np.eye(math.prod(dims[hi + 1 :]), dtype=np.complex128)
-        return np.kron(np.kron(left, op), right)
     rest = [w for w in range(n) if w not in slot_list]
     order = slot_list + rest
     full = np.kron(op, np.eye(total // op_dim, dtype=np.complex128))

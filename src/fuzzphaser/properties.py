@@ -51,6 +51,7 @@ from .textcirc import (
     Transitive,
     compile_sentences,
     evaluate,
+    evaluate_trajectory,
 )
 from .update import (
     PhaserData,
@@ -62,6 +63,7 @@ from .update import (
 )
 
 IDENT_TOL = 1e-9
+KERNEL_RTOL = 1e-10
 WITNESS_TOL = 1e-6
 MARGIN_TOL = 1e-3
 FUSION_TOL = 1e-12
@@ -634,6 +636,88 @@ def check_evaluation_determinism(seed, trials, dims) -> PropertyResult:
     )
 
 
+def apply_gate_dense(joint: np.ndarray, gate, dims) -> np.ndarray:
+    """A compiled gate through the dense route, the oracle of the local kernel.
+
+    The operand is embedded as a D × D matrix on the gate's slots, then
+    updated by P ρ P, ``update.fuzz``, ``update.phaser`` or Σₖ A_k ρ A_k
+    over the lexicon's own A_k. Costs O(D³) per gate.
+    """
+    if gate.mechanism == "ddm":
+        out = np.zeros_like(joint)
+        for a in ddm_kraus(gate.operand):
+            big = linalg.embed_on_subsystem(a, dims, gate.slots)
+            out += big @ joint @ big
+        return linalg.hermitize(out)
+    big = linalg.embed_on_subsystem(gate.operand.matrix, dims, gate.slots)
+    if gate.mechanism == "projector":
+        return big @ joint @ big
+    update = fuzz if gate.mechanism == "fuzz" else phaser
+    return update(DensityMatrix(joint), DensityMatrix(big)).matrix
+
+
+def _random_word(name, spaces, mechanism, dim, k, rng) -> LexiconEntry:
+    """A word for the kernel check; phaser operands are full rank.
+
+    The principal root of a rank-deficient operand turns roundoff
+    eigenvalues ε ≈ 1e-17 into √ε ≈ 3e-9 in either route, so it is
+    fixed only to about 1e-8 relative, and the two routes decompose
+    different matrices (σ and σ ⊗ I).
+    """
+    if mechanism == "projector":
+        return LexiconEntry(name, spaces, "pure", mechanism, random_pure(dim, rng))
+    if mechanism == "ddm":
+        return LexiconEntry(name, spaces, "ddm", mechanism, random_ddm(dim, rng))
+    sigma = random_psd(dim, rng) if mechanism == "phaser" else _operand(dim, k, rng)
+    return LexiconEntry(name, spaces, "density", mechanism, sigma)
+
+
+def check_local_kernel(seed, trials, dims) -> PropertyResult:
+    """Random circuits of 2-4 wires of dimension 2-4 (joint D <= 256).
+
+    Each circuit carries two fixed gates on permuted, non-adjacent slot
+    pairs plus random noun and verb gates, all four mechanisms in turn.
+    Every post-gate state of the evaluation is compared with the dense
+    route applied to the state before that gate.
+    """
+    rng = rng_from(seed)
+    worst = 0.0
+    n = max(4, trials // 10)
+    for k in range(n):
+        wires = 2 + k % 3
+        wire_dims = [int(d) for d in rng.integers(2, 5, size=wires)]
+        slot_sets = [(wires - 1, wires - 2), (0, wires - 1)]
+        for _ in range(4):
+            size = int(rng.integers(1, 3))
+            slot_sets.append(tuple(int(w) for w in rng.choice(wires, size, replace=False)))
+        spaces = {f"s{w}": d for w, d in enumerate(wire_dims)}
+        entries = [
+            LexiconEntry(f"A{w}", f"s{w}", "density", "fuzz", random_density(d, rng))
+            for w, d in enumerate(wire_dims)
+        ]
+        sentences = [Introduce(f"A{w}") for w in range(wires)]
+        for g, slots in enumerate(slot_sets):
+            mechanism = ("projector", "fuzz", "phaser", "ddm")[(k + g) % 4]
+            dim = int(np.prod([wire_dims[w] for w in slots]))
+            labels = tuple(f"s{w}" for w in slots)
+            entries.append(_random_word(f"w{g}", labels, mechanism, dim, g, rng))
+            if len(slots) == 1:
+                sentences.append(IsA(f"A{slots[0]}", f"w{g}"))
+            else:
+                sentences.append(Transitive(f"A{slots[0]}", f"w{g}", f"A{slots[1]}"))
+        circuit = compile_sentences(sentences, Lexicon(spaces, entries))
+        states = evaluate_trajectory(circuit)
+        for gate, before, after in zip(circuit.gates, states, states[1:]):
+            dense = apply_gate_dense(before.joint.matrix, gate, wire_dims)
+            scale = linalg.max_abs(dense)
+            delta = linalg.max_abs(after.joint.matrix - dense)
+            worst = max(worst, delta / scale if scale > 0.0 else delta)
+    return _below(
+        "local-kernel-matches-dense", worst, KERNEL_RTOL, n,
+        "gates applied on their own wires match the embedded dense route (relative)",
+    )
+
+
 ALL_CHECKS = (
     check_spectral_reconstruction,
     check_matrix_sqrt,
@@ -663,6 +747,7 @@ ALL_CHECKS = (
     check_mechanism_coherence,
     check_disjoint_gates_commute,
     check_evaluation_determinism,
+    check_local_kernel,
 )
 
 

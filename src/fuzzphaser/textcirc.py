@@ -4,26 +4,29 @@ Actors are wires carrying density matrices; each sentence becomes a
 gate that updates the joint state over all live actors. Transitive
 verbs act on the subject and object wires together, which is why the
 world is one joint state rather than a bag of per-actor states.
+Compiling turns each gate into Kraus operators on its own wires:
+projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k]. Evaluation
+applies them to the touched wires only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from . import linalg, update
-from .ddm import DoubleDensityMatrix, ddm_kraus
+from . import linalg
+from .ddm import DoubleDensityMatrix, ddm_from_fuzz, ddm_kraus
 from .density import DensityMatrix, Projector, PureState, from_pure, renormalize
 from .errors import (
-    DimensionMismatchError,
     DimensionOverflowError,
     LexiconError,
     ParseError,
     SpaceMismatchError,
     UnknownActorError,
     UnknownWordError,
+    ZeroTraceError,
 )
 
 MECHANISMS = ("projector", "fuzz", "phaser", "ddm")
@@ -207,12 +210,13 @@ class Actor:
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """One update: a mechanism with its operand, acting on actor slots."""
+    """One update ρ ↦ Σ K ρ K†, with the Kraus operators K on the slots."""
 
     slots: tuple[int, ...]
     mechanism: str
     operand: object
     label: str
+    kraus: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,19 +238,25 @@ class Circuit:
         raise UnknownActorError(f"no actor named {name!r}")
 
 
-def _gate_operand(entry: LexiconEntry, mechanism: str):
+def _gate_parts(entry: LexiconEntry, mechanism: str):
+    """The operand a gate carries and its Kraus operators on its own slots."""
     if mechanism not in KIND_MECHANISMS[entry.kind]:
         raise LexiconError(
             f"mechanism {mechanism!r} not usable with {entry.kind} "
             f"entry {entry.name!r}"
         )
     if mechanism == "projector":
-        return Projector.onto_pure(entry.operand)
+        p = Projector.onto_pure(entry.operand)
+        return p, (p.matrix,)
     if mechanism == "ddm":
-        return entry.operand
-    if entry.kind == "pure":
-        return from_pure(entry.operand)
-    return entry.operand
+        return entry.operand, tuple(ddm_kraus(entry.operand))
+    sigma = from_pure(entry.operand) if entry.kind == "pure" else entry.operand
+    if mechanism == "phaser":
+        return sigma, (linalg.frozen(linalg.matrix_sqrt(sigma.matrix)),)
+    try:
+        return sigma, tuple(ddm_kraus(ddm_from_fuzz(sigma)))
+    except ZeroTraceError:  # no positive eigenvalue: the fuzz annihilates every state
+        return sigma, ()
 
 
 class _ActorTable:
@@ -342,15 +352,20 @@ def compile_sentences(
             )
 
     index = {a.name: i for i, a in enumerate(actors)}
+    parts = {}
     gates = []
     for names, entry, label in pending:
         effective = mechanism if mechanism is not None else entry.mechanism
+        if entry.name not in parts:
+            parts[entry.name] = _gate_parts(entry, effective)
+        operand, kraus = parts[entry.name]
         gates.append(
             Gate(
                 slots=tuple(index[n] for n in names),
                 mechanism=effective,
-                operand=_gate_operand(entry, effective),
+                operand=operand,
                 label=label,
+                kraus=kraus,
             )
         )
     return Circuit(actors=tuple(actors), gates=tuple(gates))
@@ -370,48 +385,52 @@ class WorldState:
 
 
 def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarray:
-    if gate.mechanism == "projector":
-        p = linalg.embed_on_subsystem(gate.operand.matrix, dims, gate.slots)
-        return p @ joint @ p
-    if gate.mechanism in ("fuzz", "phaser"):
-        sigma = DensityMatrix(
-            linalg.embed_on_subsystem(gate.operand.matrix, dims, gate.slots)
-        )
-        mech = update.fuzz if gate.mechanism == "fuzz" else update.phaser
-        return mech(DensityMatrix(joint), sigma).matrix
-    if gate.mechanism == "ddm":
-        out = np.zeros_like(joint)
-        for a in ddm_kraus(gate.operand):
-            big = linalg.embed_on_subsystem(a, dims, gate.slots)
-            out += big @ joint @ big
-        return linalg.hermitize(out)
-    raise LexiconError(f"unknown mechanism {gate.mechanism!r}")
+    """Σ K ρ K† with each K on the gate's wires only: O(D²·d), not O(D³).
+
+    The touched wires are permuted to lead the row index and trail the
+    column index, so K multiplies the row unfolding and K† the column one.
+    """
+    n = len(dims)
+    slots = list(gate.slots)
+    rest = [w for w in range(n) if w not in slots]
+    d = int(np.prod([dims[w] for w in slots]))
+    axes = slots + rest + [n + w for w in rest + slots]
+    frame = joint.reshape(list(dims) * 2).transpose(axes)
+    shape = frame.shape
+    frame = frame.reshape(d, -1)
+    out = np.zeros((joint.size // d, d), dtype=np.complex128)
+    for k in gate.kraus:
+        out += (k @ frame).reshape(-1, d) @ k.conj().T
+    back = out.reshape(shape).transpose(np.argsort(axes)).reshape(joint.shape)
+    return linalg.hermitize(back)
 
 
-def evaluate_trajectory(
-    circuit: Circuit, renormalize_each_step: bool = False
-) -> list[WorldState]:
-    """World state before any gate and after each gate, in order."""
+def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[WorldState]:
     names = tuple(a.name for a in circuit.actors)
     dims = tuple(a.dim for a in circuit.actors)
-    if circuit.actors:
-        joint = linalg.kron_all([a.prior.matrix for a in circuit.actors])
-    else:
-        joint = np.array([[1.0]], dtype=np.complex128)
-    states = [WorldState(names, dims, DensityMatrix(joint))]
+    joint = linalg.kron_all([a.prior.matrix for a in circuit.actors])
+    yield WorldState(names, dims, DensityMatrix(joint))
     for gate in circuit.gates:
         joint = _apply_gate(joint, gate, dims)
         state = DensityMatrix(joint)
         if renormalize_each_step:
             state = renormalize(state)
             joint = np.asarray(state.matrix)
-        states.append(WorldState(names, dims, state))
-    return states
+        yield WorldState(names, dims, state)
+
+
+def evaluate_trajectory(
+    circuit: Circuit, renormalize_each_step: bool = False
+) -> list[WorldState]:
+    """World state before any gate and after each gate, in order."""
+    return list(_trajectory(circuit, renormalize_each_step))
 
 
 def evaluate(circuit: Circuit, renormalize_each_step: bool = False) -> WorldState:
-    """Tensor the priors, apply every gate in sentence order."""
-    return evaluate_trajectory(circuit, renormalize_each_step)[-1]
+    """Tensor the priors, apply every gate in sentence order (keeping one joint)."""
+    for world in _trajectory(circuit, renormalize_each_step):
+        pass
+    return world
 
 
 def reduced_state(world: WorldState, actor: str) -> DensityMatrix:

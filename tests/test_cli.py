@@ -20,6 +20,35 @@ ORTHO_LEXICON = {
 }
 
 
+VOID_LEXICON = {
+    "spaces": {"axis": 2},
+    "entries": [
+        {"name": "void", "space": "axis", "kind": "density", "mechanism": "fuzz",
+         "data": [[0.0, 0.0], [0.0, 0.0]]},
+    ],
+}
+
+LINK_LEXICON = {
+    "spaces": {"axis": 2},
+    "entries": [
+        {"name": "links", "space": ["axis", "axis"], "kind": "ddm", "mechanism": "ddm",
+         "data": {"factors": [
+             {"y": 1.0, "branches": [{"x": 1.0, "phi": [0, 0, 0, 1]}]},
+             {"y": 4.0, "branches": [{"x": 1.0, "phi": [1, 0, 0, 0]},
+                                     {"x": 0.5, "phi": [0, 1, 0, 0]}]},
+         ]}},
+    ],
+}
+
+
+def _write(tmp_path, lexicon, text):
+    lex = tmp_path / "lexicon.json"
+    lex.write_text(json.dumps(lexicon))
+    path = tmp_path / "text.txt"
+    path.write_text(text)
+    return str(path), str(lex)
+
+
 @pytest.fixture
 def ortho(tmp_path):
     lex = tmp_path / "ortho.json"
@@ -105,6 +134,16 @@ class TestRun:
         assert "purity undefined" in out
 
 
+    def test_fuzz_without_positive_eigenvalue(self, tmp_path, capsys):
+        text, lex = _write(tmp_path, VOID_LEXICON, "Door is void.\n")
+        assert main(["run", text, "--lexicon", lex]) == 0
+        assert "joint trace: 0" in capsys.readouterr().out
+        assert main(["run", text, "--lexicon", lex, "--renormalize"]) == 3
+        assert "annihilated" in capsys.readouterr().err
+        assert main(["export", text, "--lexicon", lex]) == 0
+        assert json.loads(capsys.readouterr().out)["gates"][0]["kraus"] == []
+
+
 class TestDemo:
     def test_both_demos_pass(self, capsys):
         for name in ("paint-it-black", "black-fuzztones"):
@@ -132,9 +171,9 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(lines) == 28
+        assert len(lines) == 29
         assert all(l.startswith("PASS") for l in lines)
-        assert "verify: 28/28 passed" in out
+        assert "verify: 29/29 passed" in out
 
     def test_json_format(self, capsys):
         code = main(["verify", "--trials", "5", "--dims", "2..3", "--format", "json"])
@@ -142,9 +181,10 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
         assert doc["seed"] == 1729
-        assert len(doc["results"]) == 28
+        assert len(doc["results"]) == 29
         names = {r["name"] for r in doc["results"]}
         assert "phaser-as-spider" in names and "spider-fusion" in names
+        assert "local-kernel-matches-dense" in names
 
     def test_deterministic_output(self, capsys):
         main(["verify", "--trials", "5", "--dims", "2..3"])
@@ -201,6 +241,14 @@ class TestExport:
         assert kraus[0][0] == [pytest.approx(1.0), 0.0]
         assert kraus[1][1] == [pytest.approx(1.0), 0.0]
         assert kraus[2][2] == [0.0, 0.0]
+
+
+    def test_ddm_gate_exports_lexicon_factors_in_order(self, tmp_path, capsys):
+        text, lex = _write(tmp_path, LINK_LEXICON, "Ann links Bob.\n")
+        assert main(["export", text, "--lexicon", lex]) == 0
+        (gate,) = json.loads(capsys.readouterr().out)["gates"]
+        diagonals = [[entry[i][0] for i, entry in enumerate(k)] for k in gate["kraus"]]
+        assert diagonals == [[0.0, 0.0, 0.0, 1.0], [2.0, 1.0, 0.0, 0.0]]
 
 
 class TestConsoleScript:

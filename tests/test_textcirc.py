@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzphaser import linalg
+from fuzzphaser.ddm import DdmFactor, DoubleDensityMatrix
 from fuzzphaser.density import DensityMatrix, PureState, from_pure
 from fuzzphaser.errors import (
     DimensionOverflowError,
@@ -10,9 +13,12 @@ from fuzzphaser.errors import (
     SpaceMismatchError,
     UnknownActorError,
     UnknownWordError,
+    ZeroTraceError,
 )
-from fuzzphaser.sampling import random_psd
+from fuzzphaser.properties import apply_gate_dense
+from fuzzphaser.sampling import random_ddm, random_density, random_psd, random_pure
 from fuzzphaser.textcirc import (
+    MECHANISMS,
     Introduce,
     IsA,
     Lexicon,
@@ -23,6 +29,7 @@ from fuzzphaser.textcirc import (
     compile_text,
     evaluate,
     evaluate_trajectory,
+    _apply_gate,
     parse,
     reduced_state,
 )
@@ -268,6 +275,71 @@ class TestEvaluate:
         world = evaluate(compile_text("", _noun_lexicon()))
         assert world.joint.trace == pytest.approx(1.0)
         assert world.actor_names == ()
+
+    @pytest.mark.parametrize("renorm", [False, True])
+    def test_evaluate_is_last_trajectory_state(self, renorm):
+        circuit = compile_sentences(
+            [Introduce("Ann"), Transitive("Ann", "bites", "Rex"), IsA("Rex", "black")],
+            _verb_lexicon(),
+        )
+        last = evaluate_trajectory(circuit, renorm)[-1].joint.matrix
+        assert np.array_equal(evaluate(circuit, renorm).joint.matrix, last)
+
+    def test_fuzz_without_positive_eigenvalue_annihilates(self):
+        void = DensityMatrix(np.zeros((2, 2)))
+        lex = Lexicon({"c": 2}, [LexiconEntry("void", "c", "density", "fuzz", void)])
+        circuit = compile_text("Door is void.", lex)
+        assert circuit.gates[0].kraus == ()
+        assert linalg.max_abs(evaluate(circuit).joint.matrix) == 0.0
+        with pytest.raises(ZeroTraceError):
+            evaluate(circuit, renormalize_each_step=True)
+
+
+def _scaled_word(mechanism: str, spaces, dim: int, scale: float, rng) -> LexiconEntry:
+    if mechanism == "projector":
+        return LexiconEntry("w", spaces, "pure", mechanism, random_pure(dim, rng))
+    if mechanism == "ddm":
+        factors = [DdmFactor(scale * f.y, f.branches) for f in random_ddm(dim, rng).factors]
+        return LexiconEntry("w", spaces, "ddm", mechanism, DoubleDensityMatrix(factors))
+    # full rank: the root of a zero eigenvalue is fixed only to ~1e-8 in either route
+    sigma = DensityMatrix(scale * linalg.hermitize(random_psd(dim, rng).matrix))
+    return LexiconEntry("w", spaces, "density", mechanism, sigma)
+
+
+class TestLocalKernel:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        order=st.randoms(use_true_random=False),
+        two_slots=st.booleans(),
+        mechanism=st.sampled_from(MECHANISMS),
+        exponent=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_route(self, dims, order, two_slots, mechanism, exponent, seed):
+        rng = np.random.default_rng(seed)
+        wires = list(range(len(dims)))
+        order.shuffle(wires)
+        slots = tuple(wires[: 2 if two_slots and len(dims) > 1 else 1])
+        dim = int(np.prod([dims[w] for w in slots]))
+        spaces = tuple(f"s{w}" for w in slots)
+        entries = [_scaled_word(mechanism, spaces, dim, 10.0**exponent, rng)] + [
+            LexiconEntry(f"A{w}", f"s{w}", "density", "fuzz", DensityMatrix.identity(d))
+            for w, d in enumerate(dims)
+        ]
+        lex = Lexicon({f"s{w}": d for w, d in enumerate(dims)}, entries)
+        gate_sentence = (
+            Transitive(f"A{slots[0]}", "w", f"A{slots[1]}")
+            if len(slots) == 2
+            else IsA(f"A{slots[0]}", "w")
+        )
+        sentences = [Introduce(f"A{w}") for w in range(len(dims))] + [gate_sentence]
+        (gate,) = compile_sentences(sentences, lex).gates
+        assert gate.slots == slots
+        rho = linalg.hermitize(random_density(int(np.prod(dims)), rng).matrix)
+        dense = apply_gate_dense(rho, gate, dims)
+        local = _apply_gate(rho, gate, dims)
+        assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
 
 
 class TestReducedState:
