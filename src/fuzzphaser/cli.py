@@ -54,21 +54,18 @@ def _dims_arg(raw: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _actor_report(world, circuit: Circuit) -> list[dict]:
-    report = []
-    for actor in circuit.actors:
-        state = reduced_state(world, actor.name)
-        report.append(
-            {
-                "name": actor.name,
-                "space": actor.space,
-                "dim": actor.dim,
-                "trace": state.trace,
-                "purity": _maybe_purity(state),
-                "matrix": _matrix_out(state.matrix),
-            }
-        )
-    return report
+def _actor_report(circuit: Circuit, states: list[DensityMatrix]) -> list[dict]:
+    return [
+        {
+            "name": actor.name,
+            "space": actor.space,
+            "dim": actor.dim,
+            "trace": state.trace,
+            "purity": _maybe_purity(state),
+            "matrix": _matrix_out(state.matrix),
+        }
+        for actor, state in zip(circuit.actors, states)
+    ]
 
 
 def cmd_run(args) -> int:
@@ -76,7 +73,8 @@ def cmd_run(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     circuit = compile_text(text, lexicon, args.mechanism)
     world = evaluate(circuit, renormalize_each_step=args.renormalize)
-    actors = _actor_report(world, circuit)
+    states = [reduced_state(world, actor.name) for actor in circuit.actors]
+    actors = _actor_report(circuit, states)
     if args.format == "json":
         doc = {
             "gates": [g.label for g in circuit.gates],
@@ -87,13 +85,12 @@ def cmd_run(args) -> int:
         return 0
     print(f"gates applied: {len(circuit.gates)}")
     print(f"joint trace: {_fmt_num(world.joint.trace)}")
-    for entry in actors:
+    for entry, state in zip(actors, states):
         shown = "undefined" if entry["purity"] is None else _fmt_num(entry["purity"])
         print(
             f"{entry['name']} (space {entry['space']}, dim {entry['dim']}): "
             f"trace {_fmt_num(entry['trace'])}, purity {shown}"
         )
-        state = reduced_state(world, entry["name"])
         for line in _fmt_matrix(state.matrix):
             print(line)
     return 0

@@ -151,12 +151,12 @@ def ddm_from_phaser(sigma: DensityMatrix) -> DoubleDensityMatrix:
     it is the same for every eigenbasis choice.
     """
     evals, evecs = np.linalg.eigh(sigma.matrix)
-    branches = []
-    for i in range(evals.size - 1, -1, -1):
-        root = float(np.sqrt(max(float(evals[i]), 0.0)))
-        if root <= 0.0:
-            continue
-        branches.append(DdmBranch(root, PureState(evecs[:, i])))
+    roots = linalg.psd_roots(evals)
+    branches = [
+        DdmBranch(roots[i], PureState(evecs[:, i]))
+        for i in range(evals.size - 1, -1, -1)
+        if roots[i] > 0.0
+    ]
     if not branches:
         raise ZeroTraceError("operand has no positive eigenvalues")
     return DoubleDensityMatrix([DdmFactor(1.0, branches)])
@@ -260,12 +260,10 @@ def canonicalize(d: DoubleDensityMatrix) -> DoubleDensityMatrix:
     return DoubleDensityMatrix([f for _, f in weighted])
 
 
-def same_channel(
-    a: DoubleDensityMatrix, b: DoubleDensityMatrix, tol: float = linalg.ATOL
-) -> bool:
+def same_channel(a: DoubleDensityMatrix, b: DoubleDensityMatrix) -> bool:
     """Extensional equality: the induced maps have equal Choi matrices."""
     if a.dim != b.dim:
         return False
     ca, cb = choi_matrix(a), choi_matrix(b)
     scale = max(1.0, linalg.max_abs(ca), linalg.max_abs(cb))
-    return linalg.max_abs(ca - cb) <= tol * scale
+    return linalg.max_abs(ca - cb) <= linalg.ATOL * scale

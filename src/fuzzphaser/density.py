@@ -3,6 +3,10 @@
 States may be sub- or super-normalized: updates deliberately change the
 trace, and nothing here renormalizes silently. ``renormalize`` is the
 one explicit exception.
+
+States are validated where data enters (lexicon load, priors, user code)
+and where it leaves the evaluator (``textcirc.reduced_state``). States
+the evaluator makes are PSD by construction and are not re-validated.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, IncompleteFamilyError, ZeroTraceError
+from .errors import DimensionMismatchError, NotHermitianError, NotPSDError, ZeroTraceError
 
 #: Traces at or below this are treated as an annihilated state.
 TRACE_FLOOR = 1e-12
@@ -52,21 +56,36 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian PSD matrix; trace may be any non-negative real."""
+    """Hermitian PSD matrix; trace may be any non-negative real.
+
+    The constructor is the one check, Hermitian and PSD within ATOL times
+    the largest entry. It runs on data from outside and on states leaving
+    the evaluator; states the evaluator makes go through ``_unchecked``.
+    """
 
     matrix: np.ndarray
 
     def __init__(self, matrix):
         m = linalg.as_complex_matrix(matrix, square=True)
+        within = f"within {linalg.ATOL} of its largest entry"
         if not linalg.is_hermitian(m):
-            raise ValueError(
-                f"density matrix must be Hermitian within {linalg.ATOL}"
-            )
-        if linalg.min_eigenvalue(m) < -linalg.ATOL:
-            raise ValueError(
-                f"density matrix must be PSD within {linalg.ATOL}"
-            )
-        object.__setattr__(self, "matrix", linalg.frozen(m))
+            raise NotHermitianError(f"density matrix must be Hermitian {within}")
+        if linalg.min_eigenvalue(m) < -linalg.ATOL * linalg.max_abs(m):
+            raise NotPSDError(f"density matrix must be PSD {within}")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """Wrap a fresh complex128 square array unchecked, freezing it in place.
+
+        Only for Σ K ρ K† of a DensityMatrix ρ (a tensor product of
+        DensityMatrix matrices included), or a positive rescale of one.
+        """
+        matrix.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", matrix)
+        return state
 
     @property
     def dim(self) -> int:
@@ -137,20 +156,13 @@ def decohere(rho: DensityMatrix, projectors: Sequence[Projector]) -> DensityMatr
     Trace-preserving; with a rank-1 orthonormal family this keeps the
     diagonal and zeroes the off-diagonal entries in that basis.
     """
-    if not projectors:
-        raise IncompleteFamilyError("empty projector family")
-    total = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
     for p in projectors:
         if p.dim != rho.dim:
             raise DimensionMismatchError(
                 f"projector dim {p.dim} != state dim {rho.dim}"
             )
-        total += p.matrix
-    if linalg.max_abs(total - np.eye(rho.dim)) > linalg.ATOL:
-        raise IncompleteFamilyError(
-            "projectors do not form an orthogonal resolution of the identity"
-        )
-    out = np.zeros_like(total)
+    linalg.check_resolution([p.matrix for p in projectors], rho.dim)
+    out = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
     for p in projectors:
         out += p.matrix @ rho.matrix @ p.matrix
     return DensityMatrix(linalg.hermitize(out))
@@ -164,7 +176,7 @@ def renormalize(rho: DensityMatrix) -> DensityMatrix:
             f"trace {tr:.3g} is at or below the floor {TRACE_FLOOR}; "
             "the update annihilated the state"
         )
-    return DensityMatrix(rho.matrix / tr)
+    return DensityMatrix._unchecked(rho.matrix / tr)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -7,16 +7,16 @@ class FuzzPhaserError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotHermitianError(FuzzPhaserError):
+class NotHermitianError(FuzzPhaserError, ValueError):
     """Input matrix fails the Hermitian symmetry check."""
 
 
-class NotPSDError(FuzzPhaserError):
+class NotPSDError(FuzzPhaserError, ValueError):
     """Input matrix has an eigenvalue below the PSD tolerance."""
 
 
-class NumericalFailureError(FuzzPhaserError):
-    """The underlying eigensolver did not converge."""
+class NumericalFailureError(FuzzPhaserError, ValueError):
+    """Non-finite entries, or the underlying eigensolver did not converge."""
 
 
 class DimensionMismatchError(FuzzPhaserError):
@@ -31,7 +31,7 @@ class SizeCapError(FuzzPhaserError):
     """A dense tensor would exceed the configured size cap."""
 
 
-class IncompleteFamilyError(FuzzPhaserError):
+class IncompleteFamilyError(FuzzPhaserError, ValueError):
     """A projector family is not orthogonal and complete (does not sum to I)."""
 
 

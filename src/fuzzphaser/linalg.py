@@ -17,15 +17,17 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DimensionOverflowError,
+    IncompleteFamilyError,
     NotHermitianError,
     NotPSDError,
     NumericalFailureError,
 )
 
-#: Absolute tolerance for Hermiticity / PSD / idempotence checks.
+#: Tolerance of the Hermitian and PSD checks, relative to the largest entry,
+#: and of the idempotence and orthogonality checks on (unit-scale) projectors.
 ATOL = 1e-9
 
-#: Default relative gap below which eigenvalues are merged into one eigenspace.
+#: Relative gap below which eigenvalues are merged into one eigenspace.
 GROUP_TOL = 1e-8
 
 #: Hard cap on joint (tensor-product) dimensions.
@@ -38,7 +40,7 @@ def as_complex_matrix(matrix, square: bool = False) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.view(np.float64))):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        raise NumericalFailureError("matrix entries must be finite (no NaN/Inf)")
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -50,7 +52,7 @@ def as_complex_vector(vector) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got ndim={v.ndim}")
     if not np.all(np.isfinite(v.view(np.float64))):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
+        raise NumericalFailureError("vector entries must be finite (no NaN/Inf)")
     return v
 
 
@@ -65,9 +67,9 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.conj().T) / 2
 
 
-def is_hermitian(matrix: np.ndarray, tol: float = ATOL) -> bool:
-    """Check ‖M − M†‖_max ≤ tol."""
-    return max_abs(matrix - matrix.conj().T) <= tol
+def is_hermitian(matrix: np.ndarray) -> bool:
+    """Check ‖M − M†‖_max ≤ ATOL · ‖M‖_max, a bound that scales with M."""
+    return max_abs(matrix - matrix.conj().T) <= ATOL * max_abs(matrix)
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -75,6 +77,23 @@ def frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
     out.setflags(write=False)
     return out
+
+
+def check_resolution(projectors: Sequence[np.ndarray], dim: int) -> None:
+    """Raise IncompleteFamilyError unless the family resolves the identity.
+
+    That is: Hermitian idempotents, mutually orthogonal, summing to I.
+    """
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for i, p in enumerate(projectors):
+        if max_abs(p @ p - p) > ATOL or not is_hermitian(p):
+            raise IncompleteFamilyError("projector is not Hermitian idempotent")
+        for q in projectors[i + 1:]:
+            if max_abs(p @ q) > ATOL:
+                raise IncompleteFamilyError("projectors are not mutually orthogonal")
+        total += p
+    if max_abs(total - np.eye(dim)) > ATOL:
+        raise IncompleteFamilyError("projectors do not sum to the identity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,26 +111,14 @@ class SpectralDecomposition:
     def __post_init__(self):
         if self.dim <= 0:
             raise ValueError("dim must be positive")
-        ranks = 0
         prev = math.inf
-        projs = [p for _, p in self.terms]
         for value, proj in self.terms:
             if value >= prev:
                 raise ValueError("eigenvalues must be strictly decreasing")
             prev = value
             if proj.shape != (self.dim, self.dim):
                 raise ValueError("projector has wrong shape")
-            if max_abs(proj @ proj - proj) > ATOL or not is_hermitian(proj):
-                raise ValueError("projector is not Hermitian idempotent")
-            ranks += int(round(float(np.trace(proj).real)))
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if max_abs(projs[i] @ projs[j]) > ATOL:
-                    raise ValueError("projectors are not mutually orthogonal")
-        if ranks != self.dim:
-            raise ValueError(
-                f"eigenspace ranks sum to {ranks}, expected {self.dim}"
-            )
+        check_resolution(self.projectors, self.dim)
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -129,27 +136,26 @@ class SpectralDecomposition:
         return out
 
 
-def grouped_eigh(
-    matrix, group_tol: float = GROUP_TOL
-) -> list[tuple[float, np.ndarray]]:
+def grouped_eigh(matrix) -> list[tuple[float, np.ndarray]]:
     """Eigendecompose a Hermitian matrix, merging near-degenerate eigenvalues.
 
-    Eigenvalues whose adjacent gap is at most ``group_tol * max(1, ‖M‖)``
-    (spectral norm) are merged into one group. Returns (value, column
-    block of orthonormal eigenvectors) pairs, values strictly decreasing;
-    the group value is the mean of its members.
+    Eigenvalues whose adjacent gap is at most ``GROUP_TOL * ‖M‖``
+    (spectral norm) are merged into one group, so rescaling M does not
+    change the grouping. Returns (value, column block of orthonormal
+    eigenvectors) pairs, values strictly decreasing; the group value is
+    the mean of its members.
     """
     m = as_complex_matrix(matrix, square=True)
     if not is_hermitian(m):
         raise NotHermitianError(
-            f"matrix is not Hermitian within {ATOL} "
+            f"matrix is not Hermitian within {ATOL} of its largest entry "
             f"(deviation {max_abs(m - m.conj().T):.3g})"
         )
     try:
         evals, evecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    threshold = group_tol * max(1.0, max_abs(evals))
+    threshold = GROUP_TOL * max_abs(evals)
     boundaries = [0]
     for i in range(1, evals.size):
         if evals[i] - evals[i - 1] > threshold:
@@ -163,26 +169,35 @@ def grouped_eigh(
     return groups
 
 
-def hermitian_eig(matrix, group_tol: float = GROUP_TOL) -> SpectralDecomposition:
+def hermitian_eig(matrix) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix into eigenspace projectors.
 
     Near-degenerate eigenvalues are merged per ``grouped_eigh``, which
     keeps downstream updates well-defined under near-degeneracy: the
     projector, not any eigenvector choice, is the canonical object.
     """
-    groups = grouped_eigh(matrix, group_tol=group_tol)
+    groups = grouped_eigh(matrix)
     terms = tuple(
         (value, frozen(hermitize(vecs @ vecs.conj().T))) for value, vecs in groups
     )
     return SpectralDecomposition(terms=terms, dim=int(np.asarray(matrix).shape[0]))
 
 
-def matrix_sqrt(matrix, tol: float = ATOL) -> np.ndarray:
-    """Principal square root of a PSD matrix.
+def psd_roots(evals: np.ndarray) -> np.ndarray:
+    """√λ over the spectrum of a PSD matrix; NotPSDError below -ATOL·max|λ|.
 
-    Eigenvalues in [-tol, 0) are treated as roundoff and clipped to 0;
-    anything below -tol means the input is genuinely indefinite.
+    λ ≤ n·eps·max|λ| is roundoff and gets the root 0, so the kernel of a
+    rank-deficient matrix stays exact (ε ≈ 1e-17 would give √ε ≈ 3e-9).
     """
+    scale = max_abs(evals)
+    if evals.size and evals.min() < -ATOL * scale:
+        raise NotPSDError(f"matrix has eigenvalue {evals.min():.3g} < -{ATOL}·{scale:.3g}")
+    floor = evals.size * np.finfo(np.float64).eps * scale
+    return np.sqrt(np.where(evals > floor, evals, 0.0))
+
+
+def matrix_sqrt(matrix) -> np.ndarray:
+    """Principal square root of a PSD matrix, with roots from ``psd_roots``."""
     m = as_complex_matrix(matrix, square=True)
     if not is_hermitian(m):
         raise NotPSDError("matrix is not Hermitian, so not PSD")
@@ -190,10 +205,7 @@ def matrix_sqrt(matrix, tol: float = ATOL) -> np.ndarray:
         evals, evecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    if evals.size and evals[0] < -tol:
-        raise NotPSDError(f"matrix has eigenvalue {evals[0]:.3g} < -{tol}")
-    roots = np.sqrt(np.clip(evals, 0.0, None))
-    return hermitize((evecs * roots) @ evecs.conj().T)
+    return hermitize((evecs * psd_roots(evals)) @ evecs.conj().T)
 
 
 def min_eigenvalue(matrix) -> float:
@@ -203,24 +215,24 @@ def min_eigenvalue(matrix) -> float:
     return float(evals[0]) if evals.size else 0.0
 
 
-def kron(a, b, dim_cap: int = DIM_CAP) -> np.ndarray:
+def kron(a, b) -> np.ndarray:
     """Kronecker product with a joint-dimension cap."""
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > dim_cap:
+    if max(rows, cols) > DIM_CAP:
         raise DimensionOverflowError(
-            f"kron result is {rows}x{cols}, exceeding the cap {dim_cap}"
+            f"kron result is {rows}x{cols}, exceeding the cap {DIM_CAP}"
         )
     return np.kron(a, b)
 
 
-def kron_all(matrices: Iterable[np.ndarray], dim_cap: int = DIM_CAP) -> np.ndarray:
+def kron_all(matrices: Iterable[np.ndarray]) -> np.ndarray:
     """Left-to-right Kronecker product of a sequence (identity for empty)."""
     out = np.eye(1, dtype=np.complex128)
     for m in matrices:
-        out = kron(out, m, dim_cap=dim_cap)
+        out = kron(out, m)
     return out
 
 

@@ -186,7 +186,7 @@ def check_phaser_pure_components(seed, trials, dims) -> PropertyResult:
         worst = max(worst, abs(purity(mixed) - 1.0))
         worst = max(worst, linalg.max_abs(from_pure(phi).matrix - mixed.matrix))
         evals, evecs = np.linalg.eigh(sigma.matrix)
-        roots = np.sqrt(np.clip(evals, 0.0, None))
+        roots = linalg.psd_roots(evals)
         psi_c = evecs.conj().T @ psi.amplitudes
         phi_c = evecs.conj().T @ phi.amplitudes
         worst = max(worst, float(np.abs(phi_c - roots * psi_c).max()))
@@ -657,19 +657,12 @@ def apply_gate_dense(joint: np.ndarray, gate, dims) -> np.ndarray:
 
 
 def _random_word(name, spaces, mechanism, dim, k, rng) -> LexiconEntry:
-    """A word for the kernel check; phaser operands are full rank.
-
-    The principal root of a rank-deficient operand turns roundoff
-    eigenvalues ε ≈ 1e-17 into √ε ≈ 3e-9 in either route, so it is
-    fixed only to about 1e-8 relative, and the two routes decompose
-    different matrices (σ and σ ⊗ I).
-    """
+    """A word for the kernel check; fuzz and phaser operands vary in rank."""
     if mechanism == "projector":
         return LexiconEntry(name, spaces, "pure", mechanism, random_pure(dim, rng))
     if mechanism == "ddm":
         return LexiconEntry(name, spaces, "ddm", mechanism, random_ddm(dim, rng))
-    sigma = random_psd(dim, rng) if mechanism == "phaser" else _operand(dim, k, rng)
-    return LexiconEntry(name, spaces, "density", mechanism, sigma)
+    return LexiconEntry(name, spaces, "density", mechanism, _operand(dim, k, rng))
 
 
 def check_local_kernel(seed, trials, dims) -> PropertyResult:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import DensityMatrix, Projector, PureState
+from .density import DensityMatrix, PureState
 from .spider import OrthonormalBasis
 
 #: Seed used by shipped witnesses and the default verify run.
@@ -59,13 +59,6 @@ def random_unitary(dim: int, rng) -> np.ndarray:
 def random_basis(dim: int, rng) -> OrthonormalBasis:
     """Haar-random orthonormal basis (kets are unitary columns)."""
     return OrthonormalBasis.from_columns(random_unitary(dim, rng))
-
-
-def random_projector(dim: int, rank: int, rng) -> Projector:
-    """Random rank-``rank`` projector."""
-    u = random_unitary(dim, rng_from(rng))
-    vecs = u[:, :rank]
-    return Projector(vecs @ vecs.conj().T)
 
 
 def random_ddm(dim: int, rng, max_factors: int = 3, max_branches: int | None = None):

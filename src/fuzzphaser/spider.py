@@ -87,16 +87,14 @@ class SpiderTensor:
         return self.tensor.transpose(axes).reshape(d**self.legs_out, d**self.legs_in)
 
 
-def make_spider(
-    basis: OrthonormalBasis, m: int, n: int, size_cap: int = SIZE_CAP
-) -> SpiderTensor:
+def make_spider(basis: OrthonormalBasis, m: int, n: int) -> SpiderTensor:
     """Spider with m input and n output legs: Σᵢ |i…i⟩⟨i…i| in ``basis``."""
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError("need m, n >= 0 with at least one leg")
     d = basis.dim
-    if d ** (m + n) > size_cap:
+    if d ** (m + n) > SIZE_CAP:
         raise SizeCapError(
-            f"spider tensor would hold {d**(m+n)} scalars, cap is {size_cap}"
+            f"spider tensor would hold {d**(m+n)} scalars, cap is {SIZE_CAP}"
         )
     tensor = np.zeros((d,) * (m + n), dtype=np.complex128)
     for i in range(d):
@@ -125,7 +123,7 @@ def _as_tensor(obj) -> np.ndarray:
     return arr
 
 
-def contract(a, b, leg_pairs: Sequence[tuple[int, int]], size_cap: int = SIZE_CAP):
+def contract(a, b, leg_pairs: Sequence[tuple[int, int]]):
     """Einstein contraction of two tensors over the paired legs.
 
     Legs are axis indices: for a SpiderTensor the input legs come first,
@@ -149,7 +147,7 @@ def contract(a, b, leg_pairs: Sequence[tuple[int, int]], size_cap: int = SIZE_CA
         [d for i, d in enumerate(ta.shape) if i not in axes_a]
         + [d for i, d in enumerate(tb.shape) if i not in axes_b]
     )
-    if out_size > size_cap:
+    if out_size > SIZE_CAP:
         raise SizeCapError(f"contraction result holds {out_size} scalars")
     return np.tensordot(ta, tb, axes=(axes_a, axes_b))
 

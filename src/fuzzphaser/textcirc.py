@@ -6,7 +6,9 @@ verbs act on the subject and object wires together, which is why the
 world is one joint state rather than a bag of per-actor states.
 Compiling turns each gate into Kraus operators on its own wires:
 projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k]. Evaluation
-applies them to the touched wires only.
+applies them to the touched wires only. Every joint state it makes is
+Σ K ρ K† of a validated state, so none is re-validated; the states that
+leave the evaluator through ``reduced_state`` are.
 """
 
 from __future__ import annotations
@@ -231,12 +233,6 @@ class Circuit:
             out *= a.dim
         return out
 
-    def actor_index(self, name: str) -> int:
-        for i, a in enumerate(self.actors):
-            if a.name == name:
-                return i
-        raise UnknownActorError(f"no actor named {name!r}")
-
 
 def _gate_parts(entry: LexiconEntry, mechanism: str):
     """The operand a gate carries and its Kraus operators on its own slots."""
@@ -389,6 +385,9 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
 
     The touched wires are permuted to lead the row index and trail the
     column index, so K multiplies the row unfolding and K† the column one.
+    Each entry's roundoff is below ``noise`` (d·eps times its terms); a
+    result within 1/ATOL of that keeps only eigenvalues above D·noise, so
+    what roundoff leaves of an annihilated state is exactly 0.
     """
     n = len(dims)
     slots = list(gate.slots)
@@ -402,20 +401,26 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
     for k in gate.kraus:
         out += (k @ frame).reshape(-1, d) @ k.conj().T
     back = out.reshape(shape).transpose(np.argsort(axes)).reshape(joint.shape)
-    return linalg.hermitize(back)
+    back = linalg.hermitize(back)
+    terms = sum(np.abs(k).sum(axis=1).max() ** 2 for k in gate.kraus)
+    noise = d * np.finfo(np.float64).eps * np.abs(np.diagonal(joint)).max() * terms
+    if np.abs(np.diagonal(back)).max() * linalg.ATOL < noise:
+        evals, evecs = np.linalg.eigh(back)
+        keep = evals > joint.shape[0] * noise
+        back = linalg.hermitize((evecs[:, keep] * evals[keep]) @ evecs[:, keep].conj().T)
+    return back
 
 
 def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[WorldState]:
     names = tuple(a.name for a in circuit.actors)
     dims = tuple(a.dim for a in circuit.actors)
-    joint = linalg.kron_all([a.prior.matrix for a in circuit.actors])
-    yield WorldState(names, dims, DensityMatrix(joint))
+    priors = [a.prior.matrix for a in circuit.actors]
+    state = DensityMatrix._unchecked(linalg.kron_all(priors))
+    yield WorldState(names, dims, state)
     for gate in circuit.gates:
-        joint = _apply_gate(joint, gate, dims)
-        state = DensityMatrix(joint)
+        state = DensityMatrix._unchecked(_apply_gate(state.matrix, gate, dims))
         if renormalize_each_step:
             state = renormalize(state)
-            joint = np.asarray(state.matrix)
         yield WorldState(names, dims, state)
 
 

@@ -40,18 +40,9 @@ class PhaserData:
         if not packed:
             raise ValueError("need at least one (coefficient, projector) term")
         dim = packed[0][1].dim
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        projs = [p.matrix for _, p in packed]
-        for p in projs:
-            if p.shape[0] != dim:
-                raise DimensionMismatchError("projectors must share one dimension")
-            total += p
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if linalg.max_abs(projs[i] @ projs[j]) > linalg.ATOL:
-                    raise ValueError("projectors must be mutually orthogonal")
-        if linalg.max_abs(total - np.eye(dim)) > linalg.ATOL:
-            raise ValueError("projectors must be complete (sum to identity)")
+        if any(p.dim != dim for _, p in packed):
+            raise DimensionMismatchError("projectors must share one dimension")
+        linalg.check_resolution([p.matrix for _, p in packed], dim)
         object.__setattr__(self, "terms", packed)
 
     @property
@@ -137,7 +128,7 @@ def phaser_as_spider(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
     """
     _require_same_dim(rho, sigma.dim)
     evals, evecs = np.linalg.eigh(sigma.matrix)
-    roots = np.sqrt(np.clip(evals, 0.0, None))
+    roots = linalg.psd_roots(evals)
     if not np.any(roots):
         return DensityMatrix(np.zeros_like(sigma.matrix))
     basis = OrthonormalBasis.from_columns(evecs)

@@ -95,7 +95,8 @@ def test_criterion_2_pure_state_component_law():
         mixed = phaser(from_pure(psi), sigma)
         worst = max(worst, abs(purity(mixed) - 1.0))
         evals, evecs = np.linalg.eigh(sigma.matrix)
-        roots = np.sqrt(np.clip(evals, 0.0, None))
+        floor = evals.size * np.finfo(np.float64).eps * np.abs(evals).max()
+        roots = np.sqrt(np.where(evals > floor, evals, 0.0))
         psi_c = evecs.conj().T @ psi.amplitudes
         phi_c = evecs.conj().T @ phi.amplitudes
         worst = max(worst, float(np.abs(phi_c - roots * psi_c).max()))

@@ -3,9 +3,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuzzphaser.cli import main
+from fuzzphaser.density import DensityMatrix, PureState
+from fuzzphaser.lexicon import save_lexicon
+from fuzzphaser.sampling import random_density, random_pure
+from fuzzphaser.textcirc import Lexicon, LexiconEntry
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
 
@@ -39,6 +44,26 @@ LINK_LEXICON = {
          ]}},
     ],
 }
+
+
+HUGE_LEXICON = {
+    "spaces": {"axis": 2},
+    "entries": [
+        {"name": "huge", "space": "axis", "kind": "density", "mechanism": "phaser",
+         "data": [[1e200, 0.0], [0.0, 1e200]]},
+    ],
+}
+
+
+def _save_big_lexicon(path):
+    """A pure dim-4 Door and a phaser word ``big`` of trace 1e3."""
+    rng = np.random.default_rng(0)
+    big = DensityMatrix(1e3 * random_density(4, rng).matrix)
+    entries = [
+        LexiconEntry("Door", "c", "pure", "projector", random_pure(4, rng)),
+        LexiconEntry("big", "c", "density", "phaser", big),
+    ]
+    save_lexicon(Lexicon({"c": 4}, entries), path)
 
 
 def _write(tmp_path, lexicon, text):
@@ -134,6 +159,29 @@ class TestRun:
         assert "purity undefined" in out
 
 
+    @pytest.mark.parametrize("pair", ["rational", "haar"])
+    def test_annihilation_by_non_basis_pair(self, tmp_path, capsys, pair):
+        """Orthogonal kets off the basis leave roundoff, which must read as 0."""
+        if pair == "rational":
+            x, down = np.array([0.6, 0.8]), np.array([0.8, -0.6])
+        else:
+            x = random_pure(2, np.random.default_rng(5)).amplitudes
+            down = np.array([-np.conj(x[1]), np.conj(x[0])])
+        entries = [
+            LexiconEntry("X", "axis", "pure", "projector", PureState(x)),
+            LexiconEntry("down", "axis", "pure", "projector", PureState(down)),
+        ]
+        lex = tmp_path / "ortho.json"
+        save_lexicon(Lexicon({"axis": 2}, entries), lex)
+        text = tmp_path / "kill.txt"
+        text.write_text("X turns down.\n")
+        assert main(["run", str(text), "--lexicon", str(lex)]) == 0
+        out = capsys.readouterr().out
+        assert "joint trace: 0\n" in out
+        assert "purity undefined" in out
+        assert main(["run", str(text), "--lexicon", str(lex), "--renormalize"]) == 3
+        assert "annihilated" in capsys.readouterr().err
+
     def test_fuzz_without_positive_eigenvalue(self, tmp_path, capsys):
         text, lex = _write(tmp_path, VOID_LEXICON, "Door is void.\n")
         assert main(["run", text, "--lexicon", lex]) == 0
@@ -142,6 +190,23 @@ class TestRun:
         assert "annihilated" in capsys.readouterr().err
         assert main(["export", text, "--lexicon", lex]) == 0
         assert json.loads(capsys.readouterr().out)["gates"][0]["kraus"] == []
+
+    @pytest.mark.parametrize("repeats", [3, 4])
+    def test_large_trace_text_evaluates(self, tmp_path, capsys, repeats):
+        lex = tmp_path / "big.json"
+        _save_big_lexicon(lex)
+        text = tmp_path / "big.txt"
+        text.write_text("Door is big. " * repeats + "\n")
+        assert main(["run", str(text), "--lexicon", str(lex)]) == 0
+        assert "Door (space c, dim 4)" in capsys.readouterr().out
+
+    def test_overflowing_state_is_input_error(self, tmp_path, capsys):
+        text, lex = _write(tmp_path, HUGE_LEXICON, "Door is huge. Door is huge.\n")
+        assert main(["run", text, "--lexicon", lex]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        errors = [line for line in lines if line.startswith("error: ")]
+        assert len(errors) == 1 and "finite" in errors[0]
+        assert not any(line.startswith("Traceback") for line in lines)
 
 
 class TestDemo:

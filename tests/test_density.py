@@ -14,6 +14,7 @@ from fuzzphaser.density import (
 from fuzzphaser.errors import (
     DimensionMismatchError,
     IncompleteFamilyError,
+    NotPSDError,
     ZeroTraceError,
 )
 from fuzzphaser.sampling import random_density, random_pure
@@ -62,6 +63,14 @@ class TestDensityMatrix:
     def test_tolerates_roundoff_negativity(self):
         rho = DensityMatrix(np.diag([1.0, -1e-12]))
         assert rho.dim == 2
+
+    def test_tolerance_scales_with_the_matrix(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            rho = DensityMatrix(1e9 * from_pure(random_pure(4, rng)).matrix)
+            assert rho.trace == pytest.approx(1e9)
+        with pytest.raises(NotPSDError):
+            DensityMatrix(1e-10 * np.diag([1.0, -1.0]))
 
     def test_constructors(self):
         assert DensityMatrix.identity(3).trace == pytest.approx(3.0)

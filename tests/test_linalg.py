@@ -63,6 +63,11 @@ class TestGroupedEigh:
         assert len(groups) == 2
         assert groups[1][1].shape == (3, 2)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_grouping_is_scale_free(self, scale):
+        groups = linalg.grouped_eigh(scale * np.diag([3.0, 2.995, 1.0 + 5e-13, 1.0]))
+        assert [block.shape[1] for _, block in groups] == [1, 1, 2]
+
     def test_distinct_values_stay_separate(self):
         groups = linalg.grouped_eigh(np.diag([3.0, 1.5, 1.0]))
         assert [round(v, 6) for v, _ in groups] == [3.0, 1.5, 1.0]

@@ -72,7 +72,7 @@ class TestMakeSpider:
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
-            make_spider(OrthonormalBasis.computational(3), 0, 2, size_cap=8)
+            make_spider(OrthonormalBasis.computational(2), 0, 21)
 
 
 class TestContract:

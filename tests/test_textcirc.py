@@ -285,6 +285,24 @@ class TestEvaluate:
         last = evaluate_trajectory(circuit, renorm)[-1].joint.matrix
         assert np.array_equal(evaluate(circuit, renorm).joint.matrix, last)
 
+    @pytest.mark.parametrize("renorm", [False, True])
+    def test_joint_is_not_revalidated(self, renorm, monkeypatch):
+        circuit = compile_sentences(
+            [Introduce("Ann"), Transitive("Ann", "bites", "Rex"), IsA("Rex", "black")],
+            _verb_lexicon(),
+        )
+        dims = []
+        min_eigenvalue = linalg.min_eigenvalue
+
+        def counted(m):
+            dims.append(len(m))
+            return min_eigenvalue(m)
+
+        monkeypatch.setattr(linalg, "min_eigenvalue", counted)
+        world = evaluate(circuit, renorm)
+        assert circuit.joint_dim not in dims
+        assert not world.joint.matrix.flags.writeable
+
     def test_fuzz_without_positive_eigenvalue_annihilates(self):
         void = DensityMatrix(np.zeros((2, 2)))
         lex = Lexicon({"c": 2}, [LexiconEntry("void", "c", "density", "fuzz", void)])
@@ -295,15 +313,17 @@ class TestEvaluate:
             evaluate(circuit, renormalize_each_step=True)
 
 
-def _scaled_word(mechanism: str, spaces, dim: int, scale: float, rng) -> LexiconEntry:
+def _scaled_word(
+    name: str, mechanism: str, spaces, dim: int, scale: float, rng
+) -> LexiconEntry:
     if mechanism == "projector":
-        return LexiconEntry("w", spaces, "pure", mechanism, random_pure(dim, rng))
+        return LexiconEntry(name, spaces, "pure", mechanism, random_pure(dim, rng))
     if mechanism == "ddm":
         factors = [DdmFactor(scale * f.y, f.branches) for f in random_ddm(dim, rng).factors]
-        return LexiconEntry("w", spaces, "ddm", mechanism, DoubleDensityMatrix(factors))
-    # full rank: the root of a zero eigenvalue is fixed only to ~1e-8 in either route
-    sigma = DensityMatrix(scale * linalg.hermitize(random_psd(dim, rng).matrix))
-    return LexiconEntry("w", spaces, "density", mechanism, sigma)
+        return LexiconEntry(name, spaces, "ddm", mechanism, DoubleDensityMatrix(factors))
+    rank = int(rng.integers(1, dim + 1))
+    sigma = DensityMatrix(scale * random_density(dim, rng, rank=rank).matrix)
+    return LexiconEntry(name, spaces, "density", mechanism, sigma)
 
 
 class TestLocalKernel:
@@ -323,7 +343,7 @@ class TestLocalKernel:
         slots = tuple(wires[: 2 if two_slots and len(dims) > 1 else 1])
         dim = int(np.prod([dims[w] for w in slots]))
         spaces = tuple(f"s{w}" for w in slots)
-        entries = [_scaled_word(mechanism, spaces, dim, 10.0**exponent, rng)] + [
+        entries = [_scaled_word("w", mechanism, spaces, dim, 10.0**exponent, rng)] + [
             LexiconEntry(f"A{w}", f"s{w}", "density", "fuzz", DensityMatrix.identity(d))
             for w, d in enumerate(dims)
         ]
@@ -342,6 +362,56 @@ class TestLocalKernel:
         assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
 
 
+def _scaled_lexicon(words, actors: int, scale: float, seed: int) -> Lexicon:
+    """Actor priors, then one word per (name, mechanism, spaces).
+
+    Only the fuzz and phaser operands are multiplied by ``scale``.
+    """
+    rng = np.random.default_rng(seed)
+    entries = [
+        LexiconEntry(f"A{i}", "c", "pure", "projector", random_pure(2, rng))
+        for i in range(actors)
+    ]
+    for name, mechanism, spaces in words:
+        c = scale if mechanism in ("fuzz", "phaser") else 1.0
+        entries.append(_scaled_word(name, mechanism, spaces, 2 ** len(spaces), c, rng))
+    return Lexicon({"c": 2}, entries)
+
+
+class TestScaleFree:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        actors=st.integers(1, 3),
+        gates=st.lists(
+            st.tuples(st.sampled_from(MECHANISMS), st.integers(0, 2), st.integers(0, 2)),
+            min_size=1,
+            max_size=5,
+        ),
+        exponent=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_operand_scale_factors_out(self, actors, gates, exponent, seed):
+        """Scaling each fuzz/phaser operand by c scales the final joint by c^k."""
+        words, sentences = [], [Introduce(f"A{i}") for i in range(actors)]
+        for g, (mechanism, subject, obj) in enumerate(gates):
+            subject, obj = subject % actors, obj % actors
+            transitive = subject != obj
+            words.append((f"w{g}", mechanism, ("c", "c") if transitive else ("c",)))
+            if transitive:
+                sentences.append(Transitive(f"A{subject}", f"w{g}", f"A{obj}"))
+            else:
+                sentences.append(IsA(f"A{subject}", f"w{g}"))
+        c = 10.0**exponent
+        k = sum(mechanism in ("fuzz", "phaser") for mechanism, _, _ in gates)
+        base, scaled = (
+            evaluate(compile_sentences(sentences, _scaled_lexicon(words, actors, x, seed)))
+            for x in (1.0, c)
+        )
+        expected = c**k * base.joint.matrix
+        gap = linalg.max_abs(scaled.joint.matrix - expected)
+        assert gap <= 1e-9 * linalg.max_abs(expected)
+
+
 class TestReducedState:
     def test_reduction_after_gate(self):
         lex = _verb_lexicon()
@@ -353,6 +423,33 @@ class TestReducedState:
         ann = reduced_state(world, "Ann")
         assert ann.dim == 2
         assert ann.trace == pytest.approx(world.joint.trace)
+
+    @pytest.mark.parametrize("mechanism", ["projector", "fuzz", "phaser"])
+    @pytest.mark.parametrize("exponent", [10, 20])
+    def test_near_annihilation_leaves_a_psd_state(self, mechanism, exponent):
+        """The word keeps weight 10^-exponent on Door's prior ket a.
+
+        Its other directions leave roundoff far above 1e-20, or above
+        1e-9 of 1e-10, on the state; it must neither fail the PSD check
+        nor be kept when it is below roundoff.
+        """
+        rng = np.random.default_rng(7)
+        q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        a, rest = q[:, 0], q[:, 1:]
+        weight = 10.0**-exponent
+        if mechanism == "projector":
+            ket = np.sqrt(1 - weight) * rest[:, 0] + np.sqrt(weight) * a
+            word = LexiconEntry("w", "c", "pure", mechanism, PureState(ket))
+        else:
+            sigma = (rest * [0.7, 0.3]) @ rest.conj().T + weight * np.outer(a, a.conj())
+            word = LexiconEntry("w", "c", "density", mechanism, DensityMatrix(sigma))
+        door = LexiconEntry("Door", "c", "pure", "projector", PureState(a))
+        world = evaluate(compile_text("Door is w.", Lexicon({"c": 3}, [door, word])))
+        door_state = reduced_state(world, "Door")
+        if exponent == 20:
+            assert linalg.max_abs(world.joint.matrix) == 0.0
+        else:
+            assert door_state.trace == pytest.approx(weight, rel=1e-6)
 
     def test_unknown_actor(self):
         world = evaluate(compile_text("Door is black.", _noun_lexicon()))
