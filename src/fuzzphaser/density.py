@@ -6,7 +6,9 @@ one explicit exception.
 
 States are validated where data enters (lexicon load, priors, user code)
 and where it leaves the evaluator (``textcirc.reduced_state``). States
-the evaluator makes are PSD by construction and are not re-validated.
+the evaluator makes are PSD by construction and are not re-validated;
+they are Hermitian up to roundoff, and their Hermitian part is taken
+where they leave, too.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ class DensityMatrix:
 
         Only for Σ K ρ K† of a DensityMatrix ρ (a tensor product of
         DensityMatrix matrices included), or a positive rescale of one.
+        Such a matrix is Hermitian up to roundoff; like validation, its
+        Hermitian part is taken where it leaves the evaluator.
         """
         matrix.setflags(write=False)
         state = object.__new__(cls)

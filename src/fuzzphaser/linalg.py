@@ -282,20 +282,34 @@ def embed_on_subsystem(op, slot_dims: Sequence[int], slots) -> np.ndarray:
 
 
 def partial_trace(matrix, dims: Sequence[int], keep) -> np.ndarray:
-    """Trace out every wire not in ``keep`` (kept wires stay in wire order)."""
+    """Trace out every wire not in ``keep`` (kept wires stay in wire order).
+
+    One einsum over runs of consecutive kept or traced wires, wires of
+    dimension 1 dropped: a run takes one subscript, two if kept, so any
+    matrix that fits in memory stays within einsum's 52. The input is read
+    in place, neither copied nor checked for finiteness; the result is new.
+    """
     dims = [int(d) for d in dims]
-    m = as_complex_matrix(matrix, square=True)
+    m = np.asarray(matrix, dtype=np.complex128)
     total = math.prod(dims)
-    if m.shape[0] != total:
+    if m.shape != (total, total):
         raise DimensionMismatchError(
-            f"matrix dim {m.shape[0]} != product of wire dims {total}"
+            f"matrix shape {m.shape} != ({total}, {total}), the product of wire dims"
         )
-    keep_list = sorted(_check_slots(keep, len(dims)))
-    tens = m.reshape(dims * 2)
-    current = list(range(len(dims)))
-    for w in sorted(set(current) - set(keep_list), reverse=True):
-        pos = current.index(w)
-        tens = np.trace(tens, axis1=pos, axis2=len(current) + pos)
-        current.remove(w)
-    kept_dim = math.prod(dims[w] for w in keep_list)
-    return np.ascontiguousarray(tens.reshape(kept_dim, kept_dim))
+    keep_set = set(_check_slots(keep, len(dims)))
+    runs: list[list] = []  # [kept, size] of each run
+    for w, d in enumerate(dims):
+        if d == 1:
+            continue
+        kept = w in keep_set
+        if runs and runs[-1][0] == kept:
+            runs[-1][1] *= d
+        else:
+            runs.append([kept, d])
+    n = len(runs)
+    kept_runs = [r for r, (kept, _) in enumerate(runs) if kept]
+    cols = [n + r if kept else r for r, (kept, _) in enumerate(runs)]
+    tens = m.reshape([size for _, size in runs] * 2)
+    traced = np.einsum(tens, list(range(n)) + cols, kept_runs + [n + r for r in kept_runs])
+    kept_dim = math.prod(dims[w] for w in keep_set)
+    return np.array(traced.reshape(kept_dim, kept_dim))

@@ -7,12 +7,15 @@ world is one joint state rather than a bag of per-actor states.
 Compiling turns each gate into Kraus operators on its own wires:
 projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k]. Evaluation
 applies them to the touched wires only. Every joint state it makes is
-Σ K ρ K† of a validated state, so none is re-validated; the states that
-leave the evaluator through ``reduced_state`` are.
+Σ K ρ K† of a validated state, so none is re-validated, and is Hermitian
+up to roundoff, so none is hermitized: the states that leave the
+evaluator through ``reduced_state`` are validated, and their Hermitian
+part is taken there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -24,6 +27,7 @@ from .density import DensityMatrix, Projector, PureState, from_pure, renormalize
 from .errors import (
     DimensionOverflowError,
     LexiconError,
+    NumericalFailureError,
     ParseError,
     SpaceMismatchError,
     UnknownActorError,
@@ -380,34 +384,62 @@ class WorldState:
     joint: DensityMatrix
 
 
-def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarray:
-    """Σ K ρ K† with each K on the gate's wires only: O(D²·d), not O(D³).
+def _gate_plan(gate: Gate, dims: Sequence[int]) -> tuple:
+    """What applying ``gate`` needs besides the joint, fixed per (word, slots).
 
-    The touched wires are permuted to lead the row index and trail the
-    column index, so K multiplies the row unfolding and K† the column one.
-    Each entry's roundoff is below ``noise`` (d·eps times its terms); a
-    result within 1/ATOL of that keeps only eigenvalues above D·noise, so
-    what roundoff leaves of an annihilated state is exactly 0.
+    That is (d, axes, inverse, pairs, weight): ``axes`` permute the touched
+    wires (dimension d together) to lead the row index and trail the column
+    index, ``inverse`` undoes that, ``pairs`` are the (K, K†) and ``weight``
+    is Σ_k ‖K_k‖∞².
     """
     n = len(dims)
     slots = list(gate.slots)
     rest = [w for w in range(n) if w not in slots]
-    d = int(np.prod([dims[w] for w in slots]))
     axes = slots + rest + [n + w for w in rest + slots]
+    return (
+        math.prod(dims[w] for w in slots),
+        tuple(axes),
+        tuple(np.argsort(axes).tolist()),
+        [(k, k.conj().T) for k in gate.kraus],
+        sum(float(np.abs(k).sum(axis=1).max()) ** 2 for k in gate.kraus),
+    )
+
+
+def _apply_gate(
+    joint: np.ndarray, gate: Gate, dims: Sequence[int], plan: tuple | None = None
+) -> np.ndarray:
+    """Σ K ρ K† with each K on the gate's wires only: O(D²·d), not O(D³).
+
+    ``plan`` is ``_gate_plan(gate, dims)``, which ``_trajectory`` makes
+    once per (word, slots). The touched wires are permuted to lead the row
+    index and trail the column index, so K multiplies the row unfolding
+    and K† the column one. The result is Hermitian up to roundoff; its
+    Hermitian part is taken where states leave the evaluator. A result
+    whose largest diagonal entry is inf or NaN raises NumericalFailureError
+    naming the gate. Each entry's roundoff is below ``noise`` (d·eps times
+    its terms); a result within 1/ATOL of that keeps only eigenvalues above
+    D·noise, so what roundoff leaves of an annihilated state is exactly 0.
+    """
+    d, axes, inverse, pairs, weight = plan or _gate_plan(gate, dims)
     frame = joint.reshape(list(dims) * 2).transpose(axes)
     shape = frame.shape
     frame = frame.reshape(d, -1)
-    out = np.zeros((joint.size // d, d), dtype=np.complex128)
-    for k in gate.kraus:
-        out += (k @ frame).reshape(-1, d) @ k.conj().T
-    back = out.reshape(shape).transpose(np.argsort(axes)).reshape(joint.shape)
-    back = linalg.hermitize(back)
-    terms = sum(np.abs(k).sum(axis=1).max() ** 2 for k in gate.kraus)
-    noise = d * np.finfo(np.float64).eps * np.abs(np.diagonal(joint)).max() * terms
-    if np.abs(np.diagonal(back)).max() * linalg.ATOL < noise:
-        evals, evecs = np.linalg.eigh(back)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = ((k @ frame).reshape(-1, d) @ kh for k, kh in pairs)
+        out = next(terms, None)
+        if out is None:
+            out = np.zeros((joint.size // d, d), dtype=np.complex128)
+        for term in terms:
+            out += term
+        back = out.reshape(shape).transpose(inverse).reshape(joint.shape)
+        peak = np.abs(np.diagonal(back)).max()
+    if not np.isfinite(peak):
+        raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
+    noise = d * np.finfo(np.float64).eps * np.abs(np.diagonal(joint)).max() * weight
+    if peak * linalg.ATOL < noise:
+        evals, evecs = np.linalg.eigh(linalg.hermitize(back))
         keep = evals > joint.shape[0] * noise
-        back = linalg.hermitize((evecs[:, keep] * evals[keep]) @ evecs[:, keep].conj().T)
+        back = (evecs[:, keep] * evals[keep]) @ evecs[:, keep].conj().T
     return back
 
 
@@ -417,8 +449,12 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[World
     priors = [a.prior.matrix for a in circuit.actors]
     state = DensityMatrix._unchecked(linalg.kron_all(priors))
     yield WorldState(names, dims, state)
+    plans = {}
     for gate in circuit.gates:
-        state = DensityMatrix._unchecked(_apply_gate(state.matrix, gate, dims))
+        key = (id(gate.kraus), gate.slots)  # gates of one word share their kraus
+        if key not in plans:
+            plans[key] = _gate_plan(gate, dims)
+        state = DensityMatrix._unchecked(_apply_gate(state.matrix, gate, dims, plans[key]))
         if renormalize_each_step:
             state = renormalize(state)
         yield WorldState(names, dims, state)

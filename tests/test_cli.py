@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,11 +203,16 @@ class TestRun:
 
     def test_overflowing_state_is_input_error(self, tmp_path, capsys):
         text, lex = _write(tmp_path, HUGE_LEXICON, "Door is huge. Door is huge.\n")
-        assert main(["run", text, "--lexicon", lex]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", text, "--lexicon", lex]) == 2
         lines = capsys.readouterr().err.splitlines()
         errors = [line for line in lines if line.startswith("error: ")]
         assert len(errors) == 1 and "finite" in errors[0]
+        assert '"Door is huge"' in errors[0]
         assert not any(line.startswith("Traceback") for line in lines)
+        assert not any("RuntimeWarning" in line for line in lines)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestDemo:
@@ -324,6 +330,14 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "demo result: PASS" in proc.stdout
+
+    def test_package_runs_as_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzphaser", "verify", "--trials", "2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "verify: 29/29 passed" in proc.stdout
 
     def test_byte_identical_runs(self):
         cmd = [

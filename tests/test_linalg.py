@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzphaser import linalg
 from fuzzphaser.errors import (
@@ -221,3 +225,26 @@ class TestPartialTrace:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             linalg.partial_trace(np.eye(5), [2, 2], [0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        dims=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+        keep_bits=st.integers(0, 2**6 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_trace_loop(self, dims, keep_bits, seed):
+        """One np.trace per traced wire, the last one first."""
+        rng = np.random.default_rng(seed)
+        total = math.prod(dims)
+        m = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
+        keep = [w for w in range(len(dims)) if keep_bits >> w & 1]
+        tens, current = m.reshape(dims * 2), list(range(len(dims)))
+        for w in sorted(set(current) - set(keep), reverse=True):
+            pos = current.index(w)
+            tens = np.trace(tens, axis1=pos, axis2=len(current) + pos)
+            current.remove(w)
+        kept_dim = math.prod(dims[w] for w in keep)
+        expected = tens.reshape(kept_dim, kept_dim)
+        out = linalg.partial_trace(m, dims, keep)
+        assert out.shape == expected.shape
+        assert linalg.max_abs(out - expected) <= 1e-14 * linalg.max_abs(expected)

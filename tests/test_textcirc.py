@@ -303,6 +303,23 @@ class TestEvaluate:
         assert circuit.joint_dim not in dims
         assert not world.joint.matrix.flags.writeable
 
+    @pytest.mark.parametrize("renorm", [False, True])
+    def test_joint_is_not_hermitized(self, renorm, monkeypatch):
+        circuit = compile_sentences(
+            [Introduce("Ann"), Transitive("Ann", "bites", "Rex"), IsA("Rex", "black")],
+            _verb_lexicon(),
+        )
+        dims = []
+        hermitize = linalg.hermitize
+
+        def counted(m):
+            dims.append(len(m))
+            return hermitize(m)
+
+        monkeypatch.setattr(linalg, "hermitize", counted)
+        evaluate(circuit, renorm)
+        assert circuit.joint_dim not in dims
+
     def test_fuzz_without_positive_eigenvalue_annihilates(self):
         void = DensityMatrix(np.zeros((2, 2)))
         lex = Lexicon({"c": 2}, [LexiconEntry("void", "c", "density", "fuzz", void)])
@@ -410,6 +427,55 @@ class TestScaleFree:
         expected = c**k * base.joint.matrix
         gap = linalg.max_abs(scaled.joint.matrix - expected)
         assert gap <= 1e-9 * linalg.max_abs(expected)
+
+
+class TestHermitianPart:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        actors=st.integers(1, 4),
+        gates=st.lists(
+            st.tuples(
+                st.sampled_from(MECHANISMS),
+                st.integers(0, 1),
+                st.integers(0, 3),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        renorm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hermitian_part_at_exit_equals_one_per_gate(
+        self, actors, gates, renorm, seed
+    ):
+        """Every gate preserves Hermiticity, so where Herm is taken is roundoff.
+
+        The chain hermitizes after every gate, as the kernel once did. Words
+        are reused across gates and slots, so the per-run gate plans are
+        shared between gates of one word on different wires.
+        """
+        words, sentences = {}, [Introduce(f"A{i}") for i in range(actors)]
+        for mechanism, variant, subject, obj in gates:
+            subject, obj = subject % actors, obj % actors
+            transitive = subject != obj
+            name = f"{mechanism}{variant}{'v' if transitive else 'n'}"
+            words[name] = (name, mechanism, ("c", "c") if transitive else ("c",))
+            if transitive:
+                sentences.append(Transitive(f"A{subject}", name, f"A{obj}"))
+            else:
+                sentences.append(IsA(f"A{subject}", name))
+        lex = _scaled_lexicon(list(words.values()), actors, 1.0, seed)
+        circuit = compile_sentences(sentences, lex)
+        dims = [a.dim for a in circuit.actors]
+        chain = linalg.kron_all(a.prior.matrix for a in circuit.actors)
+        for gate in circuit.gates:
+            chain = linalg.hermitize(_apply_gate(chain, gate, dims))
+            if renorm:
+                chain = chain / np.trace(chain).real
+        exit_state = linalg.hermitize(evaluate(circuit, renorm).joint.matrix)
+        bound = len(gates) * circuit.joint_dim * np.finfo(float).eps
+        assert linalg.max_abs(exit_state - chain) <= bound * linalg.max_abs(chain)
 
 
 class TestReducedState:
