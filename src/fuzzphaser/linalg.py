@@ -284,10 +284,10 @@ def embed_on_subsystem(op, slot_dims: Sequence[int], slots) -> np.ndarray:
 def partial_trace(matrix, dims: Sequence[int], keep) -> np.ndarray:
     """Trace out every wire not in ``keep`` (kept wires stay in wire order).
 
-    One einsum over runs of consecutive kept or traced wires, wires of
-    dimension 1 dropped: a run takes one subscript, two if kept, so any
+    One einsum with a subscript per traced wire and two per kept wire,
+    wires of dimension 1 dropped: every other wire has d ≥ 2, so any
     matrix that fits in memory stays within einsum's 52. The input is read
-    in place, neither copied nor checked for finiteness; the result is new.
+    in place, not copied; the result is new and must be finite.
     """
     dims = [int(d) for d in dims]
     m = np.asarray(matrix, dtype=np.complex128)
@@ -297,19 +297,14 @@ def partial_trace(matrix, dims: Sequence[int], keep) -> np.ndarray:
             f"matrix shape {m.shape} != ({total}, {total}), the product of wire dims"
         )
     keep_set = set(_check_slots(keep, len(dims)))
-    runs: list[list] = []  # [kept, size] of each run
-    for w, d in enumerate(dims):
-        if d == 1:
-            continue
-        kept = w in keep_set
-        if runs and runs[-1][0] == kept:
-            runs[-1][1] *= d
-        else:
-            runs.append([kept, d])
-    n = len(runs)
-    kept_runs = [r for r, (kept, _) in enumerate(runs) if kept]
-    cols = [n + r if kept else r for r, (kept, _) in enumerate(runs)]
-    tens = m.reshape([size for _, size in runs] * 2)
-    traced = np.einsum(tens, list(range(n)) + cols, kept_runs + [n + r for r in kept_runs])
+    wires = [w for w, d in enumerate(dims) if d > 1]
+    n = len(wires)
+    kept = [i for i, w in enumerate(wires) if w in keep_set]
+    cols = [n + i if w in keep_set else i for i, w in enumerate(wires)]
+    tens = m.reshape([dims[w] for w in wires] * 2)
+    traced = np.einsum(tens, list(range(n)) + cols, kept + [n + i for i in kept])
     kept_dim = math.prod(dims[w] for w in keep_set)
-    return np.array(traced.reshape(kept_dim, kept_dim))
+    out = np.array(traced.reshape(kept_dim, kept_dim))
+    if not np.all(np.isfinite(out.view(np.float64))):
+        raise NumericalFailureError("matrix entries must be finite (no NaN/Inf)")
+    return out

@@ -15,7 +15,6 @@ part is taken there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -384,57 +383,38 @@ class WorldState:
     joint: DensityMatrix
 
 
-def _gate_plan(gate: Gate, dims: Sequence[int]) -> tuple:
-    """What applying ``gate`` needs besides the joint, fixed per (word, slots).
+def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarray:
+    """Σ K ρ K† with each K on the gate's wires only: O(D²·d), not O(D³).
 
-    That is (d, axes, inverse, pairs, weight): ``axes`` permute the touched
-    wires (dimension d together) to lead the row index and trail the column
-    index, ``inverse`` undoes that, ``pairs`` are the (K, K†) and ``weight``
-    is Σ_k ‖K_k‖∞².
+    The touched wires are permuted to lead the row index and trail the
+    column index, so K multiplies the row unfolding and K† the column one.
+    The result is Hermitian up to roundoff; its Hermitian part is taken
+    where states leave the evaluator. A result whose largest diagonal
+    entry is inf or NaN raises NumericalFailureError naming the gate.
+    Each entry's roundoff is below ``noise`` (d·eps times its terms); a
+    result within 1/ATOL of that keeps only eigenvalues above D·noise, so
+    what roundoff leaves of an annihilated state is exactly 0.
     """
     n = len(dims)
     slots = list(gate.slots)
     rest = [w for w in range(n) if w not in slots]
+    d = int(np.prod([dims[w] for w in slots]))
     axes = slots + rest + [n + w for w in rest + slots]
-    return (
-        math.prod(dims[w] for w in slots),
-        tuple(axes),
-        tuple(np.argsort(axes).tolist()),
-        [(k, k.conj().T) for k in gate.kraus],
-        sum(float(np.abs(k).sum(axis=1).max()) ** 2 for k in gate.kraus),
-    )
-
-
-def _apply_gate(
-    joint: np.ndarray, gate: Gate, dims: Sequence[int], plan: tuple | None = None
-) -> np.ndarray:
-    """Σ K ρ K† with each K on the gate's wires only: O(D²·d), not O(D³).
-
-    ``plan`` is ``_gate_plan(gate, dims)``, which ``_trajectory`` makes
-    once per (word, slots). The touched wires are permuted to lead the row
-    index and trail the column index, so K multiplies the row unfolding
-    and K† the column one. The result is Hermitian up to roundoff; its
-    Hermitian part is taken where states leave the evaluator. A result
-    whose largest diagonal entry is inf or NaN raises NumericalFailureError
-    naming the gate. Each entry's roundoff is below ``noise`` (d·eps times
-    its terms); a result within 1/ATOL of that keeps only eigenvalues above
-    D·noise, so what roundoff leaves of an annihilated state is exactly 0.
-    """
-    d, axes, inverse, pairs, weight = plan or _gate_plan(gate, dims)
     frame = joint.reshape(list(dims) * 2).transpose(axes)
     shape = frame.shape
     frame = frame.reshape(d, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = ((k @ frame).reshape(-1, d) @ kh for k, kh in pairs)
+        terms = ((k @ frame).reshape(-1, d) @ k.conj().T for k in gate.kraus)
         out = next(terms, None)
         if out is None:
             out = np.zeros((joint.size // d, d), dtype=np.complex128)
         for term in terms:
             out += term
-        back = out.reshape(shape).transpose(inverse).reshape(joint.shape)
+        back = out.reshape(shape).transpose(np.argsort(axes)).reshape(joint.shape)
         peak = np.abs(np.diagonal(back)).max()
     if not np.isfinite(peak):
         raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
+    weight = sum(float(np.abs(k).sum(axis=1).max()) ** 2 for k in gate.kraus)
     noise = d * np.finfo(np.float64).eps * np.abs(np.diagonal(joint)).max() * weight
     if peak * linalg.ATOL < noise:
         evals, evecs = np.linalg.eigh(linalg.hermitize(back))
@@ -449,12 +429,8 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[World
     priors = [a.prior.matrix for a in circuit.actors]
     state = DensityMatrix._unchecked(linalg.kron_all(priors))
     yield WorldState(names, dims, state)
-    plans = {}
     for gate in circuit.gates:
-        key = (id(gate.kraus), gate.slots)  # gates of one word share their kraus
-        if key not in plans:
-            plans[key] = _gate_plan(gate, dims)
-        state = DensityMatrix._unchecked(_apply_gate(state.matrix, gate, dims, plans[key]))
+        state = DensityMatrix._unchecked(_apply_gate(state.matrix, gate, dims))
         if renormalize_each_step:
             state = renormalize(state)
         yield WorldState(names, dims, state)

@@ -11,6 +11,7 @@ from fuzzphaser.errors import (
     DimensionOverflowError,
     NotHermitianError,
     NotPSDError,
+    NumericalFailureError,
 )
 from fuzzphaser.sampling import random_unitary
 
@@ -225,6 +226,12 @@ class TestPartialTrace:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             linalg.partial_trace(np.eye(5), [2, 2], [0])
+
+    def test_non_finite_traced_block_raises(self):
+        m = np.eye(4, dtype=np.complex128)
+        m[1, 1] = np.nan  # wire 1 is traced: lands in the kept (0, 0) entry
+        with pytest.raises(NumericalFailureError):
+            linalg.partial_trace(m, [2, 2], [0])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(

@@ -452,8 +452,7 @@ class TestHermitianPart:
         """Every gate preserves Hermiticity, so where Herm is taken is roundoff.
 
         The chain hermitizes after every gate, as the kernel once did. Words
-        are reused across gates and slots, so the per-run gate plans are
-        shared between gates of one word on different wires.
+        are reused across gates and slots.
         """
         words, sentences = {}, [Introduce(f"A{i}") for i in range(actors)]
         for mechanism, variant, subject, obj in gates:
