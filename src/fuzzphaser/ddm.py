@@ -113,6 +113,22 @@ def ddm_kraus(d: DoubleDensityMatrix) -> list[np.ndarray]:
     return [linalg.frozen(_kraus_factor(f)) for f in d.factors]
 
 
+def canonical_vectors(d: DoubleDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical vectors ω_ik as the columns of W, and the k of each column.
+
+    Zero-weight branches are dropped. Each factor's columns are contiguous
+    and in factor order, so A_k = W_k W_k† over the columns W_k of factor k.
+    """
+    pairs = [
+        (k, f.y**0.25 * np.sqrt(b.x) * b.phi.amplitudes)
+        for k, f in enumerate(d.factors)
+        for b in f.branches
+        if b.x > 0.0
+    ]
+    w = np.array([v for _, v in pairs], dtype=np.complex128).T
+    return w, np.array([k for k, _ in pairs])
+
+
 def ddm_update(rho: DensityMatrix, d: DoubleDensityMatrix) -> DensityMatrix:
     """Σₖ A_k ρ A_k, the CP update induced by the double mixture."""
     if rho.dim != d.dim:

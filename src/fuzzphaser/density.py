@@ -13,6 +13,7 @@ where they leave, too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -184,9 +185,14 @@ def renormalize(rho: DensityMatrix) -> DensityMatrix:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """trace(ρ²)/trace(ρ)²; equals 1 exactly for rank-1 states."""
+    """trace(ρ²)/trace(ρ)²; equals 1 exactly for rank-1 states.
+
+    ρ is first scaled by the power of 2 that brings its trace into
+    [1/2, 1), which is exact and keeps the squares from overflowing.
+    """
     tr = rho.trace
     if tr <= TRACE_FLOOR:
         raise ZeroTraceError(f"trace {tr:.3g} is too small to define purity")
-    tr2 = float(np.trace(rho.matrix @ rho.matrix).real)
-    return tr2 / (tr * tr)
+    scale = math.ldexp(1.0, -math.frexp(tr)[1])
+    unit = rho.matrix * scale
+    return float(np.trace(unit @ unit).real) / (tr * scale) ** 2

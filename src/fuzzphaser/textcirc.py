@@ -5,8 +5,11 @@ gate that updates the joint state over all live actors. Transitive
 verbs act on the subject and object wires together, which is why the
 world is one joint state rather than a bag of per-actor states.
 Compiling turns each gate into Kraus operators on its own wires:
-projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k]. Evaluation
-applies them to the touched wires only. Every joint state it makes is
+projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k], each
+A_k = Σᵢ |ω_ik⟩⟨ω_ik| over the canonical vectors of the gate's double
+density matrix. Evaluation applies either the operators or those
+vectors, whichever takes fewer products (chosen once per word), to the
+touched wires only. Every joint state it makes is
 Σ K ρ K† of a validated state, so none is re-validated, and is Hermitian
 up to roundoff, so none is hermitized: the states that leave the
 evaluator through ``reduced_state`` are validated, and their Hermitian
@@ -21,7 +24,13 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .ddm import DoubleDensityMatrix, ddm_from_fuzz, ddm_kraus
+from .ddm import (
+    DoubleDensityMatrix,
+    canonical_vectors,
+    ddm_from_fuzz,
+    ddm_from_phaser,
+    ddm_kraus,
+)
 from .density import DensityMatrix, Projector, PureState, from_pure, renormalize
 from .errors import (
     DimensionOverflowError,
@@ -71,10 +80,6 @@ class Transitive:
 Sentence = Union[Introduce, IsA, Turns, Transitive]
 
 
-def _line_at(text: str, index: int) -> int:
-    return text.count("\n", 0, index) + 1
-
-
 def _parse_sentence(tokens: list[str], line: int) -> Sentence:
     if len(tokens) == 4 and tokens[:3] == ["Once", "there", "was"]:
         return Introduce(tokens[3])
@@ -98,12 +103,15 @@ def parse(text: str) -> list[Sentence]:
     """
     sentences = []
     pos = 0
+    line, counted = 1, 0  # the line of text[counted]; lines are counted once
     while pos < len(text):
         stop = text.find(".", pos)
         segment = text[pos:] if stop == -1 else text[pos:stop]
         tokens = segment.split()
         if tokens:
-            line = _line_at(text, pos + len(segment) - len(segment.lstrip()))
+            start = pos + len(segment) - len(segment.lstrip())
+            line += text.count("\n", counted, start)
+            counted = start
             if stop == -1:
                 raise ParseError(line, "sentence not terminated by '.'")
             sentences.append(_parse_sentence(tokens, line))
@@ -215,13 +223,22 @@ class Actor:
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """One update ρ ↦ Σ K ρ K†, with the Kraus operators K on the slots."""
+    """One update ρ ↦ Σ K ρ K†, with the Kraus operators K on the slots.
+
+    ``vectors`` is (W, same) when the gate is applied through its
+    canonical vectors (see ``_apply_gate``), None when through ``kraus``.
+    ``roundoff`` stacks the route's entrywise bounds G_k, times √(L·eps)
+    for sums of L products, so that Σ_k max(G_k √diag ρ)² bounds the
+    roundoff of each entry of the result.
+    """
 
     slots: tuple[int, ...]
     mechanism: str
     operand: object
     label: str
     kraus: tuple[np.ndarray, ...]
+    vectors: tuple[np.ndarray, np.ndarray] | None
+    roundoff: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +255,12 @@ class Circuit:
 
 
 def _gate_parts(entry: LexiconEntry, mechanism: str):
-    """The operand a gate carries and its Kraus operators on its own slots."""
+    """The operand a gate carries, its Kraus operators on its own slots,
+    and its canonical vectors (W, the factor of each column) or None.
+
+    A_k = W_k W_k†: projector W = [v], fuzz and phaser W from
+    ``ddm_from_fuzz`` and ``ddm_from_phaser``, ddm the lexicon's own ω.
+    """
     if mechanism not in KIND_MECHANISMS[entry.kind]:
         raise LexiconError(
             f"mechanism {mechanism!r} not usable with {entry.kind} "
@@ -246,16 +268,53 @@ def _gate_parts(entry: LexiconEntry, mechanism: str):
         )
     if mechanism == "projector":
         p = Projector.onto_pure(entry.operand)
-        return p, (p.matrix,)
+        v = entry.operand.amplitudes / entry.operand.norm()
+        return p, (p.matrix,), (v[:, None], np.zeros(1, dtype=int))
     if mechanism == "ddm":
-        return entry.operand, tuple(ddm_kraus(entry.operand))
+        vectors = canonical_vectors(entry.operand)
+        return entry.operand, tuple(ddm_kraus(entry.operand)), vectors
     sigma = from_pure(entry.operand) if entry.kind == "pure" else entry.operand
     if mechanism == "phaser":
-        return sigma, (linalg.frozen(linalg.matrix_sqrt(sigma.matrix)),)
+        kraus = (linalg.frozen(linalg.matrix_sqrt(sigma.matrix)),)
+        try:
+            return sigma, kraus, canonical_vectors(ddm_from_phaser(sigma))
+        except ZeroTraceError:  # σ = 0, so √σ = 0
+            return sigma, kraus, None
     try:
-        return sigma, tuple(ddm_kraus(ddm_from_fuzz(sigma)))
+        fuzzed = ddm_from_fuzz(sigma)
     except ZeroTraceError:  # no positive eigenvalue: the fuzz annihilates every state
-        return sigma, ()
+        return sigma, (), None
+    return sigma, tuple(ddm_kraus(fuzzed)), canonical_vectors(fuzzed)
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _kraus_route(kraus: Sequence[np.ndarray], d: int):
+    """No vectors; G_k = |K_k|, the terms of sums of d products."""
+    bounds = np.abs(np.array(kraus, dtype=np.complex128)).reshape(-1, d, d)
+    return None, bounds * np.sqrt(d * _EPS)
+
+
+def _thin_route(w: np.ndarray, owner: np.ndarray):
+    """(W, same-factor mask); G_k = |W_k||W_k|ᵀ, sums of d + R products.
+
+    |W_k||W_k|ᵀ, not |A_k|: the route sums W_k's products term by term.
+    """
+    d, r = w.shape
+    blocks = [np.abs(w[:, owner == k]) for k in np.unique(owner)]
+    bounds = np.array([b @ b.T for b in blocks]) * np.sqrt((d + r) * _EPS)
+    same = (owner[:, None] == owner[None, :]).astype(np.float64)
+    return (w, same[:, None, :]), bounds
+
+
+def _route(kraus: Sequence[np.ndarray], vectors, d: int):
+    """The cheaper route by multiply-adds per D²: R(d + R) against m·d²."""
+    if vectors is not None:
+        r = vectors[0].shape[1]
+        if r * (d + r) < len(kraus) * d * d:
+            return _thin_route(*vectors)
+    return _kraus_route(kraus, d)
 
 
 class _ActorTable:
@@ -356,8 +415,9 @@ def compile_sentences(
     for names, entry, label in pending:
         effective = mechanism if mechanism is not None else entry.mechanism
         if entry.name not in parts:
-            parts[entry.name] = _gate_parts(entry, effective)
-        operand, kraus = parts[entry.name]
+            operand, kraus, vectors = _gate_parts(entry, effective)
+            parts[entry.name] = (operand, kraus, *_route(kraus, vectors, entry.dim))
+        operand, kraus, vectors, roundoff = parts[entry.name]
         gates.append(
             Gate(
                 slots=tuple(index[n] for n in names),
@@ -365,6 +425,8 @@ def compile_sentences(
                 operand=operand,
                 label=label,
                 kraus=kraus,
+                vectors=vectors,
+                roundoff=roundoff,
             )
         )
     return Circuit(actors=tuple(actors), gates=tuple(gates))
@@ -384,16 +446,21 @@ class WorldState:
 
 
 def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarray:
-    """Σ K ρ K† with each K on the gate's wires only: O(D²·d), not O(D³).
+    """Σ A_k ρ A_k† on the gate's wires only: O(D²·d), not O(D³).
 
     The touched wires are permuted to lead the row index and trail the
-    column index, so K multiplies the row unfolding and K† the column one.
+    column index, so an operator on them multiplies the row unfolding and
+    its adjoint the column one. The Kraus route applies each K and K†.
+    The thin route applies the gate's canonical vectors, A_k = W_k W_k†:
+    C = W† ρ W, then only C's same-factor blocks expanded as W C W†,
+    2R + 2R²/d products per D² instead of 2m·d for m operators.
     The result is Hermitian up to roundoff; its Hermitian part is taken
     where states leave the evaluator. A result whose largest diagonal
     entry is inf or NaN raises NumericalFailureError naming the gate.
-    Each entry's roundoff is below ``noise`` (d·eps times its terms); a
-    result within 1/ATOL of that keeps only eigenvalues above D·noise, so
-    what roundoff leaves of an annihilated state is exactly 0.
+    Since |ρ_ab| ≤ √(ρ_aa ρ_bb), each entry's roundoff is below ``noise``,
+    Σ_k max(G_k √diag ρ)² over the route's entrywise bounds G_k; a result
+    within 1/ATOL of it keeps only eigenvalues above D·noise, so what
+    roundoff leaves of an annihilated state is exactly 0.
     """
     n = len(dims)
     slots = list(gate.slots)
@@ -403,19 +470,28 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
     frame = joint.reshape(list(dims) * 2).transpose(axes)
     shape = frame.shape
     frame = frame.reshape(d, -1)
+    roots = np.sqrt(np.abs(np.diagonal(joint))).reshape(dims).transpose(axes[:n])
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = ((k @ frame).reshape(-1, d) @ k.conj().T for k in gate.kraus)
-        out = next(terms, None)
-        if out is None:
-            out = np.zeros((joint.size // d, d), dtype=np.complex128)
-        for term in terms:
-            out += term
+        if gate.vectors is None:
+            terms = ((k @ frame).reshape(-1, d) @ k.conj().T for k in gate.kraus)
+            out = next(terms, None)
+            if out is None:
+                out = np.zeros((joint.size // d, d), dtype=np.complex128)
+            for term in terms:
+                out += term
+        else:
+            w, same = gate.vectors
+            r = w.shape[1]
+            wh = w.conj().T
+            blocks = ((wh @ frame).reshape(-1, d) @ w).reshape(r, -1, r)
+            blocks *= same
+            out = (w @ blocks.reshape(r, -1)).reshape(-1, r) @ wh
         back = out.reshape(shape).transpose(np.argsort(axes)).reshape(joint.shape)
         peak = np.abs(np.diagonal(back)).max()
+        spread = gate.roundoff @ roots.reshape(d, -1)
+        noise = np.square(spread.max(axis=(1, 2), initial=0.0)).sum()
     if not np.isfinite(peak):
         raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
-    weight = sum(float(np.abs(k).sum(axis=1).max()) ** 2 for k in gate.kraus)
-    noise = d * np.finfo(np.float64).eps * np.abs(np.diagonal(joint)).max() * weight
     if peak * linalg.ATOL < noise:
         evals, evecs = np.linalg.eigh(linalg.hermitize(back))
         keep = evals > joint.shape[0] * noise

@@ -9,9 +9,9 @@ import pytest
 
 from fuzzphaser.cli import main
 from fuzzphaser.density import DensityMatrix, PureState
-from fuzzphaser.lexicon import save_lexicon
+from fuzzphaser.lexicon import load_lexicon, save_lexicon
 from fuzzphaser.sampling import random_density, random_pure
-from fuzzphaser.textcirc import Lexicon, LexiconEntry
+from fuzzphaser.textcirc import Lexicon, LexiconEntry, compile_text
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
 
@@ -52,6 +52,22 @@ HUGE_LEXICON = {
     "entries": [
         {"name": "huge", "space": "axis", "kind": "density", "mechanism": "phaser",
          "data": [[1e200, 0.0], [0.0, 1e200]]},
+    ],
+}
+
+
+#: Door's weight 1e30 lies where neither word acts: a roundoff bound from
+#: max diag(ρ) and the largest row of the word's operators would be 1e330.
+VAST_LEXICON = {
+    "spaces": {"axis": 2},
+    "entries": [
+        {"name": "Door", "space": "axis", "kind": "density", "mechanism": "fuzz",
+         "data": [[1.0, 0.0], [0.0, 1e30]]},
+        {"name": "vast", "space": "axis", "kind": "density", "mechanism": "phaser",
+         "data": [[1e300, 0.0], [0.0, 0.0]]},
+        {"name": "wide", "space": "axis", "kind": "ddm", "mechanism": "ddm",
+         "data": {"factors": [{"y": 1e300, "branches": [
+             {"x": 1.0, "phi": [1, 0]}, {"x": 1e-200, "phi": [0, 1]}]}]}},
     ],
 }
 
@@ -160,20 +176,26 @@ class TestRun:
         assert "purity undefined" in out
 
 
-    @pytest.mark.parametrize("pair", ["rational", "haar"])
+    @pytest.mark.parametrize("pair", ["rational", "haar", "haar-dim-4"])
     def test_annihilation_by_non_basis_pair(self, tmp_path, capsys, pair):
         """Orthogonal kets off the basis leave roundoff, which must read as 0."""
+        rng = np.random.default_rng(5)
         if pair == "rational":
             x, down = np.array([0.6, 0.8]), np.array([0.8, -0.6])
-        else:
-            x = random_pure(2, np.random.default_rng(5)).amplitudes
+        elif pair == "haar":
+            x = random_pure(2, rng).amplitudes
             down = np.array([-np.conj(x[1]), np.conj(x[0])])
+        else:
+            z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            x, down = np.linalg.qr(z)[0][:, :2].T
         entries = [
             LexiconEntry("X", "axis", "pure", "projector", PureState(x)),
             LexiconEntry("down", "axis", "pure", "projector", PureState(down)),
         ]
+        lexicon = Lexicon({"axis": x.size}, entries)
+        assert compile_text("X turns down.", lexicon).gates[0].vectors is not None
         lex = tmp_path / "ortho.json"
-        save_lexicon(Lexicon({"axis": 2}, entries), lex)
+        save_lexicon(lexicon, lex)
         text = tmp_path / "kill.txt"
         text.write_text("X turns down.\n")
         assert main(["run", str(text), "--lexicon", str(lex)]) == 0
@@ -200,6 +222,24 @@ class TestRun:
         text.write_text("Door is big. " * repeats + "\n")
         assert main(["run", str(text), "--lexicon", str(lex)]) == 0
         assert "Door (space c, dim 4)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, mechanism, thin",
+        [("Door is vast.", "phaser", True), ("Door is vast.", "fuzz", True),
+         ("Door is wide.", "ddm", False)],
+        ids=["phaser-thin", "fuzz-thin", "ddm-kraus"],
+    )
+    def test_roundoff_bound_does_not_overflow(self, tmp_path, capsys, text, mechanism, thin):
+        path, lex = _write(tmp_path, VAST_LEXICON, text + "\n")
+        gate = compile_text(text, load_lexicon(lex), mechanism).gates[0]
+        assert (gate.vectors is not None) == thin
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", path, "--lexicon", lex, "--mechanism", mechanism,
+                         "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "" and not caught
+        assert json.loads(out)["joint_trace"] == pytest.approx(1e300, rel=1e-12)
 
     def test_overflowing_state_is_input_error(self, tmp_path, capsys):
         text, lex = _write(tmp_path, HUGE_LEXICON, "Door is huge. Door is huge.\n")

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzphaser import linalg
-from fuzzphaser.ddm import DdmFactor, DoubleDensityMatrix
+from fuzzphaser import textcirc
+from fuzzphaser.ddm import DdmBranch, DdmFactor, DoubleDensityMatrix
 from fuzzphaser.density import DensityMatrix, PureState, from_pure
 from fuzzphaser.errors import (
     DimensionOverflowError,
@@ -15,8 +16,8 @@ from fuzzphaser.errors import (
     UnknownWordError,
     ZeroTraceError,
 )
-from fuzzphaser.properties import apply_gate_dense
-from fuzzphaser.sampling import random_ddm, random_density, random_psd, random_pure
+from fuzzphaser.properties import ALL_CHECKS, apply_gate_dense, check_local_kernel
+from fuzzphaser.sampling import DEFAULT_SEED, random_ddm, random_density, random_psd, random_pure
 from fuzzphaser.textcirc import (
     MECHANISMS,
     Introduce,
@@ -29,7 +30,11 @@ from fuzzphaser.textcirc import (
     compile_text,
     evaluate,
     evaluate_trajectory,
+    Gate,
     _apply_gate,
+    _gate_parts,
+    _kraus_route,
+    _thin_route,
     parse,
     reduced_state,
 )
@@ -66,6 +71,19 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("Door is black.\nthe door is very black indeed.\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("Door is black. Door is red.\n\n\nDoor is red. Door is.\n", 4),
+            ("\n\n  Door is.", 3),
+            ("Door is black.\nDoor\nturns red. Door turns\n\nred. Door is red.\n\nDoor turns", 7),
+        ],
+    )
+    def test_error_reports_line_of_its_sentence(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line
 
     def test_single_word_rejected(self):
         with pytest.raises(ParseError):
@@ -379,6 +397,76 @@ class TestLocalKernel:
         assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
 
 
+def _route_word(kind: str, dim: int, scale: float, rng) -> LexiconEntry:
+    """A word whose canonical vectors span every shape the thin route meets.
+
+    fuzz: rank 1..dim, eigenvalues drawn from three levels, so that
+    groups are degenerate; ddm: up to 2·dim + 1 branches per factor
+    (R > dim), a quarter of them of weight 0.
+    """
+    if kind == "projector":
+        return LexiconEntry("w", "s", "pure", kind, random_pure(dim, rng))
+    if kind == "ddm":
+        factors = []
+        for _ in range(int(rng.integers(1, 4))):
+            xs = rng.uniform(0.1, 1.0, size=int(rng.integers(1, 2 * dim + 2)))
+            xs[rng.random(xs.size) < 0.25] = 0.0
+            xs[0] = max(xs[0], 0.5)
+            branches = [DdmBranch(x, random_pure(dim, rng)) for x in xs]
+            factors.append(DdmFactor(scale * rng.uniform(0.2, 1.5), branches))
+        return LexiconEntry("w", "s", "ddm", kind, DoubleDensityMatrix(factors))
+    rank = int(rng.integers(1, dim + 1))
+    levels = rng.choice([0.5, 1.0, 2.0], size=rank)
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    sigma = (basis[:, :rank] * (scale * levels)) @ basis[:, :rank].conj().T
+    return LexiconEntry("w", "s", "density", kind, DensityMatrix(sigma))
+
+
+class TestRoutes:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        order=st.randoms(use_true_random=False),
+        two_slots=st.booleans(),
+        mechanism=st.sampled_from(MECHANISMS),
+        exponent=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_thin_and_kraus_routes_match_dense(
+        self, dims, order, two_slots, mechanism, exponent, seed
+    ):
+        """Both routes of one word, on permuted and non-adjacent slots."""
+        rng = np.random.default_rng(seed)
+        wires = list(range(len(dims)))
+        order.shuffle(wires)
+        slots = tuple(wires[: 2 if two_slots and len(dims) > 1 else 1])
+        d = int(np.prod([dims[w] for w in slots]))
+        entry = _route_word(mechanism, d, 10.0**exponent, rng)
+        operand, kraus, vectors = _gate_parts(entry, mechanism)
+        routes = [_kraus_route(kraus, d)] + ([_thin_route(*vectors)] if vectors else [])
+        rho = linalg.hermitize(random_density(int(np.prod(dims)), rng).matrix)
+        for route_vectors, roundoff in routes:
+            gate = Gate(slots, mechanism, operand, "w", kraus, route_vectors, roundoff)
+            dense = apply_gate_dense(rho, gate, dims)
+            local = _apply_gate(rho, gate, dims)
+            assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
+
+    def test_local_kernel_check_takes_both_routes(self, monkeypatch):
+        """``verify``'s local-kernel-matches-dense, at its default seed."""
+        thin = []
+        apply = textcirc._apply_gate
+
+        def spy(joint, gate, dims):
+            thin.append(gate.vectors is not None)
+            return apply(joint, gate, dims)
+
+        monkeypatch.setattr(textcirc, "_apply_gate", spy)
+        seeds = np.random.SeedSequence(DEFAULT_SEED).spawn(len(ALL_CHECKS))
+        rng = np.random.default_rng(seeds[ALL_CHECKS.index(check_local_kernel)])
+        assert check_local_kernel(rng, 100, (2, 5)).passed
+        assert set(thin) == {True, False}
+
+
 def _scaled_lexicon(words, actors: int, scale: float, seed: int) -> Lexicon:
     """Actor priors, then one word per (name, mechanism, spaces).
 
@@ -477,6 +565,30 @@ class TestHermitianPart:
         assert linalg.max_abs(exit_state - chain) <= bound * linalg.max_abs(chain)
 
 
+def _near_annihilation(mechanism: str, exponent: int, dim: int, weights) -> None:
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q = np.linalg.qr(z)[0]
+    a, rest = q[:, 0], q[:, 1 : 1 + len(weights)]
+    weight = 10.0**-exponent
+    if mechanism == "projector":
+        ket = np.sqrt(1 - weight) * rest[:, 0] + np.sqrt(weight) * a
+        word = LexiconEntry("w", "c", "pure", mechanism, PureState(ket))
+    else:
+        sigma = (rest * weights) @ rest.conj().T + weight * np.outer(a, a.conj())
+        word = LexiconEntry("w", "c", "density", mechanism, DensityMatrix(sigma))
+    door = LexiconEntry("Door", "c", "pure", "projector", PureState(a))
+    circuit = compile_text("Door is w.", Lexicon({"c": dim}, [door, word]))
+    if dim > 3:
+        assert circuit.gates[0].vectors is not None
+    world = evaluate(circuit)
+    door_state = reduced_state(world, "Door")
+    if exponent == 20:
+        assert linalg.max_abs(world.joint.matrix) == 0.0
+    else:
+        assert door_state.trace == pytest.approx(weight, rel=1e-6)
+
+
 class TestReducedState:
     def test_reduction_after_gate(self):
         lex = _verb_lexicon()
@@ -498,23 +610,18 @@ class TestReducedState:
         1e-9 of 1e-10, on the state; it must neither fail the PSD check
         nor be kept when it is below roundoff.
         """
-        rng = np.random.default_rng(7)
-        q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-        a, rest = q[:, 0], q[:, 1:]
-        weight = 10.0**-exponent
-        if mechanism == "projector":
-            ket = np.sqrt(1 - weight) * rest[:, 0] + np.sqrt(weight) * a
-            word = LexiconEntry("w", "c", "pure", mechanism, PureState(ket))
-        else:
-            sigma = (rest * [0.7, 0.3]) @ rest.conj().T + weight * np.outer(a, a.conj())
-            word = LexiconEntry("w", "c", "density", mechanism, DensityMatrix(sigma))
-        door = LexiconEntry("Door", "c", "pure", "projector", PureState(a))
-        world = evaluate(compile_text("Door is w.", Lexicon({"c": 3}, [door, word])))
-        door_state = reduced_state(world, "Door")
-        if exponent == 20:
-            assert linalg.max_abs(world.joint.matrix) == 0.0
-        else:
-            assert door_state.trace == pytest.approx(weight, rel=1e-6)
+        _near_annihilation(mechanism, exponent, 3, [0.7, 0.3])
+
+    @pytest.mark.parametrize("mechanism", ["projector", "fuzz", "phaser"])
+    @pytest.mark.parametrize("exponent", [10, 20])
+    def test_near_annihilation_on_the_thin_route(self, mechanism, exponent):
+        """As above at dim 5, where each word takes the thin route.
+
+        The fuzz weights every other direction: it merges eigenvalues
+        within 1e-8 of its largest, so a zero one would absorb a's.
+        """
+        weights = [0.4, 0.3, 0.2, 0.1] if mechanism == "fuzz" else [0.7, 0.3]
+        _near_annihilation(mechanism, exponent, 5, weights)
 
     def test_unknown_actor(self):
         world = evaluate(compile_text("Door is black.", _noun_lexicon()))
