@@ -54,6 +54,16 @@ def _dims_arg(raw: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _trials_arg(raw: str) -> int:
+    try:
+        trials = int(raw)
+    except ValueError:
+        trials = 0
+    if trials < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer")
+    return trials
+
+
 def _actor_report(circuit: Circuit, states: list[DensityMatrix]) -> list[dict]:
     return [
         {
@@ -206,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every property check")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_trials_arg, default=100)
     p.add_argument("--dims", type=_dims_arg, default=(2, 5),
                    help="dimension range, e.g. 2..5")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -141,9 +141,12 @@ def grouped_eigh(matrix) -> list[tuple[float, np.ndarray]]:
 
     Eigenvalues whose adjacent gap is at most ``GROUP_TOL * ‖M‖``
     (spectral norm) are merged into one group, so rescaling M does not
-    change the grouping. Returns (value, column block of orthonormal
-    eigenvectors) pairs, values strictly decreasing; the group value is
-    the mean of its members.
+    change the grouping. Eigenvalues within n·eps·‖M‖ of 0 are M's
+    kernel up to roundoff: they form one group, which merges with no
+    other, so a small eigenvalue next to the kernel keeps its own value
+    and gives none of it to the kernel. Returns (value, column block of
+    orthonormal eigenvectors) pairs, values strictly decreasing; the
+    group value is the mean of its members.
     """
     m = as_complex_matrix(matrix, square=True)
     if not is_hermitian(m):
@@ -155,10 +158,12 @@ def grouped_eigh(matrix) -> list[tuple[float, np.ndarray]]:
         evals, evecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    threshold = GROUP_TOL * max_abs(evals)
+    scale = max_abs(evals)
+    kernel = np.abs(evals) <= evals.size * np.finfo(np.float64).eps * scale
+    threshold = GROUP_TOL * scale
     boundaries = [0]
     for i in range(1, evals.size):
-        if evals[i] - evals[i - 1] > threshold:
+        if evals[i] - evals[i - 1] > threshold or kernel[i] != kernel[i - 1]:
             boundaries.append(i)
     boundaries.append(evals.size)
     groups = [

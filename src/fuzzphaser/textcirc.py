@@ -8,16 +8,18 @@ Compiling turns each gate into Kraus operators on its own wires:
 projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k], each
 A_k = Σᵢ |ω_ik⟩⟨ω_ik| over the canonical vectors of the gate's double
 density matrix. Evaluation applies either the operators or those
-vectors, whichever takes fewer products (chosen once per word), to the
-touched wires only. Every joint state it makes is
-Σ K ρ K† of a validated state, so none is re-validated, and is Hermitian
-up to roundoff, so none is hermitized: the states that leave the
-evaluator through ``reduced_state`` are validated, and their Hermitian
-part is taken there.
+vectors, whichever costs less in products and calls (a plan chosen once
+per word and slots), to the touched wires only: on adjacent wires
+through views of the joint, without copying it. Every joint state it
+makes is Σ K ρ K† of a validated state, so none is re-validated, and is
+Hermitian up to roundoff, so none is hermitized: the states that leave
+the evaluator through ``reduced_state`` are validated, and their
+Hermitian part is taken there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -222,14 +224,42 @@ class Actor:
 
 
 @dataclass(frozen=True, eq=False)
-class Gate:
-    """One update ρ ↦ Σ K ρ K†, with the Kraus operators K on the slots.
+class Plan:
+    """How one word's update is applied on one slot tuple of one circuit.
 
-    ``vectors`` is (W, same) when the gate is applied through its
-    canonical vectors (see ``_apply_gate``), None when through ``kraus``.
+    The kernel reads the row index of the joint (or of its frame) as
+    (a, d, ·) and the column index as (·, d, b), d the gate's dimension,
+    and applies each step (row, col, flat) as ``row`` on the row side,
+    then ``col`` on the column side: batched over (·, d, b) views, or,
+    if ``flat``, as one 2-D product against col = Mᵀ ⊗ I_b. Operators are
+    in ascending wire order. ``axes`` is None when the slots are
+    adjacent, so the joint itself is the frame; otherwise it permutes
+    the joint to the frame with the wires leading the rows and trailing
+    the columns (a = b = 1). The Kraus route sums one step per K, the
+    thin route chains two steps through ``mask`` (see ``_apply_gate``).
     ``roundoff`` stacks the route's entrywise bounds G_k, times √(L·eps)
     for sums of L products, so that Σ_k max(G_k √diag ρ)² bounds the
     roundoff of each entry of the result.
+    """
+
+    axes: tuple[int, ...] | None
+    a: int
+    b: int
+    steps: tuple[tuple[np.ndarray, np.ndarray, bool], ...]
+    mask: np.ndarray | None
+    roundoff: np.ndarray
+
+    @property
+    def thin(self) -> bool:
+        return self.mask is not None
+
+
+@dataclass(frozen=True, eq=False)
+class Gate:
+    """One update ρ ↦ Σ K ρ K†, with the Kraus operators K on the slots.
+
+    ``kraus`` is in sentence order; ``plan`` is shared by every gate of
+    the circuit with the same word on the same slots.
     """
 
     slots: tuple[int, ...]
@@ -237,8 +267,7 @@ class Gate:
     operand: object
     label: str
     kraus: tuple[np.ndarray, ...]
-    vectors: tuple[np.ndarray, np.ndarray] | None
-    roundoff: np.ndarray
+    plan: Plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,31 +319,123 @@ def _gate_parts(entry: LexiconEntry, mechanism: str):
 _EPS = np.finfo(np.float64).eps
 
 
-def _kraus_route(kraus: Sequence[np.ndarray], d: int):
-    """No vectors; G_k = |K_k|, the terms of sums of d products."""
-    bounds = np.abs(np.array(kraus, dtype=np.complex128)).reshape(-1, d, d)
-    return None, bounds * np.sqrt(d * _EPS)
-
-
-def _thin_route(w: np.ndarray, owner: np.ndarray):
-    """(W, same-factor mask); G_k = |W_k||W_k|ᵀ, sums of d + R products.
-
-    |W_k||W_k|ᵀ, not |A_k|: the route sums W_k's products term by term.
+def _significant(kraus: tuple[np.ndarray, ...], vectors, d: int):
+    """The operators, and the canonical vectors, of the factors whose update
+    is above roundoff: ‖K_k‖² > d·eps·max_j ‖K_j‖². A dropped K_k changes
+    no entry of Σ K ρ K† by more than the other terms' roundoff; so a
+    fuzz gives none of its weight to σ's kernel, whose eigenvalues are
+    roundoff (``linalg.grouped_eigh``), although ``kraus`` lists it.
+    Column k of W belongs to K_k (``canonical_vectors``).
     """
-    d, r = w.shape
-    blocks = [np.abs(w[:, owner == k]) for k in np.unique(owner)]
-    bounds = np.array([b @ b.T for b in blocks]) * np.sqrt((d + r) * _EPS)
-    same = (owner[:, None] == owner[None, :]).astype(np.float64)
-    return (w, same[:, None, :]), bounds
-
-
-def _route(kraus: Sequence[np.ndarray], vectors, d: int):
-    """The cheaper route by multiply-adds per D²: R(d + R) against m·d²."""
+    if len(kraus) < 2:
+        return kraus, vectors
+    weights = np.linalg.norm(np.array(kraus), 2, axis=(1, 2)) ** 2
+    keep = weights > d * _EPS * weights.max()
+    if keep.all():
+        return kraus, vectors
     if vectors is not None:
-        r = vectors[0].shape[1]
-        if r * (d + r) < len(kraus) * d * d:
-            return _thin_route(*vectors)
-    return _kraus_route(kraus, d)
+        w, owner = vectors
+        vectors = (w[:, keep[owner]], owner[keep[owner]])
+    return tuple(k for k, kept in zip(kraus, keep) if kept), vectors
+
+
+#: What one BLAS call costs, in complex multiply-adds. On a 2-vCPU host
+#: (numpy 2.4.6, OpenBLAS 0.3.31) one product in a stack of small ones
+#: (4×4 by 4×4, np.matmul) took 0.58 µs, 2,000 multiply-adds at the rate
+#: of one large product (3.5e9/s), and small products run below that
+#: rate. Over every route and column form of 118 (word, slots, D) cases
+#: of two seeds of the bench lexicons, D = 64, 256 and 1024, the plans
+#: that 4,000 picks took 1.3% and 3.3% longer than the fastest in the
+#: geometric mean (2.5% at 2,000), and the flat form it picks for a
+#: d = 16 phaser before one dim-4 wire is 1.5x faster than the batched.
+CALL_COST = 4000
+
+
+def _ascending(m: np.ndarray, sizes: list[int], order: list[int]) -> np.ndarray:
+    """m's rows, indexed by the slots in sentence order, in ascending wire order."""
+    return m.reshape(*sizes, -1).transpose(*order, len(sizes)).reshape(m.shape)
+
+
+def _frame(slots, dims):
+    """(axes, a, b): None and the wires' neighbours when the slots are
+    adjacent, else the permutation to the frame and a = b = 1."""
+    wires, n = sorted(slots), len(dims)
+    if wires == list(range(wires[0], wires[-1] + 1)):
+        return None, math.prod(dims[: wires[0]]), math.prod(dims[wires[-1] + 1 :])
+    rest = [w for w in range(n) if w not in wires]
+    return tuple(wires + rest + [n + w for w in rest + wires]), 1, 1
+
+
+def _step_cost(q_out: int, q_in: int, rows: int, cols: int, a: int, b: int):
+    """The cost of a step mapping q_in to q_out on each side of a rows × cols
+    operand, whether its column side is flat, and its result's shape."""
+    cost = q_out * rows * cols + CALL_COST * a
+    rows = rows * q_out // q_in
+    size = rows * cols
+    batched = size * q_out + CALL_COST * (size // (q_in * b))
+    flat = size * q_out * b + CALL_COST
+    return cost + min(batched, flat), flat <= batched, rows, cols * q_out // q_in
+
+
+def _route_costs(d: int, m: int, r: int | None, size: int, a: int, b: int):
+    """(cost, whether each column side is flat) of the Kraus route with m
+    operators and of the thin route with r vectors (None when r is None),
+    on a size × size joint."""
+    cost, flat, _, _ = _step_cost(d, d, size, size, a, b)
+    kraus = m * cost + max(m - 1, 0) * (CALL_COST + size * size), flat
+    if r is None:
+        return kraus, None
+    compress, flat, rows, cols = _step_cost(r, d, size, size, a, b)
+    expand, flat_expand, _, _ = _step_cost(d, r, rows, cols, a, b)
+    return kraus, (compress + expand + CALL_COST + rows * cols, flat, flat_expand)
+
+
+def _plan(slots, dims, kraus, vectors=None) -> Plan:
+    """The plan of a word on ``slots`` of wires ``dims``: through its Kraus
+    operators, or through its canonical vectors (W, the factor of each
+    column) when ``vectors`` is given, A_k = W_k W_k†.
+
+    Each column side takes whichever form costs less.
+    """
+    sizes = [dims[w] for w in slots]
+    order = sorted(range(len(slots)), key=slots.__getitem__)
+    d, size = math.prod(sizes), math.prod(dims)
+    axes, a, b = _frame(slots, dims)
+    r = None if vectors is None else vectors[0].shape[1]
+    (_, flat), thin = _route_costs(d, len(kraus), r, size, a, b)
+
+    def col(m, flat):  # Mᵀ ⊗ I_b if flat
+        if not flat:
+            return np.ascontiguousarray(m)
+        return (m.T[:, None, :, None] * np.eye(b)[:, None]).reshape(m.shape[1] * b, -1)
+
+    if vectors is None:
+        # K's rows, then its columns, in ascending wire order
+        ops = [_ascending(_ascending(k, sizes, order).T, sizes, order).T for k in kraus]
+        steps = tuple((k, col(k.conj(), flat), flat) for k in ops)
+        bounds = np.abs(np.array(ops, dtype=np.complex128)).reshape(-1, d, d)
+        return Plan(axes, a, b, steps, None, bounds * np.sqrt(d * _EPS))
+    w, owner = vectors
+    w = _ascending(w, sizes, order)
+    _, flat, flat_expand = thin
+    steps = ((w.conj().T, col(w.T, flat), flat), (w, col(w.conj(), flat_expand), flat_expand))
+    # |W_k||W_k|ᵀ, not |A_k|: the route sums W_k's products term by term.
+    magnitudes = np.abs(w)
+    factor = owner == np.unique(owner)[:, None, None]
+    bounds = (magnitudes * factor) @ magnitudes.T * np.sqrt((d + r) * _EPS)
+    same = (owner[:, None] == owner[None, :]).astype(np.float64)
+    return Plan(axes, a, b, steps, same.reshape(r, 1, r, 1), bounds)
+
+
+def _cheapest_plan(slots, dims, kraus, vectors) -> Plan:
+    """The plan of the route that costs less, the Kraus one on a tie."""
+    _, a, b = _frame(slots, dims)
+    d = math.prod(dims[w] for w in slots)
+    r = None if vectors is None else vectors[0].shape[1]
+    kraus_cost, thin = _route_costs(d, len(kraus), r, math.prod(dims), a, b)
+    if thin is not None and thin[0] < kraus_cost[0]:
+        return _plan(slots, dims, kraus, vectors)
+    return _plan(slots, dims, kraus)
 
 
 class _ActorTable:
@@ -410,23 +531,26 @@ def compile_sentences(
             )
 
     index = {a.name: i for i, a in enumerate(actors)}
-    parts = {}
+    dims = [a.dim for a in actors]
+    parts, plans = {}, {}
     gates = []
     for names, entry, label in pending:
         effective = mechanism if mechanism is not None else entry.mechanism
         if entry.name not in parts:
             operand, kraus, vectors = _gate_parts(entry, effective)
-            parts[entry.name] = (operand, kraus, *_route(kraus, vectors, entry.dim))
-        operand, kraus, vectors, roundoff = parts[entry.name]
+            parts[entry.name] = operand, kraus, *_significant(kraus, vectors, entry.dim)
+        operand, kraus, ops, vectors = parts[entry.name]
+        slots = tuple(index[n] for n in names)
+        if (entry.name, slots) not in plans:
+            plans[entry.name, slots] = _cheapest_plan(slots, dims, ops, vectors)
         gates.append(
             Gate(
-                slots=tuple(index[n] for n in names),
+                slots=slots,
                 mechanism=effective,
                 operand=operand,
                 label=label,
                 kraus=kraus,
-                vectors=vectors,
-                roundoff=roundoff,
+                plan=plans[entry.name, slots],
             )
         )
     return Circuit(actors=tuple(actors), gates=tuple(gates))
@@ -445,15 +569,30 @@ class WorldState:
     joint: DensityMatrix
 
 
+def _rows(x: np.ndarray, row: np.ndarray, plan: Plan) -> np.ndarray:
+    """``row`` on the gate's wires in x's row index, read as (a, d, ·)."""
+    return np.matmul(row, x.reshape(plan.a, row.shape[1], -1))
+
+
+def _cols(y: np.ndarray, col: np.ndarray, flat: bool, plan: Plan) -> np.ndarray:
+    """A step's ``col`` on the gate's wires in y's column index, (·, d, b)."""
+    if flat:
+        return y.reshape(-1, col.shape[0]) @ col
+    return np.matmul(col, y.reshape(-1, col.shape[1], plan.b))
+
+
 def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarray:
     """Σ A_k ρ A_k† on the gate's wires only: O(D²·d), not O(D³).
 
-    The touched wires are permuted to lead the row index and trail the
-    column index, so an operator on them multiplies the row unfolding and
-    its adjoint the column one. The Kraus route applies each K and K†.
-    The thin route applies the gate's canonical vectors, A_k = W_k W_k†:
-    C = W† ρ W, then only C's same-factor blocks expanded as W C W†,
-    2R + 2R²/d products per D² instead of 2m·d for m operators.
+    On adjacent wires the joint is read in place: its row index as
+    (a, d, b·D), so one batched product applies an operator to the
+    wires' row index, and the result's column index as (·, d, b) for the
+    column side. Other wires are permuted to lead the row index and
+    trail the column index, and back after (``Plan``). The Kraus route
+    applies each K and K†. The thin route applies the gate's canonical
+    vectors, A_k = W_k W_k†: C = W† ρ W, then only C's same-factor
+    blocks expanded as W C W†, 2R + 2R²/d products per D² instead of
+    2m·d for m operators.
     The result is Hermitian up to roundoff; its Hermitian part is taken
     where states leave the evaluator. A result whose largest diagonal
     entry is inf or NaN raises NumericalFailureError naming the gate.
@@ -462,33 +601,39 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
     within 1/ATOL of it keeps only eigenvalues above D·noise, so what
     roundoff leaves of an annihilated state is exactly 0.
     """
+    plan = gate.plan
     n = len(dims)
-    slots = list(gate.slots)
-    rest = [w for w in range(n) if w not in slots]
-    d = int(np.prod([dims[w] for w in slots]))
-    axes = slots + rest + [n + w for w in rest + slots]
-    frame = joint.reshape(list(dims) * 2).transpose(axes)
-    shape = frame.shape
-    frame = frame.reshape(d, -1)
-    roots = np.sqrt(np.abs(np.diagonal(joint))).reshape(dims).transpose(axes[:n])
+    frame = joint
+    roots = np.sqrt(np.abs(np.diagonal(joint)))
+    if plan.axes is not None:
+        frame = np.ascontiguousarray(joint.reshape(list(dims) * 2).transpose(plan.axes))
+        roots = roots.reshape(dims).transpose(plan.axes[:n])
     with np.errstate(over="ignore", invalid="ignore"):
-        if gate.vectors is None:
-            terms = ((k @ frame).reshape(-1, d) @ k.conj().T for k in gate.kraus)
-            out = next(terms, None)
-            if out is None:
-                out = np.zeros((joint.size // d, d), dtype=np.complex128)
-            for term in terms:
-                out += term
+        if not plan.steps:  # no operator: the gate annihilates every state
+            out = np.zeros(joint.size, dtype=np.complex128)
+        elif plan.mask is None:
+            (row, col, flat), *rest = plan.steps
+            out = _cols(_rows(frame, row, plan), col, flat, plan)
+            for row, col, flat in rest:
+                out += _cols(_rows(frame, row, plan), col, flat, plan)
         else:
-            w, same = gate.vectors
-            r = w.shape[1]
-            wh = w.conj().T
-            blocks = ((wh @ frame).reshape(-1, d) @ w).reshape(r, -1, r)
-            blocks *= same
-            out = (w @ blocks.reshape(r, -1)).reshape(-1, r) @ wh
-        back = out.reshape(shape).transpose(np.argsort(axes)).reshape(joint.shape)
+            (wh, col, flat), (w, expand, flat_expand) = plan.steps
+            r = plan.mask.shape[0]
+            blocks = _cols(_rows(frame, wh, plan), col, flat, plan)
+            blocks = blocks.reshape(plan.a, r, -1, r, plan.b)
+            blocks *= plan.mask
+            half = _rows(blocks, w, plan)
+            del blocks  # so that C is gone before the result is made
+            out = _cols(half, expand, flat_expand, plan)
+        if plan.axes is not None:
+            shape = frame.shape
+            del frame  # so that the permuted copy is gone before the one back
+            out = out.reshape(shape).transpose(np.argsort(plan.axes))
+        back = out.reshape(joint.shape)
         peak = np.abs(np.diagonal(back)).max()
-        spread = gate.roundoff @ roots.reshape(d, -1)
+        d = plan.roundoff.shape[-1]
+        roots = roots.reshape(plan.a, d, -1).swapaxes(0, 1).reshape(d, -1)
+        spread = plan.roundoff @ roots
         noise = np.square(spread.max(axis=(1, 2), initial=0.0)).sum()
     if not np.isfinite(peak):
         raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fuzzphaser import textcirc
 from fuzzphaser.cli import main
 from fuzzphaser.density import DensityMatrix, PureState
 from fuzzphaser.lexicon import load_lexicon, save_lexicon
@@ -177,8 +178,12 @@ class TestRun:
 
 
     @pytest.mark.parametrize("pair", ["rational", "haar", "haar-dim-4"])
-    def test_annihilation_by_non_basis_pair(self, tmp_path, capsys, pair):
-        """Orthogonal kets off the basis leave roundoff, which must read as 0."""
+    def test_annihilation_by_non_basis_pair(self, tmp_path, capsys, monkeypatch, pair):
+        """Orthogonal kets off the basis leave roundoff, which must read as 0.
+
+        Calls cost nothing here, so that the projector takes the thin route.
+        """
+        monkeypatch.setattr(textcirc, "CALL_COST", 0)
         rng = np.random.default_rng(5)
         if pair == "rational":
             x, down = np.array([0.6, 0.8]), np.array([0.8, -0.6])
@@ -193,7 +198,7 @@ class TestRun:
             LexiconEntry("down", "axis", "pure", "projector", PureState(down)),
         ]
         lexicon = Lexicon({"axis": x.size}, entries)
-        assert compile_text("X turns down.", lexicon).gates[0].vectors is not None
+        assert compile_text("X turns down.", lexicon).gates[0].plan.thin
         lex = tmp_path / "ortho.json"
         save_lexicon(lexicon, lex)
         text = tmp_path / "kill.txt"
@@ -229,10 +234,14 @@ class TestRun:
          ("Door is wide.", "ddm", False)],
         ids=["phaser-thin", "fuzz-thin", "ddm-kraus"],
     )
-    def test_roundoff_bound_does_not_overflow(self, tmp_path, capsys, text, mechanism, thin):
+    def test_roundoff_bound_does_not_overflow(
+        self, tmp_path, capsys, monkeypatch, text, mechanism, thin
+    ):
+        """Calls cost nothing here, so that routes go by multiply-adds."""
+        monkeypatch.setattr(textcirc, "CALL_COST", 0)
         path, lex = _write(tmp_path, VAST_LEXICON, text + "\n")
         gate = compile_text(text, load_lexicon(lex), mechanism).gates[0]
-        assert (gate.vectors is not None) == thin
+        assert gate.plan.thin == thin
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["run", path, "--lexicon", lex, "--mechanism", mechanism,
@@ -317,6 +326,15 @@ class TestVerify:
         assert err.value.code == 2
         with pytest.raises(SystemExit):
             main(["verify", "--dims", "banana"])
+
+    @pytest.mark.parametrize("trials", ["0", "-3", "two"])
+    def test_bad_trials_rejected(self, capsys, trials):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--trials", trials])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == "" and "--trials: expected a positive integer" in err_text
+        assert "Traceback" not in err_text
 
 
 class TestExport:

@@ -87,6 +87,29 @@ class TestGroupedEigh:
         with pytest.raises(NotHermitianError):
             linalg.grouped_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("small", [1e-10, 1e-12])
+    def test_small_eigenvalue_stays_apart_from_the_kernel(self, seed, small):
+        """σ = 0.7 P1 + 0.3 P2 + small P3 on C⁵, with a 2-dim kernel.
+
+        Each group must be one of the spectral projectors drawn and carry
+        its value up to roundoff, the kernel's 0 and the small one's its
+        own: the gap between them is far below GROUP_TOL, but the kernel
+        is not a near-degenerate eigenvalue.
+        """
+        q = random_unitary(5, np.random.default_rng(seed))
+        blocks = [q[:, :1], q[:, 1:2], q[:, 2:3], q[:, 3:]]
+        projectors = [b @ b.conj().T for b in blocks]
+        values = [0.7, 0.3, small, 0.0]
+        sigma = sum(x * p for x, p in zip(values, projectors))
+        groups = linalg.grouped_eigh(linalg.hermitize(sigma))
+        assert [vecs.shape[1] for _, vecs in groups] == [1, 1, 1, 2]
+        roundoff = 5 * np.finfo(float).eps
+        for (value, vecs), x, p in zip(groups, values, projectors):
+            assert abs(value - x) <= roundoff
+            # an eigenvector is off by roundoff over the gap to its neighbours
+            assert linalg.max_abs(vecs @ vecs.conj().T - p) <= roundoff / small
+
 
 class TestSpectralDecomposition:
     def test_reconstruct_random(self):

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,13 +31,13 @@ from fuzzphaser.textcirc import (
     Turns,
     compile_sentences,
     compile_text,
+    Circuit,
     evaluate,
     evaluate_trajectory,
     Gate,
     _apply_gate,
     _gate_parts,
-    _kraus_route,
-    _thin_route,
+    _plan,
     parse,
     reduced_state,
 )
@@ -422,6 +425,18 @@ def _route_word(kind: str, dim: int, scale: float, rng) -> LexiconEntry:
     return LexiconEntry("w", "s", "density", kind, DensityMatrix(sigma))
 
 
+def _both_forms(slots, dims, kraus, vectors):
+    """The Kraus and, if any, the thin plan, each with every column side
+    batched where b > 1, then each flat: calls costing nothing, then all."""
+    plans = []
+    for call_cost in (0, 10**15):
+        with mock.patch.object(textcirc, "CALL_COST", call_cost):
+            plans.append(_plan(slots, dims, kraus))
+            if vectors is not None:
+                plans.append(_plan(slots, dims, kraus, vectors))
+    return plans
+
+
 class TestRoutes:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -435,7 +450,8 @@ class TestRoutes:
     def test_thin_and_kraus_routes_match_dense(
         self, dims, order, two_slots, mechanism, exponent, seed
     ):
-        """Both routes of one word, on permuted and non-adjacent slots."""
+        """Both routes of one word, in both column-side forms, on permuted
+        and non-adjacent slots."""
         rng = np.random.default_rng(seed)
         wires = list(range(len(dims)))
         order.shuffle(wires)
@@ -443,28 +459,116 @@ class TestRoutes:
         d = int(np.prod([dims[w] for w in slots]))
         entry = _route_word(mechanism, d, 10.0**exponent, rng)
         operand, kraus, vectors = _gate_parts(entry, mechanism)
-        routes = [_kraus_route(kraus, d)] + ([_thin_route(*vectors)] if vectors else [])
         rho = linalg.hermitize(random_density(int(np.prod(dims)), rng).matrix)
-        for route_vectors, roundoff in routes:
-            gate = Gate(slots, mechanism, operand, "w", kraus, route_vectors, roundoff)
+        for plan in _both_forms(slots, dims, kraus, vectors):
+            gate = Gate(slots, mechanism, operand, "w", kraus, plan)
             dense = apply_gate_dense(rho, gate, dims)
             local = _apply_gate(rho, gate, dims)
             assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
 
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_every_position_frame_and_form(self, mechanism):
+        """Leading, middle and trailing wires, in and out of order, adjacent
+        and not, through both routes and both column-side forms."""
+        rng = np.random.default_rng(11)
+        dims = (2, 3, 4, 2)
+        seen = set()
+        for slots in [(0,), (1,), (3,), (0, 1), (1, 0), (1, 2), (2, 1), (2, 3),
+                      (3, 2), (0, 2), (3, 1), (0, 3)]:
+            d = int(np.prod([dims[w] for w in slots]))
+            entry = _route_word(mechanism, d, 1.0, rng)
+            operand, kraus, vectors = _gate_parts(entry, mechanism)
+            rho = linalg.hermitize(random_density(int(np.prod(dims)), rng).matrix)
+            for plan in _both_forms(slots, dims, kraus, vectors):
+                gate = Gate(slots, mechanism, operand, "w", kraus, plan)
+                dense = apply_gate_dense(rho, gate, dims)
+                local = _apply_gate(rho, gate, dims)
+                assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
+                seen |= {(plan.axes is None, flat) for _, _, flat in plan.steps}
+        assert seen == {(True, True), (True, False), (False, True)}
+
     def test_local_kernel_check_takes_both_routes(self, monkeypatch):
-        """``verify``'s local-kernel-matches-dense, at its default seed."""
-        thin = []
+        """``verify``'s local-kernel-matches-dense, at its default seed, meets
+        both routes, both frames and both column-side forms."""
+        seen = []
         apply = textcirc._apply_gate
 
         def spy(joint, gate, dims):
-            thin.append(gate.vectors is not None)
+            plan = gate.plan
+            seen.extend((plan.thin, plan.axes is None, flat) for _, _, flat in plan.steps)
             return apply(joint, gate, dims)
 
         monkeypatch.setattr(textcirc, "_apply_gate", spy)
         seeds = np.random.SeedSequence(DEFAULT_SEED).spawn(len(ALL_CHECKS))
         rng = np.random.default_rng(seeds[ALL_CHECKS.index(check_local_kernel)])
         assert check_local_kernel(rng, 100, (2, 5)).passed
-        assert set(thin) == {True, False}
+        assert {thin for thin, _, _ in seen} == {True, False}
+        assert {adjacent for _, adjacent, _ in seen} == {True, False}
+        assert {flat for _, adjacent, flat in seen if adjacent} == {True, False}
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    @pytest.mark.parametrize("slots", [(0,), (1,), (3,), (0, 1), (2, 1), (2, 3)])
+    def test_adjacent_slots_copy_no_joint(self, mechanism, slots):
+        """On adjacent wires the kernel allocates only its products' outputs,
+        never a permuted copy of the joint: below 2.5 joints at peak for one
+        Kraus operator, or for R ≤ d canonical vectors.
+
+        (A sum of m ≥ 2 Kraus terms also holds the running sum, 3 joints.)
+        """
+        rng = np.random.default_rng(5)
+        dims = [4, 4, 4, 4]
+        d = int(np.prod([dims[w] for w in slots]))
+        labels = tuple(f"s{w}" for w in slots)
+        if mechanism == "projector":
+            word = LexiconEntry("w", labels, "pure", mechanism, random_pure(d, rng))
+        elif mechanism == "ddm":
+            word = LexiconEntry("w", labels, "ddm", mechanism, random_ddm(d, rng, 1))
+        else:
+            rank = d if mechanism == "phaser" else max(1, d // 2)
+            sigma = random_density(d, rng, rank=rank)
+            word = LexiconEntry("w", labels, "density", mechanism, sigma)
+        gate, rho = _one_gate(word, slots, dims, rng)
+        assert gate.plan.thin or len(gate.kraus) == 1
+        tracemalloc.start()
+        try:
+            _apply_gate(rho, gate, dims)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * rho.nbytes
+
+    def test_kernel_of_a_fuzz_takes_no_part_in_the_plan(self):
+        """σ of rank 2 on C⁴ whose kernel's roundoff eigenvalues average
+        4.5e-17: ``kraus``, which export lists, keeps that factor; the plan
+        applies σ's two eigenspaces only, and matches the dense route."""
+        sigma = random_density(4, np.random.default_rng(0), rank=2)
+        word = LexiconEntry("w", "s1", "density", "fuzz", sigma)
+        dims = [2, 4, 3]
+        gate, rho = _one_gate(word, (1,), dims, np.random.default_rng(1))
+        assert len(gate.kraus) == 3
+        plan = gate.plan
+        assert (plan.mask.shape[0] if plan.thin else len(plan.steps)) == 2
+        dense = apply_gate_dense(rho, gate, dims)
+        local = _apply_gate(rho, gate, dims)
+        assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
+
+
+def _one_gate(word: LexiconEntry, slots, dims, rng):
+    """The gate of ``word`` on ``slots`` among actors A0.. on wires ``dims``,
+    and a random joint state."""
+    sentences = [Introduce(f"A{w}") for w in range(len(dims))]
+    if len(slots) == 2:
+        sentences.append(Transitive(f"A{slots[0]}", word.name, f"A{slots[1]}"))
+    else:
+        sentences.append(IsA(f"A{slots[0]}", word.name))
+    entries = [word] + [
+        LexiconEntry(f"A{w}", f"s{w}", "density", "fuzz", DensityMatrix.identity(d))
+        for w, d in enumerate(dims)
+    ]
+    spaces = {f"s{w}": d for w, d in enumerate(dims)}
+    (gate,) = compile_sentences(sentences, Lexicon(spaces, entries)).gates
+    rho = linalg.hermitize(random_density(int(np.prod(dims)), rng).matrix)
+    return gate, rho
 
 
 def _scaled_lexicon(words, actors: int, scale: float, seed: int) -> Lexicon:
@@ -565,7 +669,7 @@ class TestHermitianPart:
         assert linalg.max_abs(exit_state - chain) <= bound * linalg.max_abs(chain)
 
 
-def _near_annihilation(mechanism: str, exponent: int, dim: int, weights) -> None:
+def _near_annihilation(mechanism: str, exponent: int, dim: int, weights) -> Circuit:
     rng = np.random.default_rng(7)
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q = np.linalg.qr(z)[0]
@@ -579,14 +683,13 @@ def _near_annihilation(mechanism: str, exponent: int, dim: int, weights) -> None
         word = LexiconEntry("w", "c", "density", mechanism, DensityMatrix(sigma))
     door = LexiconEntry("Door", "c", "pure", "projector", PureState(a))
     circuit = compile_text("Door is w.", Lexicon({"c": dim}, [door, word]))
-    if dim > 3:
-        assert circuit.gates[0].vectors is not None
     world = evaluate(circuit)
     door_state = reduced_state(world, "Door")
     if exponent == 20:
         assert linalg.max_abs(world.joint.matrix) == 0.0
     else:
-        assert door_state.trace == pytest.approx(weight, rel=1e-6)
+        assert door_state.trace == pytest.approx(weight, rel=1e-6, abs=0.0)
+    return circuit
 
 
 class TestReducedState:
@@ -614,14 +717,22 @@ class TestReducedState:
 
     @pytest.mark.parametrize("mechanism", ["projector", "fuzz", "phaser"])
     @pytest.mark.parametrize("exponent", [10, 20])
-    def test_near_annihilation_on_the_thin_route(self, mechanism, exponent):
-        """As above at dim 5, where each word takes the thin route.
+    def test_near_annihilation_on_the_thin_route(self, monkeypatch, mechanism, exponent):
+        """As above at dim 5, where each word takes the thin route when
+        the route is chosen by multiply-adds alone, calls costing nothing.
 
-        The fuzz weights every other direction: it merges eigenvalues
-        within 1e-8 of its largest, so a zero one would absorb a's.
+        The fuzz weights every other direction.
         """
+        monkeypatch.setattr(textcirc, "CALL_COST", 0)
         weights = [0.4, 0.3, 0.2, 0.1] if mechanism == "fuzz" else [0.7, 0.3]
-        _near_annihilation(mechanism, exponent, 5, weights)
+        circuit = _near_annihilation(mechanism, exponent, 5, weights)
+        assert circuit.gates[0].plan.thin
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_fuzz_keeps_a_small_eigenvalue_next_to_its_kernel(self, dim):
+        """σ = 0.7|r1⟩⟨r1| + 0.3|r2⟩⟨r2| + 1e-10|a⟩⟨a| with a kernel: the
+        fuzz keeps 1e-10 of Door = |a⟩ and gives σ's kernel no weight."""
+        _near_annihilation("fuzz", 10, dim, [0.7, 0.3])
 
     def test_unknown_actor(self):
         world = evaluate(compile_text("Door is black.", _noun_lexicon()))
