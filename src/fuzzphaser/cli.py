@@ -88,13 +88,13 @@ def cmd_run(args) -> int:
     if args.format == "json":
         doc = {
             "gates": [g.label for g in circuit.gates],
-            "joint_trace": world.joint.trace,
+            "joint_trace": world.trace,
             "actors": actors,
         }
         print(json.dumps(doc, indent=2))
         return 0
     print(f"gates applied: {len(circuit.gates)}")
-    print(f"joint trace: {_fmt_num(world.joint.trace)}")
+    print(f"joint trace: {_fmt_num(world.trace)}")
     for entry, state in zip(actors, states):
         shown = "undefined" if entry["purity"] is None else _fmt_num(entry["purity"])
         print(

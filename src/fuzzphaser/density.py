@@ -173,15 +173,19 @@ def decohere(rho: DensityMatrix, projectors: Sequence[Projector]) -> DensityMatr
     return DensityMatrix(linalg.hermitize(out))
 
 
-def renormalize(rho: DensityMatrix) -> DensityMatrix:
-    """Scale to unit trace; raises ZeroTraceError on annihilated states."""
-    tr = rho.trace
+def nonzero_trace(tr: float) -> float:
+    """``tr``; raises ZeroTraceError if it is at or below TRACE_FLOOR."""
     if tr <= TRACE_FLOOR:
         raise ZeroTraceError(
             f"trace {tr:.3g} is at or below the floor {TRACE_FLOOR}; "
             "the update annihilated the state"
         )
-    return DensityMatrix._unchecked(rho.matrix / tr)
+    return tr
+
+
+def renormalize(rho: DensityMatrix) -> DensityMatrix:
+    """Scale to unit trace; raises ZeroTraceError on annihilated states."""
+    return DensityMatrix._unchecked(rho.matrix / nonzero_trace(rho.trace))
 
 
 def purity(rho: DensityMatrix) -> float:

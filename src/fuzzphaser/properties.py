@@ -671,7 +671,10 @@ def check_local_kernel(seed, trials, dims) -> PropertyResult:
     Each circuit carries two fixed gates on permuted, non-adjacent slot
     pairs plus random noun and verb gates, all four mechanisms in turn.
     Every post-gate state of the evaluation is compared with the dense
-    route applied to the state before that gate.
+    route applied to the state before that gate. Every sixth circuit,
+    from the third, has four wires and pure priors, so that it starts on
+    the factor ρ = L L†; the others have full-rank priors and start on
+    the dense joint: both steps of the evaluator are checked.
     """
     rng = rng_from(seed)
     worst = 0.0
@@ -686,6 +689,8 @@ def check_local_kernel(seed, trials, dims) -> PropertyResult:
         spaces = {f"s{w}": d for w, d in enumerate(wire_dims)}
         entries = [
             LexiconEntry(f"A{w}", f"s{w}", "density", "fuzz", random_density(d, rng))
+            if k % 6 != 2
+            else LexiconEntry(f"A{w}", f"s{w}", "pure", "projector", random_pure(d, rng))
             for w, d in enumerate(wire_dims)
         ]
         sentences = [Introduce(f"A{w}") for w in range(wires)]

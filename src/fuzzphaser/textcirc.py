@@ -7,20 +7,35 @@ world is one joint state rather than a bag of per-actor states.
 Compiling turns each gate into Kraus operators on its own wires:
 projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k], each
 A_k = Σᵢ |ω_ik⟩⟨ω_ik| over the canonical vectors of the gate's double
-density matrix. Evaluation applies either the operators or those
+density matrix. Each gate applies either the operators or those
 vectors, whichever costs less in products and calls (a plan chosen once
-per word and slots), to the touched wires only: on adjacent wires
-through views of the joint, without copying it. Every joint state it
-makes is Σ K ρ K† of a validated state, so none is re-validated, and is
-Hermitian up to roundoff, so none is hermitized: the states that leave
-the evaluator through ``reduced_state`` are validated, and their
-Hermitian part is taken there.
+per word and slots), to the touched wires only.
+
+Evaluation starts on a factor ρ = L L† of the priors, the Kronecker
+product of one factor per actor (a ket prior's amplitudes, I/√d for the
+default prior, else V·√λ over every positive eigenvalue), and applies
+each gate to L's row index: L ↦ [A_1 L | … | A_m L]. Before the next
+gate L is compressed to the directions that carry more than roundoff of
+the weight of some row of L, however small that row is against the
+largest (``_compress``). While on the factor, each gate compares the
+factor step with the dense one (``Plan.dense_cost``); the first time the
+dense step costs less, the evaluation builds the joint once (the
+Kronecker product of the priors before any gate, L L† after) and applies
+the rest of the text to it, on adjacent wires through views of the
+joint. Both steps bound each entry's roundoff from diag ρ alone, and a
+result within 1/ATOL of that bound keeps only the eigen-directions above
+D times it, so an annihilated state is exactly 0. Every state the
+evaluator makes is Σ K ρ K† of a validated state, so none is
+re-validated, and is Hermitian up to roundoff, so none is hermitized:
+the states that leave the evaluator through ``reduced_state`` are
+validated, and their Hermitian part is taken there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -33,7 +48,14 @@ from .ddm import (
     ddm_from_phaser,
     ddm_kraus,
 )
-from .density import DensityMatrix, Projector, PureState, from_pure, renormalize
+from .density import (
+    DensityMatrix,
+    Projector,
+    PureState,
+    from_pure,
+    nonzero_trace,
+    renormalize,
+)
 from .errors import (
     DimensionOverflowError,
     LexiconError,
@@ -217,10 +239,15 @@ class Lexicon:
 
 @dataclass(frozen=True, eq=False)
 class Actor:
+    """One wire. ``root`` factors the prior, prior = root root†: a ket
+    prior's amplitudes, I/√d for the default prior, else V·√λ over the
+    prior's positive eigenvalues."""
+
     name: str
     space: str
     dim: int
     prior: DensityMatrix
+    root: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,10 +263,16 @@ class Plan:
     adjacent, so the joint itself is the frame; otherwise it permutes
     the joint to the frame with the wires leading the rows and trailing
     the columns (a = b = 1). The Kraus route sums one step per K, the
-    thin route chains two steps through ``mask`` (see ``_apply_gate``).
+    thin route chains two steps through ``mask`` (see ``_apply_gate``);
+    ``groups`` are the columns of each factor of W on the thin route.
     ``roundoff`` stacks the route's entrywise bounds G_k, times √(L·eps)
     for sums of L products, so that Σ_k max(G_k √diag ρ)² bounds the
     roundoff of each entry of the result.
+
+    A factor ρ = L L† takes the row side only (``_factor_step``); its
+    step costs ``factor_cost`` = (per entry of L, fixed) and makes
+    ``fan`` column blocks. ``dense_cost`` is the dense step, in the
+    same units (``CALL_COST``).
     """
 
     axes: tuple[int, ...] | None
@@ -247,7 +280,11 @@ class Plan:
     b: int
     steps: tuple[tuple[np.ndarray, np.ndarray, bool], ...]
     mask: np.ndarray | None
+    groups: tuple[slice, ...] | None
     roundoff: np.ndarray
+    dense_cost: float
+    factor_cost: tuple[float, float]
+    fan: int
 
     @property
     def thin(self) -> bool:
@@ -350,6 +387,26 @@ def _significant(kraus: tuple[np.ndarray, ...], vectors, d: int):
 #: d = 16 phaser before one dim-4 wire is 1.5x faster than the batched.
 CALL_COST = 4000
 
+#: What the compression of a factor costs beyond its Gram: EIGH_COST·n³
+#: + EIGH_CALL for the eigh of an n × n Gram, in the units of CALL_COST.
+#: On the same host (one large product at 4.0e9 multiply-adds/s), eigh
+#: took 5.5 µs at n = 1, 49 µs at n = 16, 0.58 ms at n = 64 (9.0·n³) and
+#: 2.3 ms at n = 96 (10.7·n³). EIGH_CALL also carries the factor step's
+#: own calls: per-gate probes of both steps (every mechanism and slot
+#: shape of two bench lexicons, D = 64, 256 and 1024, L of 1-64 columns)
+#: lost 0.8-1.0 ms to wrong picks at 400,000, of 123 and 181 ms for the
+#: fastest pick of every case, against 2.1-2.4 ms at 200,000.
+EIGH_COST = 10
+EIGH_CALL = 400_000
+
+#: What writing one entry of a fresh array costs, and one entry of a
+#: permuting copy, in the same units: 10.8 and 8.1 at D = 1024 on that
+#: host (3.1-3.3 and 7.0-9.6 at D ≤ 256). Without them the same probes
+#: lost 21 and 46 ms to wrong picks, dense steps that took longer than
+#: the factor's, most of it at D = 1024.
+PASS_COST = 10
+COPY_COST = 8
+
 
 def _ascending(m: np.ndarray, sizes: list[int], order: list[int]) -> np.ndarray:
     """m's rows, indexed by the slots in sentence order, in ascending wire order."""
@@ -377,10 +434,11 @@ def _step_cost(q_out: int, q_in: int, rows: int, cols: int, a: int, b: int):
     return cost + min(batched, flat), flat <= batched, rows, cols * q_out // q_in
 
 
-def _route_costs(d: int, m: int, r: int | None, size: int, a: int, b: int):
+def _route_costs(frame, d: int, size: int, m: int, r: int | None):
     """(cost, whether each column side is flat) of the Kraus route with m
     operators and of the thin route with r vectors (None when r is None),
-    on a size × size joint."""
+    on a size × size joint in ``frame`` (``_frame``)."""
+    _, a, b = frame
     cost, flat, _, _ = _step_cost(d, d, size, size, a, b)
     kraus = m * cost + max(m - 1, 0) * (CALL_COST + size * size), flat
     if r is None:
@@ -390,52 +448,81 @@ def _route_costs(d: int, m: int, r: int | None, size: int, a: int, b: int):
     return kraus, (compress + expand + CALL_COST + rows * cols, flat, flat_expand)
 
 
-def _plan(slots, dims, kraus, vectors=None) -> Plan:
-    """The plan of a word on ``slots`` of wires ``dims``: through its Kraus
-    operators, or through its canonical vectors (W, the factor of each
-    column) when ``vectors`` is given, A_k = W_k W_k†.
+@dataclass(frozen=True, eq=False)
+class _Route:
+    """One word's route on its wires in ascending wire order, shared by
+    every slot tuple of the circuit with the same order: the row operators
+    (each K, or W† and W), the columns of each factor of W (thin route),
+    ``mask`` and the roundoff bounds of ``Plan``."""
 
-    Each column side takes whichever form costs less.
-    """
-    sizes = [dims[w] for w in slots]
-    order = sorted(range(len(slots)), key=slots.__getitem__)
-    d, size = math.prod(sizes), math.prod(dims)
-    axes, a, b = _frame(slots, dims)
-    r = None if vectors is None else vectors[0].shape[1]
-    (_, flat), thin = _route_costs(d, len(kraus), r, size, a, b)
+    rows: tuple[np.ndarray, ...]
+    groups: tuple[slice, ...] | None
+    mask: np.ndarray | None
+    roundoff: np.ndarray
+
+    @property
+    def fan(self) -> int:
+        """The column blocks a factor step makes: one per K, or per factor of W."""
+        return len(self.rows if self.groups is None else self.groups)
+
+
+def _route(kraus, vectors, sizes: list[int], order: list[int]) -> _Route:
+    """The Kraus route, or the thin one when ``vectors`` (W, the factor of
+    each column) is given, A_k = W_k W_k†, on wires of ``sizes`` in slot
+    order that ``order`` sorts."""
+    d = math.prod(sizes)
+    if vectors is None:
+        # K's rows, then its columns, in ascending wire order
+        ops = tuple(_ascending(_ascending(k, sizes, order).T, sizes, order).T for k in kraus)
+        bounds = np.abs(np.array(ops, dtype=np.complex128)).reshape(-1, d, d)
+        return _Route(ops, None, None, bounds * np.sqrt(d * _EPS))
+    w, owner = vectors
+    w, r = _ascending(w, sizes, order), w.shape[1]
+    # |W_k||W_k|ᵀ, not |A_k|: the route sums W_k's products term by term.
+    magnitudes = np.abs(w)
+    factor = owner == np.unique(owner)[:, None, None]
+    bounds = (magnitudes * factor) @ magnitudes.T * np.sqrt((d + r) * _EPS)
+    same = (owner[:, None] == owner[None, :]).astype(np.float64)
+    starts = [int(i) for i in np.flatnonzero(np.diff(owner, prepend=-1))] + [r]
+    groups = tuple(slice(i, j) for i, j in zip(starts, starts[1:]))  # contiguous
+    return _Route((w.conj().T, w), groups, same.reshape(r, 1, r, 1), bounds)
+
+
+def _plan(frame, size: int, route: _Route, costs) -> Plan:
+    """``route`` in ``frame`` (``_frame``) of a size × size joint: each
+    column side in the form that ``costs``, the route's own entry of
+    ``_route_costs``, picked, and the costs of the dense and factor steps."""
+    axes, a, b = frame
+    cost, *flats = costs
 
     def col(m, flat):  # Mᵀ ⊗ I_b if flat
         if not flat:
             return np.ascontiguousarray(m)
         return (m.T[:, None, :, None] * np.eye(b)[:, None]).reshape(m.shape[1] * b, -1)
 
-    if vectors is None:
-        # K's rows, then its columns, in ascending wire order
-        ops = [_ascending(_ascending(k, sizes, order).T, sizes, order).T for k in kraus]
-        steps = tuple((k, col(k.conj(), flat), flat) for k in ops)
-        bounds = np.abs(np.array(ops, dtype=np.complex128)).reshape(-1, d, d)
-        return Plan(axes, a, b, steps, None, bounds * np.sqrt(d * _EPS))
-    w, owner = vectors
-    w = _ascending(w, sizes, order)
-    _, flat, flat_expand = thin
-    steps = ((w.conj().T, col(w.T, flat), flat), (w, col(w.conj(), flat_expand), flat_expand))
-    # |W_k||W_k|ᵀ, not |A_k|: the route sums W_k's products term by term.
-    magnitudes = np.abs(w)
-    factor = owner == np.unique(owner)[:, None, None]
-    bounds = (magnitudes * factor) @ magnitudes.T * np.sqrt((d + r) * _EPS)
-    same = (owner[:, None] == owner[None, :]).astype(np.float64)
-    return Plan(axes, a, b, steps, same.reshape(r, 1, r, 1), bounds)
+    fan = route.fan
+    if route.groups is None:
+        steps = tuple((k, col(k.conj(), flats[0]), flats[0]) for k in route.rows)
+        d = route.roundoff.shape[-1]
+        passes = max(2 * fan, 1)  # each step's two products, or the zeros
+        per_entry, calls = fan * d, fan * CALL_COST * a
+    else:
+        (wh, w), (flat, flat_expand) = route.rows, flats
+        steps = ((wh, col(w.T, flat), flat), (w, col(w.conj(), flat_expand), flat_expand))
+        ratio = w.shape[1] / w.shape[0]
+        passes = 1 + 2 * ratio + ratio**2  # C before and after its columns, W·C, out
+        per_entry, calls = 2 * w.shape[1], (1 + fan) * CALL_COST * a
+    per_entry += fan * PASS_COST  # the factor's blocks, stacked
+    dense = cost + PASS_COST * passes * size * size
+    if axes is not None:  # the joint and the result are permuted; a factor's rows too
+        dense += 2 * COPY_COST * size * size
+        per_entry += COPY_COST * (1 + fan)
+    return Plan(axes, a, b, steps, route.mask, route.groups, route.roundoff,
+                dense, (per_entry, calls), fan)
 
 
-def _cheapest_plan(slots, dims, kraus, vectors) -> Plan:
-    """The plan of the route that costs less, the Kraus one on a tie."""
-    _, a, b = _frame(slots, dims)
-    d = math.prod(dims[w] for w in slots)
-    r = None if vectors is None else vectors[0].shape[1]
-    kraus_cost, thin = _route_costs(d, len(kraus), r, math.prod(dims), a, b)
-    if thin is not None and thin[0] < kraus_cost[0]:
-        return _plan(slots, dims, kraus, vectors)
-    return _plan(slots, dims, kraus)
+def _order(slots) -> list[int]:
+    return sorted(range(len(slots)), key=slots.__getitem__)
 
 
 class _ActorTable:
@@ -519,8 +606,13 @@ def compile_sentences(
             raise LexiconError(f"cannot infer a space for actor {name!r}")
         dim = lexicon.space_dim(space)
         if prior is None:
-            prior = DensityMatrix.maximally_mixed(dim)
-        actors.append(Actor(name=name, space=space, dim=dim, prior=prior))
+            prior, root = DensityMatrix.maximally_mixed(dim), np.eye(dim) / math.sqrt(dim)
+        elif entry.kind == "pure":
+            root = entry.operand.amplitudes[:, None]
+        else:  # every positive eigenvalue, however small against the largest
+            evals, evecs = np.linalg.eigh(prior.matrix)
+            root = evecs[:, evals > 0] * np.sqrt(evals[evals > 0])
+        actors.append(Actor(name=name, space=space, dim=dim, prior=prior, root=root))
 
     joint = 1
     for a in actors:
@@ -531,8 +623,8 @@ def compile_sentences(
             )
 
     index = {a.name: i for i, a in enumerate(actors)}
-    dims = [a.dim for a in actors]
-    parts, plans = {}, {}
+    dims, size = [a.dim for a in actors], joint
+    parts, routes, plans = {}, {}, {}
     gates = []
     for names, entry, label in pending:
         effective = mechanism if mechanism is not None else entry.mechanism
@@ -542,7 +634,17 @@ def compile_sentences(
         operand, kraus, ops, vectors = parts[entry.name]
         slots = tuple(index[n] for n in names)
         if (entry.name, slots) not in plans:
-            plans[entry.name, slots] = _cheapest_plan(slots, dims, ops, vectors)
+            frame = _frame(slots, dims)
+            r = None if vectors is None else vectors[0].shape[1]
+            by_kraus, by_thin = _route_costs(frame, entry.dim, size, len(ops), r)
+            thin = by_thin is not None and by_thin[0] < by_kraus[0]
+            order = _order(slots)
+            key = entry.name, tuple(order), thin
+            if key not in routes:
+                sizes = [dims[w] for w in slots]
+                routes[key] = _route(ops, vectors if thin else None, sizes, order)
+            costs = by_thin if thin else by_kraus
+            plans[entry.name, slots] = _plan(frame, size, routes[key], costs)
         gates.append(
             Gate(
                 slots=slots,
@@ -562,11 +664,29 @@ def compile_text(text: str, lexicon: Lexicon, mechanism: str | None = None) -> C
 
 @dataclass(frozen=True, eq=False)
 class WorldState:
-    """Joint state over all actors; per-actor views come by partial trace."""
+    """Joint state over all actors: a read-only factor L with ρ = L L†
+    (``factor``, D × c), or once the evaluation has gone dense, the
+    joint itself (``dense``, and ``factor`` None). Per-actor views come
+    by partial trace."""
 
     actor_names: tuple[str, ...]
     dims: tuple[int, ...]
-    joint: DensityMatrix
+    factor: np.ndarray | None
+    dense: DensityMatrix | None = None
+
+    @cached_property
+    def joint(self) -> DensityMatrix:
+        """The joint density matrix; on a factor, L L† built on first access."""
+        if self.factor is None:
+            return self.dense
+        return DensityMatrix._unchecked(self.factor @ self.factor.conj().T)
+
+    @property
+    def trace(self) -> float:
+        """tr ρ, on a factor Σ|L_ij|² without building ρ."""
+        if self.factor is None:
+            return self.dense.trace
+        return float(np.vdot(self.factor, self.factor).real)
 
 
 def _rows(x: np.ndarray, row: np.ndarray, plan: Plan) -> np.ndarray:
@@ -579,6 +699,15 @@ def _cols(y: np.ndarray, col: np.ndarray, flat: bool, plan: Plan) -> np.ndarray:
     if flat:
         return y.reshape(-1, col.shape[0]) @ col
     return np.matmul(col, y.reshape(-1, col.shape[1], plan.b))
+
+
+def _noise(plan: Plan, roots: np.ndarray) -> float:
+    """Σ_k max(G_k √diag ρ)², from √diag ρ in the frame's row order: no
+    entry of the gate's result carries more roundoff (``Plan``)."""
+    d = plan.roundoff.shape[-1]
+    roots = roots.reshape(plan.a, d, -1).swapaxes(0, 1).reshape(d, -1)
+    spread = plan.roundoff @ roots
+    return np.square(spread.max(axis=(1, 2), initial=0.0)).sum()
 
 
 def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarray:
@@ -596,10 +725,10 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
     The result is Hermitian up to roundoff; its Hermitian part is taken
     where states leave the evaluator. A result whose largest diagonal
     entry is inf or NaN raises NumericalFailureError naming the gate.
-    Since |ρ_ab| ≤ √(ρ_aa ρ_bb), each entry's roundoff is below ``noise``,
-    Σ_k max(G_k √diag ρ)² over the route's entrywise bounds G_k; a result
-    within 1/ATOL of it keeps only eigenvalues above D·noise, so what
-    roundoff leaves of an annihilated state is exactly 0.
+    Since |ρ_ab| ≤ √(ρ_aa ρ_bb), each entry's roundoff is below ``noise``
+    (``_noise``); a result within 1/ATOL of it keeps only eigenvalues
+    above D·noise, so what roundoff leaves of an annihilated state is
+    exactly 0.
     """
     plan = gate.plan
     n = len(dims)
@@ -631,10 +760,7 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
             out = out.reshape(shape).transpose(np.argsort(plan.axes))
         back = out.reshape(joint.shape)
         peak = np.abs(np.diagonal(back)).max()
-        d = plan.roundoff.shape[-1]
-        roots = roots.reshape(plan.a, d, -1).swapaxes(0, 1).reshape(d, -1)
-        spread = plan.roundoff @ roots
-        noise = np.square(spread.max(axis=(1, 2), initial=0.0)).sum()
+        noise = _noise(plan, roots)
     if not np.isfinite(peak):
         raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
     if peak * linalg.ATOL < noise:
@@ -644,17 +770,132 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
     return back
 
 
+def _weights(factor: np.ndarray) -> np.ndarray:
+    """diag(L L†): the squared norm of each row of L."""
+    flat = np.ascontiguousarray(factor).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _annihilate(factor: np.ndarray, floor: float) -> np.ndarray:
+    """L·V over the eigenvectors V of the Gram L†L whose eigenvalues (ρ's
+    nonzero ones) lie above ``floor``: the dense kernel's cut when a result
+    is within 1/ATOL of its roundoff bound (``_apply_gate``)."""
+    evals, evecs = np.linalg.eigh(factor.conj().T @ factor)
+    return factor @ evecs[:, np.searchsorted(evals, floor, side="right") :]
+
+
+def _compress(factor: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """L·V over the eigenvectors V of the row-scaled Gram L†S⁻²L, S² =
+    diag ρ = ``weights`` (a row of weight 0 is 0 and takes no part), whose
+    eigenvalues lie above what that Gram resolves: max(D, c)·eps times its
+    largest, the roundoff of its length-D dot products and of its eigh.
+
+    Each row of S⁻¹L has norm 1, so the floor does not depend on ρ's
+    magnitude: a dropped direction u has |(Lu)_i|² ≤ floor·ρ_ii in every
+    row i, so each entry ρ_ij moves by at most that share of √(ρ_ii ρ_jj),
+    as roundoff moves the dense joint's entries. What only some rows carry
+    is kept, however small against the rest: diag(1, 1e-20) keeps its
+    1e-20, diag(1, 1e30) its 1. L keeps at most rank ρ columns.
+    """
+    if factor.shape[1] == 0:
+        return factor
+    scale = np.zeros_like(weights)
+    np.divide(1.0, np.sqrt(weights), out=scale, where=weights > 0)
+    scaled = factor * scale[:, None]
+    evals, evecs = np.linalg.eigh(scaled.conj().T @ scaled)
+    floor = max(factor.shape) * _EPS * evals[-1]
+    return factor @ evecs[:, np.searchsorted(evals, floor, side="right") :]
+
+
+def _factor_step(factor: np.ndarray, gate: Gate, dims: Sequence[int]):
+    """The gate on ρ = L L† as L' = [A_1 L | … | A_m L]: O(D·c·d) per
+    operator on L's row index only, through the plan's own operators.
+
+    The Kraus route stacks each K L, the thin route each W_k C_k over
+    C = W† L. Non-adjacent wires permute L's rows (D × c), not ρ. The
+    checks are the dense kernel's (``_apply_gate``), with diag ρ the
+    squared row norms of L: a result that is not finite raises
+    NumericalFailureError naming the gate, and one within 1/ATOL of
+    its roundoff bound keeps only the eigen-directions above D·noise.
+    Returns L' and its diag ρ, which its compression (``_compress``)
+    needs before the next gate, or None when it has been cut already.
+    """
+    plan = gate.plan
+    n, size = len(dims), factor.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = np.sqrt(_weights(factor))
+        frame = factor
+        if plan.axes is not None:
+            frame = np.ascontiguousarray(factor.reshape(*dims, -1).transpose(*plan.axes[:n], n))
+            roots = roots.reshape(dims).transpose(plan.axes[:n])
+        x = frame.reshape(plan.a, plan.roundoff.shape[-1], -1)
+        if plan.mask is None:
+            blocks = [np.matmul(k, x) for k, _, _ in plan.steps]
+        else:
+            (wh, _, _), (w, _, _) = plan.steps
+            c = np.matmul(wh, x)
+            blocks = [np.matmul(w[:, s], c[:, s]) for s in plan.groups]
+        out = np.stack(blocks, axis=-1) if blocks else np.empty(x.shape + (0,), x.dtype)
+        columns = frame.shape[-1] * len(blocks)
+        if plan.axes is not None:
+            out = out.reshape(*frame.shape[:-1], columns)
+            out = out.transpose(*np.argsort(plan.axes[:n]), n)
+        out = out.reshape(size, columns)
+        weights = _weights(out)
+        noise = _noise(plan, roots)
+    if not np.isfinite(weights.sum()):
+        raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
+    if weights.max() * linalg.ATOL < noise:
+        return _annihilate(out, size * noise), None
+    return out, weights
+
+
+def _factor_cost(plan: Plan, size: int, columns: int) -> float:
+    """The gate on a size × ``columns`` factor, in the units of CALL_COST:
+    the step, then the compression its result owes (the rows scaled, the
+    Gram, its eigh)."""
+    per_entry, calls = plan.factor_cost
+    owed = columns * plan.fan
+    gram = size * owed * (PASS_COST + owed)
+    return per_entry * size * columns + calls + gram + EIGH_COST * owed**3 + EIGH_CALL
+
+
 def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[WorldState]:
+    """The priors' factor, each gate on it while that costs less than the
+    dense step, then once and for all the dense joint and ``_apply_gate``."""
     names = tuple(a.name for a in circuit.actors)
     dims = tuple(a.dim for a in circuit.actors)
-    priors = [a.prior.matrix for a in circuit.actors]
-    state = DensityMatrix._unchecked(linalg.kron_all(priors))
-    yield WorldState(names, dims, state)
-    for gate in circuit.gates:
+    size = circuit.joint_dim
+    factor = np.ones((1, 1), dtype=np.complex128)
+    for actor in circuit.actors:
+        factor = np.kron(factor, actor.root)
+    factor.setflags(write=False)
+    yield WorldState(names, dims, factor)
+    owed = None  # diag ρ of a factor whose compression is owed
+    for done, gate in enumerate(circuit.gates):
+        if owed is not None:
+            factor = _compress(factor, owed)
+        if _factor_cost(gate.plan, size, factor.shape[1]) > gate.plan.dense_cost:
+            break
+        factor, owed = _factor_step(factor, gate, dims)
+        if renormalize_each_step:
+            tr = nonzero_trace(float(np.vdot(factor, factor).real))
+            factor = factor / math.sqrt(tr)
+            owed = None if owed is None else owed / tr
+        factor.setflags(write=False)
+        yield WorldState(names, dims, factor)
+    else:
+        return
+    if done == 0:
+        joint = linalg.kron_all(a.prior.matrix for a in circuit.actors)
+    else:
+        joint = factor @ factor.conj().T
+    state = DensityMatrix._unchecked(joint)
+    for gate in circuit.gates[done:]:
         state = DensityMatrix._unchecked(_apply_gate(state.matrix, gate, dims))
         if renormalize_each_step:
             state = renormalize(state)
-        yield WorldState(names, dims, state)
+        yield WorldState(names, dims, None, state)
 
 
 def evaluate_trajectory(
@@ -665,16 +906,22 @@ def evaluate_trajectory(
 
 
 def evaluate(circuit: Circuit, renormalize_each_step: bool = False) -> WorldState:
-    """Tensor the priors, apply every gate in sentence order (keeping one joint)."""
+    """Apply every gate in sentence order to the priors (keeping one state)."""
     for world in _trajectory(circuit, renormalize_each_step):
         pass
     return world
 
 
 def reduced_state(world: WorldState, actor: str) -> DensityMatrix:
-    """One wire of the world: partial trace over every other actor."""
+    """One wire of the world: partial trace over every other actor; on a
+    factor, X X† with X the factor's entries for that wire against all
+    else (O(D·c·d))."""
     if actor not in world.actor_names:
         raise UnknownActorError(f"no actor named {actor!r}")
-    keep = [world.actor_names.index(actor)]
-    out = linalg.partial_trace(world.joint.matrix, world.dims, keep)
+    w = world.actor_names.index(actor)
+    if world.factor is None:
+        out = linalg.partial_trace(world.dense.matrix, world.dims, [w])
+    else:
+        x = world.factor.reshape(math.prod(world.dims[:w]), world.dims[w], -1)
+        out = np.matmul(x, x.conj().swapaxes(1, 2)).sum(axis=0)
     return DensityMatrix(linalg.hermitize(out))

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -262,6 +263,29 @@ class TestRun:
         assert not any(line.startswith("Traceback") for line in lines)
         assert not any("RuntimeWarning" in line for line in lines)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+    @pytest.mark.parametrize(
+        "text, mechanism, thin",
+        [("Door is vast.", "phaser", True), ("Door is vast.", "fuzz", True),
+         ("Door is wide.", "ddm", False)],
+        ids=["phaser-thin", "fuzz-thin", "ddm-kraus"],
+    )
+    def test_roundoff_bound_does_not_overflow_on_the_factor(
+        self, tmp_path, capsys, monkeypatch, text, mechanism, thin
+    ):
+        """As above, with every gate on the factor ρ = L L†."""
+        monkeypatch.setattr(textcirc, "EIGH_CALL", -math.inf)
+        self.test_roundoff_bound_does_not_overflow(
+            tmp_path, capsys, monkeypatch, text, mechanism, thin
+        )
+
+    def test_overflowing_state_is_input_error_on_the_factor(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """As above, with every gate on the factor ρ = L L†."""
+        monkeypatch.setattr(textcirc, "EIGH_CALL", -math.inf)
+        self.test_overflowing_state_is_input_error(tmp_path, capsys)
 
 
 class TestDemo:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
 
 from fuzzphaser import linalg
 from fuzzphaser import textcirc
@@ -42,6 +44,10 @@ from fuzzphaser.textcirc import (
     reduced_state,
 )
 from fuzzphaser.update import fuzz
+
+#: EIGH_CALL values that pin every gate of an evaluation to the factor
+#: step (its cost -inf) or to the dense joint from the first gate (+inf).
+ROUTES = {"factor": -math.inf, "dense": math.inf}
 
 
 class TestParse:
@@ -341,6 +347,13 @@ class TestEvaluate:
         evaluate(circuit, renorm)
         assert circuit.joint_dim not in dims
 
+    @pytest.mark.parametrize("renorm", [False, True])
+    def test_factor_is_not_revalidated_or_hermitized(self, renorm, monkeypatch):
+        """The two tests above with every gate on the factor ρ = L L†."""
+        monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES["factor"])
+        self.test_joint_is_not_revalidated(renorm, monkeypatch)
+        self.test_joint_is_not_hermitized(renorm, monkeypatch)
+
     def test_fuzz_without_positive_eigenvalue_annihilates(self):
         void = DensityMatrix(np.zeros((2, 2)))
         lex = Lexicon({"c": 2}, [LexiconEntry("void", "c", "density", "fuzz", void)])
@@ -428,12 +441,17 @@ def _route_word(kind: str, dim: int, scale: float, rng) -> LexiconEntry:
 def _both_forms(slots, dims, kraus, vectors):
     """The Kraus and, if any, the thin plan, each with every column side
     batched where b > 1, then each flat: calls costing nothing, then all."""
+    frame, size = textcirc._frame(slots, dims), math.prod(dims)
+    sizes, order = [dims[w] for w in slots], textcirc._order(slots)
+    r = None if vectors is None else vectors[0].shape[1]
     plans = []
     for call_cost in (0, 10**15):
         with mock.patch.object(textcirc, "CALL_COST", call_cost):
-            plans.append(_plan(slots, dims, kraus))
+            by_kraus, by_thin = textcirc._route_costs(frame, math.prod(sizes), size, len(kraus), r)
+            plans.append(_plan(frame, size, textcirc._route(kraus, None, sizes, order), by_kraus))
             if vectors is not None:
-                plans.append(_plan(slots, dims, kraus, vectors))
+                route = textcirc._route(kraus, vectors, sizes, order)
+                plans.append(_plan(frame, size, route, by_thin))
     return plans
 
 
@@ -489,22 +507,30 @@ class TestRoutes:
 
     def test_local_kernel_check_takes_both_routes(self, monkeypatch):
         """``verify``'s local-kernel-matches-dense, at its default seed, meets
-        both routes, both frames and both column-side forms."""
-        seen = []
-        apply = textcirc._apply_gate
+        both routes, both frames and both column-side forms on the dense
+        joint, and both routes and both frames on the factor."""
+        seen, factor_steps = [], set()
+        apply, step = textcirc._apply_gate, textcirc._factor_step
 
         def spy(joint, gate, dims):
             plan = gate.plan
             seen.extend((plan.thin, plan.axes is None, flat) for _, _, flat in plan.steps)
             return apply(joint, gate, dims)
 
+        def factor_spy(factor, gate, dims):
+            factor_steps.add((gate.plan.thin, gate.plan.axes is None))
+            return step(factor, gate, dims)
+
         monkeypatch.setattr(textcirc, "_apply_gate", spy)
+        monkeypatch.setattr(textcirc, "_factor_step", factor_spy)
         seeds = np.random.SeedSequence(DEFAULT_SEED).spawn(len(ALL_CHECKS))
         rng = np.random.default_rng(seeds[ALL_CHECKS.index(check_local_kernel)])
         assert check_local_kernel(rng, 100, (2, 5)).passed
         assert {thin for thin, _, _ in seen} == {True, False}
         assert {adjacent for _, adjacent, _ in seen} == {True, False}
         assert {flat for _, adjacent, flat in seen if adjacent} == {True, False}
+        assert {thin for thin, _ in factor_steps} == {True, False}
+        assert {adjacent for _, adjacent in factor_steps} == {True, False}
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("slots", [(0,), (1,), (3,), (0, 1), (2, 1), (2, 3)])
@@ -551,6 +577,194 @@ class TestRoutes:
         dense = apply_gate_dense(rho, gate, dims)
         local = _apply_gate(rho, gate, dims)
         assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
+
+
+def _text(dims, priors, words, rng):
+    """A circuit over actors A0.. on wires ``dims`` with priors of the given
+    kinds ("ket", "density" of random rank, or None for the default, whose
+    wire a fuzz by the identity opens), and one gate per (mechanism or
+    "void", subject, object): a noun where subject and object coincide
+    modulo the wire count, else a verb."""
+    n = len(dims)
+    entries, sentences = [], [Introduce(f"A{w}") for w in range(n)]
+    for w, (d, kind) in enumerate(zip(dims, priors)):
+        if kind == "ket":
+            entries.append(LexiconEntry(f"A{w}", f"s{w}", "pure", "projector", random_pure(d, rng)))
+        elif kind == "density":
+            rank = int(rng.integers(1, d + 1))
+            prior = random_density(d, rng, rank=rank)
+            entries.append(LexiconEntry(f"A{w}", f"s{w}", "density", "fuzz", prior))
+        else:
+            one = DensityMatrix.identity(d)
+            entries.append(LexiconEntry(f"one{w}", f"s{w}", "density", "fuzz", one))
+            sentences.append(IsA(f"A{w}", f"one{w}"))
+    for g, (mechanism, subject, obj) in enumerate(words):
+        subject, obj = subject % n, obj % n
+        slots = (subject,) if subject == obj else (subject, obj)
+        labels = tuple(f"s{w}" for w in slots)
+        d = int(np.prod([dims[w] for w in slots]))
+        if mechanism == "void":  # no positive eigenvalue: annihilates every state
+            zero = DensityMatrix(np.zeros((d, d)))
+            entries.append(LexiconEntry(f"w{g}", labels, "density", "fuzz", zero))
+        else:
+            entries.append(_scaled_word(f"w{g}", mechanism, labels, d, 1.0, rng))
+        if len(slots) == 1:
+            sentences.append(IsA(f"A{subject}", f"w{g}"))
+        else:
+            sentences.append(Transitive(f"A{subject}", f"w{g}", f"A{obj}"))
+    spaces = {f"s{w}": d for w, d in enumerate(dims)}
+    return compile_sentences(sentences, Lexicon(spaces, entries))
+
+
+class TestFactorRoute:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        dims=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+        priors=st.lists(st.sampled_from(["ket", "density", None]), min_size=4, max_size=4),
+        words=st.lists(
+            st.tuples(
+                st.sampled_from(MECHANISMS + ("void",)), st.integers(0, 3), st.integers(0, 3)
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        renorm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factor_and_dense_agree(self, dims, priors, words, renorm, seed):
+        """Every gate on the factor, or every gate on the dense joint: the
+        joint trace and each reduced state agree within 1e-10 of their
+        scale, and an annihilated state raises under renormalization on
+        both."""
+        circuit = _text(dims, priors, words, np.random.default_rng(seed))
+        results = {}
+        for route, cost in ROUTES.items():
+            with mock.patch.object(textcirc, "EIGH_CALL", cost):
+                try:
+                    world = evaluate(circuit, renorm)
+                except ZeroTraceError:
+                    results[route] = None
+                    continue
+            assert (world.factor is not None) == (route == "factor")
+            states = [reduced_state(world, a.name).matrix for a in circuit.actors]
+            results[route] = world.trace, states
+        factor, dense = results["factor"], results["dense"]
+        assert (factor is None) == (dense is None)
+        if dense is not None:
+            scale = max(abs(dense[0]), *map(linalg.max_abs, dense[1]))
+            assert abs(factor[0] - dense[0]) <= 1e-10 * scale
+            for ours, theirs in zip(factor[1], dense[1]):
+                assert linalg.max_abs(ours - theirs) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_compression_keeps_a_small_eigenvalue(self, monkeypatch, route):
+        """diag(1, 1e-11) through two identity phasers: compressing L between
+        them keeps the small eigenvalue, which is the whole weight of its rows."""
+        monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES[route])
+        prior = DensityMatrix(np.diag([1.0, 1e-11]))
+        one = DensityMatrix.identity(2)
+        lex = Lexicon(
+            {"c": 2},
+            [
+                LexiconEntry("Door", "c", "density", "fuzz", prior),
+                LexiconEntry("one", "c", "density", "phaser", one),
+            ],
+        )
+        world = evaluate(compile_text("Door is one. Door is one.", lex))
+        assert reduced_state(world, "Door").matrix[1, 1].real == pytest.approx(1e-11, rel=1e-6)
+
+    @pytest.mark.parametrize("route", ["factor", "default"])
+    @pytest.mark.parametrize(
+        "prior, vast",
+        [([1.0, 1e-20, 0.0, 0.0], [0.0, 1e300, 0.0, 0.0]), ([1.0, 1e30, 0.0, 0.0], [1e300, 0.0, 0.0, 0.0])],
+    )
+    def test_compression_keeps_what_the_dense_joint_keeps(self, monkeypatch, route, prior, vast):
+        """Four kets and Door (D = 1024): a gate on another wire, then a
+        phaser that keeps only Door's direction of weight 1e-20 (or 1, next
+        to 1e30). The compression before the phaser must keep that
+        direction, however small against the largest eigenvalue, so the
+        trace and Door's state match the dense route's."""
+        rng = np.random.default_rng(11)
+        entries = [
+            LexiconEntry(f"A{w}", "c", "pure", "projector", random_pure(4, rng)) for w in range(4)
+        ]
+        entries += [
+            LexiconEntry("Door", "c", "density", "fuzz", DensityMatrix(np.diag(prior))),
+            LexiconEntry("one", "c", "density", "phaser", DensityMatrix.identity(4)),
+            LexiconEntry("vast", "c", "density", "phaser", DensityMatrix(np.diag(vast))),
+        ]
+        text = "".join(f"Once there was A{w}. " for w in range(4))
+        circuit = compile_text(text + "Once there was Door. A0 is one. Door is vast.", Lexicon({"c": 4}, entries))
+        monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES["dense"])
+        dense = evaluate(circuit)
+        monkeypatch.undo()
+        if route == "factor":
+            monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES["factor"])
+        world = evaluate(circuit)
+        assert world.factor is not None
+        assert dense.trace > 1e279
+        assert world.trace == pytest.approx(dense.trace, rel=1e-12)
+        ours, theirs = reduced_state(world, "Door").matrix, reduced_state(dense, "Door").matrix
+        assert linalg.max_abs(ours - theirs) <= 1e-12 * linalg.max_abs(theirs)
+
+    def test_a_text_switches_once_then_stays_dense(self, monkeypatch):
+        """Four pure dim-4 actors (D = 256) under a full-rank fuzz: each gate
+        multiplies the rank by 4 until the dense step costs less than the
+        factor's; from there every gate is dense."""
+        rng = np.random.default_rng(3)
+        entries = [
+            LexiconEntry(f"A{w}", "s", "pure", "projector", random_pure(4, rng)) for w in range(4)
+        ]
+        entries.append(LexiconEntry("w", "s", "density", "fuzz", random_density(4, rng)))
+        sentences = [IsA(f"A{g % 4}", "w") for g in range(8)]
+        circuit = compile_sentences(sentences, Lexicon({"s": 4}, entries))
+        steps = []
+        for name in ("_factor_step", "_apply_gate"):
+            def spy(*args, real=getattr(textcirc, name), name=name):
+                steps.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(textcirc, name, spy)
+        worlds = evaluate_trajectory(circuit)
+        switch = steps.index("_apply_gate")
+        assert switch > 0 and set(steps[switch:]) == {"_apply_gate"}
+        assert [w.factor is not None for w in worlds] == [True] * (switch + 1) + [False] * (
+            len(steps) - switch
+        )
+        monkeypatch.setattr(textcirc, "EIGH_CALL", math.inf)
+        dense = evaluate(circuit).joint.matrix
+        assert linalg.max_abs(worlds[-1].joint.matrix - dense) <= 1e-10 * linalg.max_abs(dense)
+
+    def test_chain_evaluates_without_the_dense_joint(self, monkeypatch):
+        """Five dim-4 actors chained by four verbs, one per mechanism, from
+        two kets, a rank-4 state and two default priors (D = 1024): no
+        Kronecker product of the priors, and less memory at peak than one
+        D × D joint (16 MiB)."""
+        rng = np.random.default_rng(5)
+        entries = [
+            LexiconEntry("A0", "s", "pure", "projector", random_pure(4, rng)),
+            LexiconEntry("A2", "s", "density", "fuzz", random_density(4, rng)),
+            LexiconEntry("A4", "s", "pure", "projector", random_pure(4, rng)),
+            LexiconEntry("v0", ("s", "s"), "pure", "projector", random_pure(16, rng)),
+            LexiconEntry("v1", ("s", "s"), "density", "fuzz", random_density(16, rng, rank=3)),
+            LexiconEntry("v2", ("s", "s"), "density", "phaser", random_density(16, rng)),
+            LexiconEntry("v3", ("s", "s"), "ddm", "ddm", random_ddm(16, rng, 2)),
+        ]
+        sentences = [Transitive(f"A{i}", f"v{i}", f"A{i + 1}") for i in range(4)]
+        circuit = compile_sentences(sentences, Lexicon({"s": 4}, entries))
+
+        def kron_all(matrices):
+            raise AssertionError("the priors' Kronecker product was built")
+
+        monkeypatch.setattr(linalg, "kron_all", kron_all)
+        tracemalloc.start()
+        try:
+            world = evaluate(circuit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert world.factor is not None and world.trace > 0
+        assert peak < 1024 * 1024 * 16
 
 
 def _one_gate(word: LexiconEntry, slots, dims, rng):
@@ -733,6 +947,21 @@ class TestReducedState:
         """σ = 0.7|r1⟩⟨r1| + 0.3|r2⟩⟨r2| + 1e-10|a⟩⟨a| with a kernel: the
         fuzz keeps 1e-10 of Door = |a⟩ and gives σ's kernel no weight."""
         _near_annihilation("fuzz", 10, dim, [0.7, 0.3])
+
+    @pytest.mark.parametrize("mechanism", ["projector", "fuzz", "phaser"])
+    @pytest.mark.parametrize("exponent", [10, 20])
+    def test_near_annihilation_on_the_factor(self, monkeypatch, mechanism, exponent):
+        """The two tests above with every gate on the factor ρ = L L†: the
+        floor that makes an annihilated state exactly 0 is the factor's."""
+        monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES["factor"])
+        self.test_near_annihilation_leaves_a_psd_state(mechanism, exponent)
+        self.test_near_annihilation_on_the_thin_route(monkeypatch, mechanism, exponent)
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_fuzz_keeps_a_small_eigenvalue_on_the_factor(self, monkeypatch, dim):
+        """As above, with every gate on the factor ρ = L L†."""
+        monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES["factor"])
+        self.test_fuzz_keeps_a_small_eigenvalue_next_to_its_kernel(dim)
 
     def test_unknown_actor(self):
         world = evaluate(compile_text("Door is black.", _noun_lexicon()))
