@@ -665,31 +665,22 @@ def _random_word(name, spaces, mechanism, dim, k, rng) -> LexiconEntry:
     return LexiconEntry(name, spaces, "density", mechanism, _operand(dim, k, rng))
 
 
-def check_local_kernel(seed, trials, dims) -> PropertyResult:
-    """Random circuits of 2-4 wires of dimension 2-4 (joint D <= 256).
-
-    Each circuit carries two fixed gates on permuted, non-adjacent slot
-    pairs plus random noun and verb gates, all four mechanisms in turn.
-    Every post-gate state of the evaluation is compared with the dense
-    route applied to the state before that gate. Every sixth circuit,
-    from the third, has four wires and pure priors, so that it starts on
-    the factor ρ = L L†; the others have full-rank priors and start on
-    the dense joint: both steps of the evaluator are checked.
-    """
-    rng = rng_from(seed)
-    worst = 0.0
-    n = max(4, trials // 10)
+def _kernel_circuits(rng, n: int):
+    """The circuits of ``check_local_kernel``: n random ones, then one of
+    a tiny weight."""
     for k in range(n):
         wires = 2 + k % 3
-        wire_dims = [int(d) for d in rng.integers(2, 5, size=wires)]
-        slot_sets = [(wires - 1, wires - 2), (0, wires - 1)]
+        split, pure = k % 4 == 1, k % 6 == 2
+        wire_dims = [4] * wires if pure else [int(d) for d in rng.integers(2, 5, size=wires)]
+        slot_sets = [] if split else [(wires - 1, wires - 2), (0, wires - 1), (1, 0)]
         for _ in range(4):
-            size = int(rng.integers(1, 3))
-            slot_sets.append(tuple(int(w) for w in rng.choice(wires, size, replace=False)))
+            pool = range(int(rng.integers(2)), wires, 2) if split else range(wires)
+            size = int(rng.integers(1, min(2, len(pool)) + 1))
+            slot_sets.append(tuple(int(w) for w in rng.choice(pool, size, replace=False)))
         spaces = {f"s{w}": d for w, d in enumerate(wire_dims)}
         entries = [
             LexiconEntry(f"A{w}", f"s{w}", "density", "fuzz", random_density(d, rng))
-            if k % 6 != 2
+            if not pure
             else LexiconEntry(f"A{w}", f"s{w}", "pure", "projector", random_pure(d, rng))
             for w, d in enumerate(wire_dims)
         ]
@@ -703,15 +694,61 @@ def check_local_kernel(seed, trials, dims) -> PropertyResult:
                 sentences.append(IsA(f"A{slots[0]}", f"w{g}"))
             else:
                 sentences.append(Transitive(f"A{slots[0]}", f"w{g}", f"A{slots[1]}"))
-        circuit = compile_sentences(sentences, Lexicon(spaces, entries))
+        yield compile_sentences(sentences, Lexicon(spaces, entries)), wire_dims
+    # A0 = diag(1, 1e-20, 0, 0) among three kets (D = 256). Phasers and
+    # projectors, none of which mixes A0's directions, keep L at two
+    # columns; the last gate keeps only the 1e-20.
+    tiny = DensityMatrix(np.diag([1.0, 1e-20, 0.0, 0.0]))
+    entries = [LexiconEntry("A0", "s", "density", "fuzz", tiny)]
+    entries += [
+        LexiconEntry(f"A{w}", "s", "pure", "projector", random_pure(4, rng)) for w in (1, 2, 3)
+    ]
+    beside = np.kron(np.eye(4), random_density(4, rng).matrix)
+    entries += [
+        LexiconEntry("v0", ("s", "s"), "density", "phaser", DensityMatrix(beside)),
+        LexiconEntry("v1", ("s", "s"), "pure", "projector", random_pure(16, rng)),
+        LexiconEntry("v2", ("s", "s"), "density", "phaser", random_density(16, rng)),
+        LexiconEntry("n", "s", "density", "phaser", random_density(4, rng)),
+        LexiconEntry("tiny", "s", "pure", "projector", PureState.basis(4, 1)),
+    ]
+    sentences = [Transitive("A0", "v0", "A1"), Transitive("A1", "v1", "A2"),
+                 Transitive("A3", "v2", "A2"), IsA("A1", "n"), IsA("A0", "tiny")]
+    yield compile_sentences(sentences, Lexicon({"s": 4}, entries)), [4] * 4
+
+
+def check_local_kernel(seed, trials, dims) -> PropertyResult:
+    """Random circuits of 2-4 wires of dimension 2-4 (joint D <= 256).
+
+    Most circuits carry three fixed gates, on permuted and non-adjacent
+    slot pairs, that join every wire, plus random noun and verb gates,
+    all four mechanisms in turn. Every fourth, from the second, has no
+    fixed gates and joins only wires of the same parity, so that it
+    splits into two or more interleaved blocks. Every sixth circuit,
+    from the third, has four wires of dimension 4 and pure priors, so
+    that it starts on the factor ρ = L L†; the others have full-rank
+    priors and start on the dense joint: both steps of the evaluator are
+    checked. A last circuit keeps, at its last gate, only A0's prior
+    direction of weight 1e-20, so that the result's own scale is that
+    direction. Every post-gate state of the evaluation, its joint
+    assembled from the blocks, is compared with the dense route applied
+    to the state before that gate, and with the dense route applied gate
+    by gate to the priors' Kronecker product, so that a direction lost
+    before any gate, or between gates, shows too.
+    """
+    rng = rng_from(seed)
+    worst = 0.0
+    n = max(4, trials // 10)
+    for circuit, wire_dims in _kernel_circuits(rng, n):
         states = evaluate_trajectory(circuit)
+        chain = linalg.kron_all(a.prior.matrix for a in circuit.actors)
         for gate, before, after in zip(circuit.gates, states, states[1:]):
-            dense = apply_gate_dense(before.joint.matrix, gate, wire_dims)
-            scale = linalg.max_abs(dense)
-            delta = linalg.max_abs(after.joint.matrix - dense)
-            worst = max(worst, delta / scale if scale > 0.0 else delta)
+            chain = apply_gate_dense(chain, gate, wire_dims)
+            for dense in (apply_gate_dense(before.joint.matrix, gate, wire_dims), chain):
+                scale = linalg.max_abs(dense)
+                delta = linalg.max_abs(after.joint.matrix - dense)
+                worst = max(worst, delta / scale if scale > 0.0 else delta)
     return _below(
-        "local-kernel-matches-dense", worst, KERNEL_RTOL, n,
+        "local-kernel-matches-dense", worst, KERNEL_RTOL, n + 1,
         "gates applied on their own wires match the embedded dense route (relative)",
     )
 

@@ -1,34 +1,44 @@
 """Controlled-grammar texts compiled to circuits of update gates.
 
 Actors are wires carrying density matrices; each sentence becomes a
-gate that updates the joint state over all live actors. Transitive
-verbs act on the subject and object wires together, which is why the
-world is one joint state rather than a bag of per-actor states.
-Compiling turns each gate into Kraus operators on its own wires:
-projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k], each
+gate that updates the state of the wires it names. Transitive verbs act
+on the subject and object wires together, so the wires that gates join,
+directly or through other wires, form one interaction component, whose
+state is one joint density matrix. Gates on disjoint wires commute (the
+interchange law of the text circuits), so the world is the tensor
+product of one state per component, and each component is compiled and
+evaluated as its own block: ``linalg.DIM_CAP`` bounds a component, not
+the whole text, and an actor that no verb joins to another is a block of
+its own. Compiling turns each gate into Kraus operators on its own
+wires: projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k], each
 A_k = Σᵢ |ω_ik⟩⟨ω_ik| over the canonical vectors of the gate's double
 density matrix. Each gate applies either the operators or those
 vectors, whichever costs less in products and calls (a plan chosen once
-per word and slots), to the touched wires only.
+per word and slots, on the wires of its block), to the touched wires
+only.
 
-Evaluation starts on a factor ρ = L L† of the priors, the Kronecker
-product of one factor per actor (a ket prior's amplitudes, I/√d for the
-default prior, else V·√λ over every positive eigenvalue), and applies
-each gate to L's row index: L ↦ [A_1 L | … | A_m L]. Before the next
-gate L is compressed to the directions that carry more than roundoff of
-the weight of some row of L, however small that row is against the
-largest (``_compress``). While on the factor, each gate compares the
-factor step with the dense one (``Plan.dense_cost``); the first time the
-dense step costs less, the evaluation builds the joint once (the
-Kronecker product of the priors before any gate, L L† after) and applies
-the rest of the text to it, on adjacent wires through views of the
-joint. Both steps bound each entry's roundoff from diag ρ alone, and a
-result within 1/ATOL of that bound keeps only the eigen-directions above
-D times it, so an annihilated state is exactly 0. Every state the
-evaluator makes is Σ K ρ K† of a validated state, so none is
-re-validated, and is Hermitian up to roundoff, so none is hermitized:
-the states that leave the evaluator through ``reduced_state`` are
-validated, and their Hermitian part is taken there.
+Each block starts on a factor ρ = L L† of its actors' priors, the
+Kronecker product of one factor per actor (a ket prior's amplitudes,
+I/√d for the default prior, else V·√λ over the prior's eigen-directions
+above roundoff of its own diagonal), and applies each gate to L's row
+index: L ↦ [A_1 L | … | A_m L]. Before the block's next gate L is
+compressed to the directions that carry more than roundoff of the weight
+of some row of L, however small that row is against the largest
+(``_compress``). While on the factor, each gate compares the factor step
+with the dense one (``Plan.dense_cost``); the first time the dense step
+costs less, the block builds its joint once (the Kronecker product of
+its priors before its first gate, L L† after) and applies the rest of
+its gates to it, on adjacent wires through views of the joint. Both
+steps bound each entry's roundoff from diag ρ alone, and a result within
+1/ATOL of that bound keeps only the eigen-directions above D times it, D
+the block's dimension, so an annihilated state is exactly 0. Each block
+carries its own trace; the joint trace is their product, and a product
+past the float range raises NumericalFailureError as the dense joint's
+overflow would. Every state the evaluator makes is Σ K ρ K† of a
+validated state, so none is re-validated, and is Hermitian up to
+roundoff, so none is hermitized: the states that leave the evaluator
+through ``reduced_state`` are validated, and their Hermitian part is
+taken there.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ from .density import (
     PureState,
     from_pure,
     nonzero_trace,
-    renormalize,
+    renormalize,  # not called here: bench/worker.py wraps it under this name
 )
 from .errors import (
     DimensionOverflowError,
@@ -241,7 +251,9 @@ class Lexicon:
 class Actor:
     """One wire. ``root`` factors the prior, prior = root root†: a ket
     prior's amplitudes, I/√d for the default prior, else V·√λ over the
-    prior's positive eigenvalues."""
+    prior's positive eigenvalues, less the directions that carry only
+    roundoff of every row's weight (``_compress`` with S² = diag prior):
+    a rank-1 prior given as a matrix has one column."""
 
     name: str
     space: str
@@ -309,8 +321,14 @@ class Gate:
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
+    """Actors, gates in sentence order, and the interaction components:
+    each a tuple of actor indices in actor order, the wires that gates
+    join directly or through other wires, ordered by their first actor.
+    Each gate's plan is built on its component's wires (``_plan``)."""
+
     actors: tuple[Actor, ...]
     gates: tuple[Gate, ...]
+    components: tuple[tuple[int, ...], ...]
 
     @property
     def joint_dim(self) -> int:
@@ -525,6 +543,27 @@ def _order(slots) -> list[int]:
     return sorted(range(len(slots)), key=slots.__getitem__)
 
 
+def _components(n: int, slot_sets) -> tuple[tuple[int, ...], ...]:
+    """The interaction components of wires 0..n-1 that ``slot_sets`` join,
+    each in ascending wire order, ordered by their first wire."""
+    root = list(range(n))  # each set's root is its least wire
+
+    def find(w: int) -> int:
+        while root[w] != w:
+            root[w] = root[root[w]]  # path halving
+            w = root[w]
+        return w
+
+    for slots in slot_sets:
+        if len(slots) == 2:
+            a, b = find(slots[0]), find(slots[1])
+            root[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}
+    for w in range(n):
+        groups.setdefault(find(w), []).append(w)
+    return tuple(map(tuple, groups.values()))
+
+
 class _ActorTable:
     def __init__(self):
         self.order: list[str] = []
@@ -609,32 +648,38 @@ def compile_sentences(
             prior, root = DensityMatrix.maximally_mixed(dim), np.eye(dim) / math.sqrt(dim)
         elif entry.kind == "pure":
             root = entry.operand.amplitudes[:, None]
-        else:  # every positive eigenvalue, however small against the largest
+        else:  # every direction above roundoff of its rows, however small against the largest
             evals, evecs = np.linalg.eigh(prior.matrix)
             root = evecs[:, evals > 0] * np.sqrt(evals[evals > 0])
+            root = _compress(root, np.diagonal(prior.matrix).real)
         actors.append(Actor(name=name, space=space, dim=dim, prior=prior, root=root))
 
-    joint = 1
-    for a in actors:
-        joint *= a.dim
-        if joint > linalg.DIM_CAP:
-            raise DimensionOverflowError(
-                f"joint dimension exceeds cap {linalg.DIM_CAP}"
-            )
-
     index = {a.name: i for i, a in enumerate(actors)}
-    dims, size = [a.dim for a in actors], joint
+    dims = [a.dim for a in actors]
+    gate_slots = [tuple(index[n] for n in names) for names, _, _ in pending]
+    components = _components(len(actors), gate_slots)
+    block, local = {}, {}  # each wire's (block dims, block size), its place in its block
+    for wires in components:
+        block_dims = tuple(dims[w] for w in wires)
+        size = math.prod(block_dims)
+        if size > linalg.DIM_CAP:
+            raise DimensionOverflowError(
+                f"interaction component dimension {size} exceeds cap {linalg.DIM_CAP}"
+            )
+        for i, w in enumerate(wires):
+            block[w], local[w] = (block_dims, size), i
+
     parts, routes, plans = {}, {}, {}
     gates = []
-    for names, entry, label in pending:
+    for (names, entry, label), slots in zip(pending, gate_slots):
         effective = mechanism if mechanism is not None else entry.mechanism
         if entry.name not in parts:
             operand, kraus, vectors = _gate_parts(entry, effective)
             parts[entry.name] = operand, kraus, *_significant(kraus, vectors, entry.dim)
         operand, kraus, ops, vectors = parts[entry.name]
-        slots = tuple(index[n] for n in names)
         if (entry.name, slots) not in plans:
-            frame = _frame(slots, dims)
+            block_dims, size = block[slots[0]]
+            frame = _frame(tuple(local[w] for w in slots), block_dims)
             r = None if vectors is None else vectors[0].shape[1]
             by_kraus, by_thin = _route_costs(frame, entry.dim, size, len(ops), r)
             thin = by_thin is not None and by_thin[0] < by_kraus[0]
@@ -655,7 +700,7 @@ def compile_sentences(
                 plan=plans[entry.name, slots],
             )
         )
-    return Circuit(actors=tuple(actors), gates=tuple(gates))
+    return Circuit(actors=tuple(actors), gates=tuple(gates), components=components)
 
 
 def compile_text(text: str, lexicon: Lexicon, mechanism: str | None = None) -> Circuit:
@@ -663,20 +708,20 @@ def compile_text(text: str, lexicon: Lexicon, mechanism: str | None = None) -> C
 
 
 @dataclass(frozen=True, eq=False)
-class WorldState:
-    """Joint state over all actors: a read-only factor L with ρ = L L†
-    (``factor``, D × c), or once the evaluation has gone dense, the
-    joint itself (``dense``, and ``factor`` None). Per-actor views come
-    by partial trace."""
+class Block:
+    """The state of one interaction component on its ``wires`` (actor
+    indices, in actor order) of ``dims``: a read-only factor L with
+    ρ = L L† (``factor``, D × c), or once the block has gone dense, ρ
+    itself (``dense``, and ``factor`` None)."""
 
-    actor_names: tuple[str, ...]
+    wires: tuple[int, ...]
     dims: tuple[int, ...]
     factor: np.ndarray | None
     dense: DensityMatrix | None = None
 
-    @cached_property
-    def joint(self) -> DensityMatrix:
-        """The joint density matrix; on a factor, L L† built on first access."""
+    @property
+    def state(self) -> DensityMatrix:
+        """ρ; on a factor, L L† built on each access."""
         if self.factor is None:
             return self.dense
         return DensityMatrix._unchecked(self.factor @ self.factor.conj().T)
@@ -687,6 +732,42 @@ class WorldState:
         if self.factor is None:
             return self.dense.trace
         return float(np.vdot(self.factor, self.factor).real)
+
+
+@dataclass(frozen=True, eq=False)
+class WorldState:
+    """The world over all actors: the tensor product of one ``Block`` per
+    interaction component (``Circuit.components``), whose wires it
+    permutes into actor order. Its trace is the product of the blocks'
+    traces; per-actor views come by partial trace within one block."""
+
+    actor_names: tuple[str, ...]
+    dims: tuple[int, ...]
+    blocks: tuple[Block, ...]
+
+    @property
+    def factor(self) -> np.ndarray | None:
+        """The factor L of a world of one block, or None once it is dense."""
+        (block,) = self.blocks
+        return block.factor
+
+    @cached_property
+    def joint(self) -> DensityMatrix:
+        """The joint density matrix over all actors, in actor order, built
+        on first access as the Kronecker product of the blocks' states."""
+        if len(self.blocks) == 1:
+            return self.blocks[0].state
+        order = [w for block in self.blocks for w in block.wires]
+        matrix = linalg.kron_all(block.state.matrix for block in self.blocks)
+        axes = [int(a) for a in np.argsort(order)]
+        tensor = matrix.reshape([self.dims[w] for w in order] * 2)
+        tensor = tensor.transpose(axes + [len(order) + a for a in axes])
+        return DensityMatrix._unchecked(np.ascontiguousarray(tensor).reshape(matrix.shape))
+
+    @property
+    def trace(self) -> float:
+        """tr ρ: the product of the blocks' traces, without building ρ."""
+        return float(math.prod(block.trace for block in self.blocks))
 
 
 def _rows(x: np.ndarray, row: np.ndarray, plan: Plan) -> np.ndarray:
@@ -860,42 +941,88 @@ def _factor_cost(plan: Plan, size: int, columns: int) -> float:
     return per_entry * size * columns + calls + gram + EIGH_COST * owed**3 + EIGH_CALL
 
 
-def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[WorldState]:
-    """The priors' factor, each gate on it while that costs less than the
-    dense step, then once and for all the dense joint and ``_apply_gate``."""
-    names = tuple(a.name for a in circuit.actors)
-    dims = tuple(a.dim for a in circuit.actors)
-    size = circuit.joint_dim
+def _prior_factor(actors: Sequence[Actor], wires) -> np.ndarray:
+    """The Kronecker product of the roots of the actors on ``wires``, read-only."""
     factor = np.ones((1, 1), dtype=np.complex128)
-    for actor in circuit.actors:
-        factor = np.kron(factor, actor.root)
+    for w in wires:
+        factor = np.kron(factor, actors[w].root)
     factor.setflags(write=False)
-    yield WorldState(names, dims, factor)
-    owed = None  # diag ρ of a factor whose compression is owed
-    for done, gate in enumerate(circuit.gates):
+    return factor
+
+
+def _step(block: Block, owed, fresh: bool, gate: Gate, actors: Sequence[Actor]):
+    """``gate`` on its block, and the diag ρ that the result's compression
+    is owed (or None). On the factor, first the compression owed by the
+    block's last gate; then the factor step while that costs less than the
+    dense step, else once and for all the block's dense joint (its priors'
+    Kronecker product if ``fresh``, before its first gate, else L L†)."""
+    plan, factor = gate.plan, block.factor
+    if factor is not None:
         if owed is not None:
             factor = _compress(factor, owed)
-        if _factor_cost(gate.plan, size, factor.shape[1]) > gate.plan.dense_cost:
-            break
-        factor, owed = _factor_step(factor, gate, dims)
-        if renormalize_each_step:
-            tr = nonzero_trace(float(np.vdot(factor, factor).real))
-            factor = factor / math.sqrt(tr)
-            owed = None if owed is None else owed / tr
-        factor.setflags(write=False)
-        yield WorldState(names, dims, factor)
+        if _factor_cost(plan, factor.shape[0], factor.shape[1]) <= plan.dense_cost:
+            factor, owed = _factor_step(factor, gate, block.dims)
+            factor.setflags(write=False)
+            return Block(block.wires, block.dims, factor), owed
+        if fresh:
+            joint = linalg.kron_all(actors[w].prior.matrix for w in block.wires)
+        else:
+            joint = factor @ factor.conj().T
     else:
-        return
-    if done == 0:
-        joint = linalg.kron_all(a.prior.matrix for a in circuit.actors)
-    else:
-        joint = factor @ factor.conj().T
-    state = DensityMatrix._unchecked(joint)
-    for gate in circuit.gates[done:]:
-        state = DensityMatrix._unchecked(_apply_gate(state.matrix, gate, dims))
+        joint = block.dense.matrix
+    dense = DensityMatrix._unchecked(_apply_gate(joint, gate, block.dims))
+    return Block(block.wires, block.dims, None, dense), None
+
+
+def _normalized(block: Block, owed, tr: float):
+    """``block`` divided by its trace ``tr``, and ``owed`` with it."""
+    if block.factor is None:
+        dense = DensityMatrix._unchecked(block.dense.matrix / tr)
+        return Block(block.wires, block.dims, None, dense), None
+    factor = block.factor / math.sqrt(tr)
+    factor.setflags(write=False)
+    return Block(block.wires, block.dims, factor), None if owed is None else owed / tr
+
+
+def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[WorldState]:
+    """One block per interaction component, from its priors' factor; each
+    gate on its own block only (``_step``).
+
+    Each block keeps its own trace, and the joint trace, their product,
+    must stay finite, as the dense joint's entries did. Renormalizing
+    divides by the joint trace (ZeroTraceError at or below TRACE_FLOOR):
+    the first time every block is brought to unit trace, after that only
+    the gated one, whose trace is then the joint's.
+    """
+    names = tuple(a.name for a in circuit.actors)
+    dims = tuple(a.dim for a in circuit.actors)
+    blocks = [
+        Block(wires, tuple(dims[w] for w in wires), _prior_factor(circuit.actors, wires))
+        for wires in circuit.components
+    ]
+    where = {w: b for b, wires in enumerate(circuit.components) for w in wires}
+    traces = [block.trace for block in blocks]
+    if not math.isfinite(math.prod(traces)):
+        raise NumericalFailureError("joint state of the priors is not finite")
+    yield WorldState(names, dims, tuple(blocks))
+    owed = [None] * len(blocks)  # diag ρ of a factor whose compression is owed
+    fresh = [True] * len(blocks)
+    unit = False  # every block at unit trace
+    for gate in circuit.gates:
+        b = where[gate.slots[0]]
+        blocks[b], owed[b] = _step(blocks[b], owed[b], fresh[b], gate, circuit.actors)
+        fresh[b] = False
+        traces[b] = blocks[b].trace
+        total = math.prod(traces)
+        if not math.isfinite(total):
+            raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
         if renormalize_each_step:
-            state = renormalize(state)
-        yield WorldState(names, dims, None, state)
+            nonzero_trace(total)
+            for i in (b,) if unit else range(len(blocks)):
+                blocks[i], owed[i] = _normalized(blocks[i], owed[i], traces[i])
+                traces[i] = 1.0
+            unit = True
+        yield WorldState(names, dims, tuple(blocks))
 
 
 def evaluate_trajectory(
@@ -913,15 +1040,19 @@ def evaluate(circuit: Circuit, renormalize_each_step: bool = False) -> WorldStat
 
 
 def reduced_state(world: WorldState, actor: str) -> DensityMatrix:
-    """One wire of the world: partial trace over every other actor; on a
-    factor, X X† with X the factor's entries for that wire against all
-    else (O(D·c·d))."""
+    """One wire of the world: partial trace over every other wire of its
+    block (on a factor, X X† with X the factor's entries for that wire
+    against all else, O(D·c·d)), times the other blocks' traces."""
     if actor not in world.actor_names:
         raise UnknownActorError(f"no actor named {actor!r}")
     w = world.actor_names.index(actor)
-    if world.factor is None:
-        out = linalg.partial_trace(world.dense.matrix, world.dims, [w])
+    (block,) = (block for block in world.blocks if w in block.wires)
+    local = block.wires.index(w)
+    if block.factor is None:
+        out = linalg.partial_trace(block.dense.matrix, block.dims, [local])
     else:
-        x = world.factor.reshape(math.prod(world.dims[:w]), world.dims[w], -1)
+        x = block.factor.reshape(math.prod(block.dims[:local]), block.dims[local], -1)
         out = np.matmul(x, x.conj().swapaxes(1, 2)).sum(axis=0)
+    if len(world.blocks) > 1:
+        out = out * math.prod(other.trace for other in world.blocks if other is not block)
     return DensityMatrix(linalg.hermitize(out))

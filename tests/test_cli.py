@@ -12,7 +12,7 @@ from fuzzphaser import textcirc
 from fuzzphaser.cli import main
 from fuzzphaser.density import DensityMatrix, PureState
 from fuzzphaser.lexicon import load_lexicon, save_lexicon
-from fuzzphaser.sampling import random_density, random_pure
+from fuzzphaser.sampling import random_ddm, random_density, random_pure
 from fuzzphaser.textcirc import Lexicon, LexiconEntry, compile_text
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
@@ -82,6 +82,33 @@ def _save_big_lexicon(path):
         LexiconEntry("Door", "c", "pure", "projector", random_pure(4, rng)),
         LexiconEntry("big", "c", "density", "phaser", big),
     ]
+    save_lexicon(Lexicon({"c": 4}, entries), path)
+
+
+#: Door and Window each carry a prior of trace 2e300: no gate needed.
+HUGE_PRIORS_LEXICON = {
+    "spaces": {"axis": 2},
+    "entries": [
+        {"name": name, "space": "axis", "kind": "density", "mechanism": "fuzz",
+         "data": [[1e300, 0.0], [0.0, 1e300]]}
+        for name in ("Door", "Window")
+    ],
+}
+
+
+def _save_nouns_lexicon(path, count: int):
+    """Nouns n000.. on one dim-4 space, every kind and mechanism in turn."""
+    rng = np.random.default_rng(4)
+    entries = []
+    for i in range(count):
+        mechanism = ("projector", "fuzz", "phaser", "ddm")[i % 4]
+        if mechanism == "projector":
+            kind, operand = "pure", random_pure(4, rng)
+        elif mechanism == "ddm":
+            kind, operand = "ddm", random_ddm(4, rng)
+        else:
+            kind, operand = "density", random_density(4, rng, rank=1 + i % 4)
+        entries.append(LexiconEntry(f"n{i:03d}", "c", kind, mechanism, operand))
     save_lexicon(Lexicon({"c": 4}, entries), path)
 
 
@@ -264,6 +291,55 @@ class TestRun:
         assert not any("RuntimeWarning" in line for line in lines)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+
+    def test_unlinked_actors_evaluate_each_on_its_own(self, tmp_path, capsys):
+        """Seven dim-4 actors that no verb joins (4^7 = 16384, past the cap
+        on a component's dimension) evaluate, and each actor's state is
+        that of its own one-actor text."""
+        lex = tmp_path / "nouns.json"
+        _save_nouns_lexicon(lex, 7)
+        text = tmp_path / "seven.txt"
+        text.write_text("".join(f"B{i} is n{i:03d}. " for i in range(7)) + "\n")
+        assert main(["run", str(text), "--lexicon", str(lex), "--renormalize",
+                     "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["joint_trace"] == pytest.approx(1.0, rel=1e-12)
+        for i, actor in enumerate(doc["actors"]):
+            alone = tmp_path / f"b{i}.txt"
+            alone.write_text(f"B{i} is n{i:03d}.\n")
+            assert main(["run", str(alone), "--lexicon", str(lex), "--renormalize",
+                         "--format", "json"]) == 0
+            (own,) = json.loads(capsys.readouterr().out)["actors"]
+            assert actor["name"] == own["name"] == f"B{i}"
+            assert actor["trace"] == pytest.approx(own["trace"], rel=1e-12)
+            ours, theirs = np.array(actor["matrix"]), np.array(own["matrix"])
+            assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
+
+    @pytest.mark.parametrize(
+        "lexicon, text, where",
+        [(HUGE_LEXICON, "Door is huge. Window is huge.\n", '"Window is huge"'),
+         (HUGE_PRIORS_LEXICON, "Once there was Door. Once there was Window.\n", "priors")],
+        ids=["gates", "priors"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_trace_overflow_across_blocks_is_input_error(
+        self, tmp_path, capsys, lexicon, text, where, fmt
+    ):
+        """Two unjoined actors whose traces, each finite, multiply past the
+        float range: the joint trace is not finite, so the text fails as
+        an overflowing joint would, with no inf or Infinity printed."""
+        path, lex = _write(tmp_path, lexicon, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", path, "--lexicon", lex, "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        errors = [line for line in lines if line.startswith("error: ")]
+        assert len(errors) == 1 and "finite" in errors[0] and where in errors[0]
+        assert out == ""
+        assert not any(line.startswith("Traceback") for line in lines)
+        assert not any("RuntimeWarning" in line for line in lines)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize(
         "text, mechanism, thin",

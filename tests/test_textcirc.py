@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fuzzphaser import linalg
 from fuzzphaser import textcirc
 from fuzzphaser.ddm import DdmBranch, DdmFactor, DoubleDensityMatrix
-from fuzzphaser.density import DensityMatrix, PureState, from_pure
+from fuzzphaser.density import DensityMatrix, PureState, from_pure, nonzero_trace
 from fuzzphaser.errors import (
     DimensionOverflowError,
     LexiconError,
@@ -48,6 +48,18 @@ from fuzzphaser.update import fuzz
 #: EIGH_CALL values that pin every gate of an evaluation to the factor
 #: step (its cost -inf) or to the dense joint from the first gate (+inf).
 ROUTES = {"factor": -math.inf, "dense": math.inf}
+
+
+def _links(actors):
+    """Lexicon entries and sentences that join actors (name, space, dim)
+    in a chain of verbs, each a fuzz by the identity, which changes no
+    state: a text that has them is one interaction component, so
+    that every gate runs on the joint of all its actors."""
+    entries, sentences = [], []
+    for (a, s, d), (b, t, e) in zip(actors, actors[1:]):
+        entries.append(LexiconEntry(f"link{a}", (s, t), "density", "fuzz", DensityMatrix.identity(d * e)))
+        sentences.append(Transitive(a, f"link{a}", b))
+    return entries, sentences
 
 
 class TestParse:
@@ -243,11 +255,45 @@ class TestCompile:
     def test_joint_dimension_cap(self):
         lex = Lexicon(
             {"big": 64},
-            [LexiconEntry("w", "big", "pure", "projector", PureState.basis(64, 0))],
+            [
+                LexiconEntry("w", "big", "pure", "projector", PureState.basis(64, 0)),
+                LexiconEntry("v", ("big", "big"), "pure", "projector", PureState.basis(4096, 0)),
+            ],
         )
         sentences = [IsA(f"A{i}", "w") for i in range(3)]
+        sentences += [Transitive("A0", "v", "A1"), Transitive("A1", "v", "A2")]
         with pytest.raises(DimensionOverflowError):
             compile_sentences(sentences, lex)
+
+    def test_unjoined_actors_are_blocks_of_their_own(self, monkeypatch):
+        """Three dim-4 actors, verbs of every kind only on A0 and A1 (as in
+        the long-text workload): blocks of 16 and 4, and no plan is built
+        on the D = 64 joint of all three."""
+        rng = np.random.default_rng(9)
+        entries = [
+            LexiconEntry("n0", "s", "pure", "projector", random_pure(4, rng)),
+            LexiconEntry("n1", "s", "density", "fuzz", random_density(4, rng, rank=2)),
+            LexiconEntry("n2", "s", "density", "phaser", random_density(4, rng)),
+            LexiconEntry("v0", ("s", "s"), "pure", "projector", random_pure(16, rng)),
+            LexiconEntry("v1", ("s", "s"), "density", "fuzz", random_density(16, rng, rank=3)),
+            LexiconEntry("v2", ("s", "s"), "ddm", "ddm", random_ddm(16, rng, 2)),
+        ]
+        sentences = [
+            Transitive("A0", "v0", "A1"), IsA("A2", "n0"), Transitive("A1", "v1", "A0"),
+            IsA("A0", "n1"), Transitive("A0", "v2", "A1"), IsA("A2", "n2"), IsA("A1", "n2"),
+        ]
+        sizes = []
+        plan = textcirc._plan
+
+        def spy(frame, size, route, costs):
+            sizes.append(size)
+            return plan(frame, size, route, costs)
+
+        monkeypatch.setattr(textcirc, "_plan", spy)
+        circuit = compile_sentences(sentences, Lexicon({"s": 4}, entries))
+        assert circuit.joint_dim == 64
+        assert circuit.components == ((0, 1), (2,))
+        assert sorted(set(sizes)) == [4, 16]
 
 
 class TestEvaluate:
@@ -398,14 +444,15 @@ class TestLocalKernel:
             LexiconEntry(f"A{w}", f"s{w}", "density", "fuzz", DensityMatrix.identity(d))
             for w, d in enumerate(dims)
         ]
-        lex = Lexicon({f"s{w}": d for w, d in enumerate(dims)}, entries)
+        links, linked = _links([(f"A{w}", f"s{w}", d) for w, d in enumerate(dims)])
+        lex = Lexicon({f"s{w}": d for w, d in enumerate(dims)}, entries + links)
         gate_sentence = (
             Transitive(f"A{slots[0]}", "w", f"A{slots[1]}")
             if len(slots) == 2
             else IsA(f"A{slots[0]}", "w")
         )
-        sentences = [Introduce(f"A{w}") for w in range(len(dims))] + [gate_sentence]
-        (gate,) = compile_sentences(sentences, lex).gates
+        sentences = [Introduce(f"A{w}") for w in range(len(dims))] + linked + [gate_sentence]
+        *_, gate = compile_sentences(sentences, lex).gates
         assert gate.slots == slots
         rho = linalg.hermitize(random_density(int(np.prod(dims)), rng).matrix)
         dense = apply_gate_dense(rho, gate, dims)
@@ -579,27 +626,38 @@ class TestRoutes:
         assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
 
 
-def _text(dims, priors, words, rng):
+def _text(dims, priors, words, rng, scales=None, groups=None):
     """A circuit over actors A0.. on wires ``dims`` with priors of the given
-    kinds ("ket", "density" of random rank, or None for the default, whose
-    wire a fuzz by the identity opens), and one gate per (mechanism or
-    "void", subject, object): a noun where subject and object coincide
-    modulo the wire count, else a verb."""
+    kinds ("ket", "density" of random rank, each scaled by 10^scale, or
+    None for the default, whose wire a fuzz by the identity opens), and
+    one gate per (mechanism or "void", subject, object): a noun where
+    subject and object coincide, else a verb. Without ``groups`` the
+    actors are joined into one block (``_links``) and the object is any
+    actor modulo the wire count; with them, it is drawn among the actors
+    of the subject's group, so that each group is a union of blocks."""
     n = len(dims)
-    entries, sentences = [], [Introduce(f"A{w}") for w in range(n)]
-    for w, (d, kind) in enumerate(zip(dims, priors)):
+    scales = scales or [0.0] * n
+    entries, sentences = [], []
+    if groups is None:
+        entries, sentences = _links([(f"A{w}", f"s{w}", d) for w, d in enumerate(dims)])
+        groups = [0] * n
+    sentences = [Introduce(f"A{w}") for w in range(n)] + sentences
+    for w, (d, kind, scale) in enumerate(zip(dims, priors, scales)):
         if kind == "ket":
-            entries.append(LexiconEntry(f"A{w}", f"s{w}", "pure", "projector", random_pure(d, rng)))
+            ket = PureState(10.0 ** (scale / 2) * random_pure(d, rng).amplitudes)
+            entries.append(LexiconEntry(f"A{w}", f"s{w}", "pure", "projector", ket))
         elif kind == "density":
             rank = int(rng.integers(1, d + 1))
-            prior = random_density(d, rng, rank=rank)
+            prior = DensityMatrix(10.0**scale * random_density(d, rng, rank=rank).matrix)
             entries.append(LexiconEntry(f"A{w}", f"s{w}", "density", "fuzz", prior))
         else:
             one = DensityMatrix.identity(d)
             entries.append(LexiconEntry(f"one{w}", f"s{w}", "density", "fuzz", one))
             sentences.append(IsA(f"A{w}", f"one{w}"))
     for g, (mechanism, subject, obj) in enumerate(words):
-        subject, obj = subject % n, obj % n
+        subject = subject % n
+        group = [w for w in range(n) if groups[w] == groups[subject]]
+        obj = group[obj % len(group)]
         slots = (subject,) if subject == obj else (subject, obj)
         labels = tuple(f"s{w}" for w in slots)
         d = int(np.prod([dims[w] for w in slots]))
@@ -679,7 +737,7 @@ class TestFactorRoute:
         [([1.0, 1e-20, 0.0, 0.0], [0.0, 1e300, 0.0, 0.0]), ([1.0, 1e30, 0.0, 0.0], [1e300, 0.0, 0.0, 0.0])],
     )
     def test_compression_keeps_what_the_dense_joint_keeps(self, monkeypatch, route, prior, vast):
-        """Four kets and Door (D = 1024): a gate on another wire, then a
+        """Four kets and Door, joined (D = 1024): a gate on another wire, then a
         phaser that keeps only Door's direction of weight 1e-20 (or 1, next
         to 1e30). The compression before the phaser must keep that
         direction, however small against the largest eigenvalue, so the
@@ -693,8 +751,10 @@ class TestFactorRoute:
             LexiconEntry("one", "c", "density", "phaser", DensityMatrix.identity(4)),
             LexiconEntry("vast", "c", "density", "phaser", DensityMatrix(np.diag(vast))),
         ]
+        links, linked = _links([(name, "c", 4) for name in ("A0", "A1", "A2", "A3", "Door")])
         text = "".join(f"Once there was A{w}. " for w in range(4))
-        circuit = compile_text(text + "Once there was Door. A0 is one. Door is vast.", Lexicon({"c": 4}, entries))
+        text += "Once there was Door. " + "".join(f"{s.subject} {s.verb} {s.object}. " for s in linked)
+        circuit = compile_text(text + "A0 is one. Door is vast.", Lexicon({"c": 4}, entries + links))
         monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES["dense"])
         dense = evaluate(circuit)
         monkeypatch.undo()
@@ -708,7 +768,7 @@ class TestFactorRoute:
         assert linalg.max_abs(ours - theirs) <= 1e-12 * linalg.max_abs(theirs)
 
     def test_a_text_switches_once_then_stays_dense(self, monkeypatch):
-        """Four pure dim-4 actors (D = 256) under a full-rank fuzz: each gate
+        """Four pure dim-4 actors, joined (D = 256), under a full-rank fuzz: each gate
         multiplies the rank by 4 until the dense step costs less than the
         factor's; from there every gate is dense."""
         rng = np.random.default_rng(3)
@@ -716,8 +776,9 @@ class TestFactorRoute:
             LexiconEntry(f"A{w}", "s", "pure", "projector", random_pure(4, rng)) for w in range(4)
         ]
         entries.append(LexiconEntry("w", "s", "density", "fuzz", random_density(4, rng)))
-        sentences = [IsA(f"A{g % 4}", "w") for g in range(8)]
-        circuit = compile_sentences(sentences, Lexicon({"s": 4}, entries))
+        links, sentences = _links([(f"A{w}", "s", 4) for w in range(4)])
+        sentences += [IsA(f"A{g % 4}", "w") for g in range(8)]
+        circuit = compile_sentences(sentences, Lexicon({"s": 4}, entries + links))
         steps = []
         for name in ("_factor_step", "_apply_gate"):
             def spy(*args, real=getattr(textcirc, name), name=name):
@@ -767,20 +828,133 @@ class TestFactorRoute:
         assert peak < 1024 * 1024 * 16
 
 
+class TestPriorRoot:
+    def test_rank_one_density_prior_keeps_one_column(self, monkeypatch):
+        """Five rank-1 priors given as matrices, chained by four verbs
+        (D = 1024): each root has one column, not the prior's roundoff
+        eigenvalues besides, so every gate stays on the factor; the result
+        matches the dense route."""
+        rng = np.random.default_rng(5)
+        entries = [
+            LexiconEntry(f"A{i}", "s", "density", "fuzz", from_pure(random_pure(4, rng)))
+            for i in range(5)
+        ]
+        entries += [
+            LexiconEntry("v0", ("s", "s"), "pure", "projector", random_pure(16, rng)),
+            LexiconEntry("v1", ("s", "s"), "density", "fuzz", random_density(16, rng, rank=3)),
+            LexiconEntry("v2", ("s", "s"), "density", "phaser", random_density(16, rng)),
+            LexiconEntry("v3", ("s", "s"), "ddm", "ddm", random_ddm(16, rng, 2)),
+        ]
+        sentences = [Transitive(f"A{i}", f"v{i}", f"A{i + 1}") for i in range(4)]
+        circuit = compile_sentences(sentences, Lexicon({"s": 4}, entries))
+        assert [a.root.shape[1] for a in circuit.actors] == [1] * 5
+        steps = []
+        step = textcirc._factor_step
+
+        def spy(factor, gate, dims):
+            steps.append(gate.label)
+            return step(factor, gate, dims)
+
+        monkeypatch.setattr(textcirc, "_factor_step", spy)
+        world = evaluate(circuit)
+        assert world.factor is not None and len(steps) == 4
+        monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES["dense"])
+        dense = evaluate(circuit)
+        assert world.trace == pytest.approx(dense.trace, rel=1e-10)
+        for a in circuit.actors:
+            ours, theirs = reduced_state(world, a.name).matrix, reduced_state(dense, a.name).matrix
+            assert linalg.max_abs(ours - theirs) <= 1e-10 * linalg.max_abs(theirs)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("diagonal", [[1.0, 1e30], [1.0, 1e-20]])
+    def test_diagonal_prior_keeps_both_columns(self, monkeypatch, route, diagonal):
+        """diag(1, 1e30) keeps its 1 and diag(1, 1e-20) its 1e-20: each is
+        the whole weight of its row. A phaser that keeps only that row
+        gives the same state on the factor and on the dense joint."""
+        prior = DensityMatrix(np.diag(diagonal))
+        keep = 1 if diagonal[1] < 1 else 0
+        lex = Lexicon(
+            {"c": 2},
+            [
+                LexiconEntry("Door", "c", "density", "fuzz", prior),
+                LexiconEntry("one", "c", "density", "phaser", DensityMatrix.identity(2)),
+                LexiconEntry("row", "c", "pure", "projector", PureState.basis(2, keep)),
+            ],
+        )
+        circuit = compile_text("Door is one. Door is row.", lex)
+        root = circuit.actors[0].root
+        assert root.shape[1] == 2
+        assert np.diagonal(root @ root.conj().T).real == pytest.approx(diagonal, rel=1e-12)
+        monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES[route])
+        world = evaluate(circuit)
+        assert (world.factor is not None) == (route == "factor")
+        assert world.trace == pytest.approx(diagonal[keep], rel=1e-12)
+        assert reduced_state(world, "Door").matrix[keep, keep].real == pytest.approx(diagonal[keep], rel=1e-12)
+
+
+class TestBlocks:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=2, max_size=6).filter(
+            lambda dims: math.prod(dims) <= 256
+        ),
+        priors=st.lists(st.sampled_from(["ket", "density", None]), min_size=6, max_size=6),
+        scales=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+        groups=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+        words=st.lists(
+            st.tuples(
+                st.sampled_from(MECHANISMS + ("void",)), st.integers(0, 5), st.integers(0, 5)
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_match_the_dense_joint(self, dims, priors, scales, groups, words, seed):
+        """One block per component against the dense joint of all actors
+        (the priors' Kronecker product, each gate by the dense route on its
+        global slots), in both modes: the joint trace, the joint and each
+        reduced state agree within 1e-10 of their scale, and an
+        annihilated state raises under renormalization on both sides or
+        on neither."""
+        circuit = _text(dims, priors, words, np.random.default_rng(seed), scales, groups)
+        dims = [a.dim for a in circuit.actors]
+        for renorm in (False, True):
+            try:
+                joint = linalg.kron_all(a.prior.matrix for a in circuit.actors)
+                for gate in circuit.gates:
+                    joint = apply_gate_dense(joint, gate, dims)
+                    if renorm:
+                        joint = joint / nonzero_trace(np.trace(joint).real)
+            except ZeroTraceError:
+                with pytest.raises(ZeroTraceError):
+                    evaluate(circuit, renorm)
+                continue
+            world = evaluate(circuit, renorm)
+            states = [linalg.partial_trace(joint, dims, [w]) for w in range(len(dims))]
+            scale = max(abs(np.trace(joint).real), *map(linalg.max_abs, states))
+            assert abs(world.trace - np.trace(joint).real) <= 1e-10 * scale
+            assert linalg.max_abs(world.joint.matrix - joint) <= 1e-10 * scale
+            for actor, theirs in zip(circuit.actors, states):
+                ours = reduced_state(world, actor.name).matrix
+                assert linalg.max_abs(ours - theirs) <= 1e-10 * scale
+
+
 def _one_gate(word: LexiconEntry, slots, dims, rng):
     """The gate of ``word`` on ``slots`` among actors A0.. on wires ``dims``,
-    and a random joint state."""
-    sentences = [Introduce(f"A{w}") for w in range(len(dims))]
+    joined into one block, and a random joint state."""
+    links, sentences = _links([(f"A{w}", f"s{w}", d) for w, d in enumerate(dims)])
+    sentences = [Introduce(f"A{w}") for w in range(len(dims))] + sentences
     if len(slots) == 2:
         sentences.append(Transitive(f"A{slots[0]}", word.name, f"A{slots[1]}"))
     else:
         sentences.append(IsA(f"A{slots[0]}", word.name))
-    entries = [word] + [
+    entries = [word] + links + [
         LexiconEntry(f"A{w}", f"s{w}", "density", "fuzz", DensityMatrix.identity(d))
         for w, d in enumerate(dims)
     ]
     spaces = {f"s{w}": d for w, d in enumerate(dims)}
-    (gate,) = compile_sentences(sentences, Lexicon(spaces, entries)).gates
+    *_, gate = compile_sentences(sentences, Lexicon(spaces, entries)).gates
     rho = linalg.hermitize(random_density(int(np.prod(dims)), rng).matrix)
     return gate, rho
 
@@ -858,7 +1032,9 @@ class TestHermitianPart:
         """Every gate preserves Hermiticity, so where Herm is taken is roundoff.
 
         The chain hermitizes after every gate, as the kernel once did. Words
-        are reused across gates and slots.
+        are reused across gates and slots. Verbs by the identity after the
+        last gate join the actors into one block, so that every gate of the
+        chain applies to the joint of all of them.
         """
         words, sentences = {}, [Introduce(f"A{i}") for i in range(actors)]
         for mechanism, variant, subject, obj in gates:
@@ -871,7 +1047,9 @@ class TestHermitianPart:
             else:
                 sentences.append(IsA(f"A{subject}", name))
         lex = _scaled_lexicon(list(words.values()), actors, 1.0, seed)
-        circuit = compile_sentences(sentences, lex)
+        links, linked = _links([(f"A{i}", "c", 2) for i in range(actors)])
+        lex = Lexicon(lex.spaces, [*lex.entries.values(), *links])
+        circuit = compile_sentences(sentences + linked, lex)
         dims = [a.dim for a in circuit.actors]
         chain = linalg.kron_all(a.prior.matrix for a in circuit.actors)
         for gate in circuit.gates:
