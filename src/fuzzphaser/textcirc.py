@@ -29,9 +29,12 @@ with the dense one (``Plan.dense_cost``); the first time the dense step
 costs less, the block builds its joint once (the Kronecker product of
 its priors before its first gate, L L† after) and applies the rest of
 its gates to it, on adjacent wires through views of the joint. Both
-steps bound each entry's roundoff from diag ρ alone, and a result within
-1/ATOL of that bound keeps only the eigen-directions above D times it, D
-the block's dimension, so an annihilated state is exactly 0. Each block
+forms apply each operator on the row index only: ρ is Hermitian, so the
+dense step's column side is the adjoint of its row side, A ρ A† =
+A (A ρ)†. Both steps bound each entry's roundoff from diag ρ alone, and
+a result within 1/ATOL of that bound keeps only the eigen-directions
+above D times it, D the block's dimension, so an annihilated state is
+exactly 0. Each block
 carries its own trace; the joint trace is their product, and a product
 past the float range raises NumericalFailureError as the dense joint's
 overflow would. Every state the evaluator makes is Σ K ρ K† of a
@@ -267,12 +270,12 @@ class Plan:
     """How one word's update is applied on one slot tuple of one circuit.
 
     The kernel reads the row index of the joint (or of its frame) as
-    (a, d, ·) and the column index as (·, d, b), d the gate's dimension,
-    and applies each step (row, col, flat) as ``row`` on the row side,
-    then ``col`` on the column side: batched over (·, d, b) views, or,
-    if ``flat``, as one 2-D product against col = Mᵀ ⊗ I_b. Operators are
-    in ascending wire order. ``axes`` is None when the slots are
-    adjacent, so the joint itself is the frame; otherwise it permutes
+    (a, d, ·) and the column index as (·, d, b), d the gate's dimension.
+    ``steps`` are the route's row operators, in ascending wire order:
+    each K, or W† and W. Each step applies its operator on the row side
+    and its adjoint on the column side (``_sandwich``). ``axes`` is None
+    when the slots are adjacent, so the joint itself is the frame;
+    otherwise it permutes
     the joint to the frame with the wires leading the rows and trailing
     the columns (a = b = 1). The Kraus route sums one step per K, the
     thin route chains two steps through ``mask`` (see ``_apply_gate``);
@@ -290,7 +293,7 @@ class Plan:
     axes: tuple[int, ...] | None
     a: int
     b: int
-    steps: tuple[tuple[np.ndarray, np.ndarray, bool], ...]
+    steps: tuple[np.ndarray, ...]
     mask: np.ndarray | None
     groups: tuple[slice, ...] | None
     roundoff: np.ndarray
@@ -332,10 +335,7 @@ class Circuit:
 
     @property
     def joint_dim(self) -> int:
-        out = 1
-        for a in self.actors:
-            out *= a.dim
-        return out
+        return math.prod(a.dim for a in self.actors)
 
 
 def _gate_parts(entry: LexiconEntry, mechanism: str):
@@ -400,9 +400,9 @@ def _significant(kraus: tuple[np.ndarray, ...], vectors, d: int):
 #: of one large product (3.5e9/s), and small products run below that
 #: rate. Over every route and column form of 118 (word, slots, D) cases
 #: of two seeds of the bench lexicons, D = 64, 256 and 1024, the plans
-#: that 4,000 picks took 1.3% and 3.3% longer than the fastest in the
-#: geometric mean (2.5% at 2,000), and the flat form it picks for a
-#: d = 16 phaser before one dim-4 wire is 1.5x faster than the batched.
+#: that 4,000 picked took 1.3% and 3.3% longer than the fastest in the
+#: geometric mean (2.5% at 2,000), with the column side then chosen
+#: between a batched form and the 2-D product that ``_sandwich`` keeps.
 CALL_COST = 4000
 
 #: What the compression of a factor costs beyond its Gram: EIGH_COST·n³
@@ -443,27 +443,27 @@ def _frame(slots, dims):
 
 def _step_cost(q_out: int, q_in: int, rows: int, cols: int, a: int, b: int):
     """The cost of a step mapping q_in to q_out on each side of a rows × cols
-    operand, whether its column side is flat, and its result's shape."""
+    operand, and its result's shape. Its column side is one 2-D product where
+    b = 1, else a transposing copy and the row side again (``_sandwich``)."""
     cost = q_out * rows * cols + CALL_COST * a
     rows = rows * q_out // q_in
     size = rows * cols
-    batched = size * q_out + CALL_COST * (size // (q_in * b))
-    flat = size * q_out * b + CALL_COST
-    return cost + min(batched, flat), flat <= batched, rows, cols * q_out // q_in
+    cost += size * q_out + (CALL_COST if b == 1 else COPY_COST * size + CALL_COST * a)
+    return cost, rows, cols * q_out // q_in
 
 
 def _route_costs(frame, d: int, size: int, m: int, r: int | None):
-    """(cost, whether each column side is flat) of the Kraus route with m
-    operators and of the thin route with r vectors (None when r is None),
-    on a size × size joint in ``frame`` (``_frame``)."""
+    """The cost of the Kraus route with m operators and of the thin route
+    with r vectors (None when r is None), on a size × size joint in
+    ``frame`` (``_frame``)."""
     _, a, b = frame
-    cost, flat, _, _ = _step_cost(d, d, size, size, a, b)
-    kraus = m * cost + max(m - 1, 0) * (CALL_COST + size * size), flat
+    cost, _, _ = _step_cost(d, d, size, size, a, b)
+    kraus = m * cost + max(m - 1, 0) * (CALL_COST + size * size)
     if r is None:
         return kraus, None
-    compress, flat, rows, cols = _step_cost(r, d, size, size, a, b)
-    expand, flat_expand, _, _ = _step_cost(d, r, rows, cols, a, b)
-    return kraus, (compress + expand + CALL_COST + rows * cols, flat, flat_expand)
+    compress, rows, cols = _step_cost(r, d, size, size, a, b)
+    expand, _, _ = _step_cost(d, r, rows, cols, a, b)
+    return kraus, compress + expand + CALL_COST + rows * cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,27 +506,17 @@ def _route(kraus, vectors, sizes: list[int], order: list[int]) -> _Route:
     return _Route((w.conj().T, w), groups, same.reshape(r, 1, r, 1), bounds)
 
 
-def _plan(frame, size: int, route: _Route, costs) -> Plan:
-    """``route`` in ``frame`` (``_frame``) of a size × size joint: each
-    column side in the form that ``costs``, the route's own entry of
-    ``_route_costs``, picked, and the costs of the dense and factor steps."""
+def _plan(frame, size: int, route: _Route, cost: float) -> Plan:
+    """``route`` in ``frame`` (``_frame``) of a size × size joint, with the
+    costs of the dense step (``cost``, the route's own entry of
+    ``_route_costs``, plus its passes) and of the factor step."""
     axes, a, b = frame
-    cost, *flats = costs
-
-    def col(m, flat):  # Mᵀ ⊗ I_b if flat
-        if not flat:
-            return np.ascontiguousarray(m)
-        return (m.T[:, None, :, None] * np.eye(b)[:, None]).reshape(m.shape[1] * b, -1)
-
     fan = route.fan
     if route.groups is None:
-        steps = tuple((k, col(k.conj(), flats[0]), flats[0]) for k in route.rows)
-        d = route.roundoff.shape[-1]
         passes = max(2 * fan, 1)  # each step's two products, or the zeros
-        per_entry, calls = fan * d, fan * CALL_COST * a
+        per_entry, calls = fan * route.roundoff.shape[-1], fan * CALL_COST * a
     else:
-        (wh, w), (flat, flat_expand) = route.rows, flats
-        steps = ((wh, col(w.T, flat), flat), (w, col(w.conj(), flat_expand), flat_expand))
+        w = route.rows[1]
         ratio = w.shape[1] / w.shape[0]
         passes = 1 + 2 * ratio + ratio**2  # C before and after its columns, W·C, out
         per_entry, calls = 2 * w.shape[1], (1 + fan) * CALL_COST * a
@@ -535,7 +525,7 @@ def _plan(frame, size: int, route: _Route, costs) -> Plan:
     if axes is not None:  # the joint and the result are permuted; a factor's rows too
         dense += 2 * COPY_COST * size * size
         per_entry += COPY_COST * (1 + fan)
-    return Plan(axes, a, b, steps, route.mask, route.groups, route.roundoff,
+    return Plan(axes, a, b, route.rows, route.mask, route.groups, route.roundoff,
                 dense, (per_entry, calls), fan)
 
 
@@ -623,41 +613,22 @@ def compile_sentences(
             ((s.subject, s.object), entry, f"{s.subject} {s.verb} {s.object}")
         )
 
-    actors = []
-    for name in table.order:
-        space = table.space[name]
-        prior = None
-        if name in lexicon.entries:
-            entry = lexicon.entries[name]
+    priors = [lexicon.entries.get(name) for name in table.order]  # each actor's own entry
+    for name, entry in zip(table.order, priors):
+        if entry is not None:
             if len(entry.space) != 1:
                 raise LexiconError(f"actor {name!r} must live on a single space")
-            if space is None:
-                space = entry.space[0]
-            elif entry.space[0] != space:
-                raise SpaceMismatchError(name, space, entry.space[0])
-            if entry.kind == "pure":
-                prior = from_pure(entry.operand)
-            elif entry.kind == "density":
-                prior = entry.operand
-            else:
+            table.touch(name, entry.space[0])
+            if entry.kind == "ddm":
                 raise LexiconError(f"actor {name!r} prior cannot be a ddm entry")
-        if space is None:
+        if table.space[name] is None:
             raise LexiconError(f"cannot infer a space for actor {name!r}")
-        dim = lexicon.space_dim(space)
-        if prior is None:
-            prior, root = DensityMatrix.maximally_mixed(dim), np.eye(dim) / math.sqrt(dim)
-        elif entry.kind == "pure":
-            root = entry.operand.amplitudes[:, None]
-        else:  # every direction above roundoff of its rows, however small against the largest
-            evals, evecs = np.linalg.eigh(prior.matrix)
-            root = evecs[:, evals > 0] * np.sqrt(evals[evals > 0])
-            root = _compress(root, np.diagonal(prior.matrix).real)
-        actors.append(Actor(name=name, space=space, dim=dim, prior=prior, root=root))
 
-    index = {a.name: i for i, a in enumerate(actors)}
-    dims = [a.dim for a in actors]
+    index = {name: i for i, name in enumerate(table.order)}
+    spaces = [table.space[name] for name in table.order]
+    dims = [lexicon.space_dim(space) for space in spaces]
     gate_slots = [tuple(index[n] for n in names) for names, _, _ in pending]
-    components = _components(len(actors), gate_slots)
+    components = _components(len(dims), gate_slots)
     block, local = {}, {}  # each wire's (block dims, block size), its place in its block
     for wires in components:
         block_dims = tuple(dims[w] for w in wires)
@@ -668,6 +639,19 @@ def compile_sentences(
             )
         for i, w in enumerate(wires):
             block[w], local[w] = (block_dims, size), i
+
+    actors = []
+    for name, space, dim, entry in zip(table.order, spaces, dims, priors):
+        if entry is None:
+            prior, root = DensityMatrix.maximally_mixed(dim), np.eye(dim) / math.sqrt(dim)
+        elif entry.kind == "pure":
+            prior, root = from_pure(entry.operand), entry.operand.amplitudes[:, None]
+        else:  # every direction above roundoff of its rows, however small against the largest
+            prior = entry.operand
+            evals, evecs = np.linalg.eigh(prior.matrix)
+            root = evecs[:, evals > 0] * np.sqrt(evals[evals > 0])
+            root = _compress(root, np.diagonal(prior.matrix).real)
+        actors.append(Actor(name=name, space=space, dim=dim, prior=prior, root=root))
 
     parts, routes, plans = {}, {}, {}
     gates = []
@@ -682,7 +666,7 @@ def compile_sentences(
             frame = _frame(tuple(local[w] for w in slots), block_dims)
             r = None if vectors is None else vectors[0].shape[1]
             by_kraus, by_thin = _route_costs(frame, entry.dim, size, len(ops), r)
-            thin = by_thin is not None and by_thin[0] < by_kraus[0]
+            thin = by_thin is not None and by_thin < by_kraus
             order = _order(slots)
             key = entry.name, tuple(order), thin
             if key not in routes:
@@ -775,11 +759,26 @@ def _rows(x: np.ndarray, row: np.ndarray, plan: Plan) -> np.ndarray:
     return np.matmul(row, x.reshape(plan.a, row.shape[1], -1))
 
 
-def _cols(y: np.ndarray, col: np.ndarray, flat: bool, plan: Plan) -> np.ndarray:
-    """A step's ``col`` on the gate's wires in y's column index, (·, d, b)."""
-    if flat:
-        return y.reshape(-1, col.shape[0]) @ col
-    return np.matmul(col, y.reshape(-1, col.shape[1], plan.b))
+def _sandwich(x: np.ndarray, row: np.ndarray, plan: Plan) -> np.ndarray:
+    """row x row† for a Hermitian x: ``row`` on the gate's wires in x's row
+    index, then its adjoint on them in the column index, read as (·, d, b).
+    Where b = 1 that is one 2-D product with row†; else it is row (row x)†,
+    ``row`` again on the half result's conjugate transpose."""
+    half = _rows(x, row, plan)
+    del x  # the thin route passes C unnamed, so it is freed here, before the result
+    if plan.b == 1:
+        return half.reshape(-1, row.shape[1]) @ row.conj().T
+    adjoint = np.conjugate(half.reshape(plan.a * row.shape[0] * plan.b, -1).T, order="C")
+    del half  # so that the half result is gone before the result is made
+    return _rows(adjoint, row, plan)
+
+
+def _masked(c: np.ndarray, plan: Plan) -> np.ndarray:
+    """C = W† ρ W with only its same-factor blocks kept (``Plan.mask``), in place."""
+    r = plan.mask.shape[0]
+    c = c.reshape(plan.a, r, -1, r, plan.b)
+    c *= plan.mask
+    return c
 
 
 def _noise(plan: Plan, roots: np.ndarray) -> float:
@@ -796,10 +795,10 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
 
     On adjacent wires the joint is read in place: its row index as
     (a, d, b·D), so one batched product applies an operator to the
-    wires' row index, and the result's column index as (·, d, b) for the
-    column side. Other wires are permuted to lead the row index and
-    trail the column index, and back after (``Plan``). The Kraus route
-    applies each K and K†. The thin route applies the gate's canonical
+    wires' row index; ρ is Hermitian, so the column side is the adjoint
+    of the row side (``_sandwich``). Other wires are permuted to lead the
+    row index and trail the column index, and back after (``Plan``). The
+    Kraus route applies each K. The thin route applies the gate's canonical
     vectors, A_k = W_k W_k†: C = W† ρ W, then only C's same-factor
     blocks expanded as W C W†, 2R + 2R²/d products per D² instead of
     2m·d for m operators.
@@ -822,19 +821,13 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
         if not plan.steps:  # no operator: the gate annihilates every state
             out = np.zeros(joint.size, dtype=np.complex128)
         elif plan.mask is None:
-            (row, col, flat), *rest = plan.steps
-            out = _cols(_rows(frame, row, plan), col, flat, plan)
-            for row, col, flat in rest:
-                out += _cols(_rows(frame, row, plan), col, flat, plan)
+            row, *rest = plan.steps
+            out = _sandwich(frame, row, plan)
+            for row in rest:
+                out += _sandwich(frame, row, plan)
         else:
-            (wh, col, flat), (w, expand, flat_expand) = plan.steps
-            r = plan.mask.shape[0]
-            blocks = _cols(_rows(frame, wh, plan), col, flat, plan)
-            blocks = blocks.reshape(plan.a, r, -1, r, plan.b)
-            blocks *= plan.mask
-            half = _rows(blocks, w, plan)
-            del blocks  # so that C is gone before the result is made
-            out = _cols(half, expand, flat_expand, plan)
+            wh, w = plan.steps
+            out = _sandwich(_masked(_sandwich(frame, wh, plan), plan), w, plan)
         if plan.axes is not None:
             shape = frame.shape
             del frame  # so that the permuted copy is gone before the one back
@@ -911,9 +904,9 @@ def _factor_step(factor: np.ndarray, gate: Gate, dims: Sequence[int]):
             roots = roots.reshape(dims).transpose(plan.axes[:n])
         x = frame.reshape(plan.a, plan.roundoff.shape[-1], -1)
         if plan.mask is None:
-            blocks = [np.matmul(k, x) for k, _, _ in plan.steps]
+            blocks = [np.matmul(k, x) for k in plan.steps]
         else:
-            (wh, _, _), (w, _, _) = plan.steps
+            wh, w = plan.steps
             c = np.matmul(wh, x)
             blocks = [np.matmul(w[:, s], c[:, s]) for s in plan.groups]
         out = np.stack(blocks, axis=-1) if blocks else np.empty(x.shape + (0,), x.dtype)
@@ -950,38 +943,38 @@ def _prior_factor(actors: Sequence[Actor], wires) -> np.ndarray:
     return factor
 
 
-def _step(block: Block, owed, fresh: bool, gate: Gate, actors: Sequence[Actor]):
-    """``gate`` on its block, and the diag ρ that the result's compression
-    is owed (or None). On the factor, first the compression owed by the
-    block's last gate; then the factor step while that costs less than the
-    dense step, else once and for all the block's dense joint (its priors'
-    Kronecker product if ``fresh``, before its first gate, else L L†)."""
+def _step(block: Block, owed, fresh: bool, gate: Gate, actors: Sequence[Actor], unit: bool):
+    """``gate`` on its block: the new block, the diag ρ that its compression
+    is owed (or None), and its trace. On the factor, first the compression
+    owed by the block's last gate; then the factor step while that costs
+    less than the dense step, else once and for all the block's dense joint
+    (its priors' Kronecker product if ``fresh``, before its first gate,
+    else L L†). With ``unit`` a result of positive trace is divided by it
+    before it is frozen, and what it owes with it."""
     plan, factor = gate.plan, block.factor
     if factor is not None:
         if owed is not None:
             factor = _compress(factor, owed)
         if _factor_cost(plan, factor.shape[0], factor.shape[1]) <= plan.dense_cost:
             factor, owed = _factor_step(factor, gate, block.dims)
+            tr = float(np.vdot(factor, factor).real)
+            if unit and tr > 0:
+                factor /= math.sqrt(tr)
+                if owed is not None:
+                    owed /= tr
             factor.setflags(write=False)
-            return Block(block.wires, block.dims, factor), owed
+            return Block(block.wires, block.dims, factor), owed, tr
         if fresh:
             joint = linalg.kron_all(actors[w].prior.matrix for w in block.wires)
         else:
             joint = factor @ factor.conj().T
     else:
         joint = block.dense.matrix
-    dense = DensityMatrix._unchecked(_apply_gate(joint, gate, block.dims))
-    return Block(block.wires, block.dims, None, dense), None
-
-
-def _normalized(block: Block, owed, tr: float):
-    """``block`` divided by its trace ``tr``, and ``owed`` with it."""
-    if block.factor is None:
-        dense = DensityMatrix._unchecked(block.dense.matrix / tr)
-        return Block(block.wires, block.dims, None, dense), None
-    factor = block.factor / math.sqrt(tr)
-    factor.setflags(write=False)
-    return Block(block.wires, block.dims, factor), None if owed is None else owed / tr
+    matrix = _apply_gate(joint, gate, block.dims)
+    tr = float(np.trace(matrix).real)
+    if unit and tr > 0:
+        matrix /= tr
+    return Block(block.wires, block.dims, None, DensityMatrix._unchecked(matrix)), None, tr
 
 
 def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[WorldState]:
@@ -992,7 +985,8 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[World
     must stay finite, as the dense joint's entries did. Renormalizing
     divides by the joint trace (ZeroTraceError at or below TRACE_FLOOR):
     the first time every block is brought to unit trace, after that only
-    the gated one, whose trace is then the joint's.
+    the gated one (in ``_step``, before the checks), whose trace is then
+    the joint's.
     """
     names = tuple(a.name for a in circuit.actors)
     dims = tuple(a.dim for a in circuit.actors)
@@ -1010,18 +1004,23 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[World
     unit = False  # every block at unit trace
     for gate in circuit.gates:
         b = where[gate.slots[0]]
-        blocks[b], owed[b] = _step(blocks[b], owed[b], fresh[b], gate, circuit.actors)
+        blocks[b], owed[b], traces[b] = _step(
+            blocks[b], owed[b], fresh[b], gate, circuit.actors, renormalize_each_step
+        )
         fresh[b] = False
-        traces[b] = blocks[b].trace
         total = math.prod(traces)
         if not math.isfinite(total):
             raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
         if renormalize_each_step:
             nonzero_trace(total)
-            for i in (b,) if unit else range(len(blocks)):
-                blocks[i], owed[i] = _normalized(blocks[i], owed[i], traces[i])
-                traces[i] = 1.0
-            unit = True
+            if not unit:  # the first gate: every other block holds its priors' factor
+                for i, block in enumerate(blocks):
+                    if i != b:
+                        factor = block.factor / math.sqrt(traces[i])
+                        factor.setflags(write=False)
+                        blocks[i] = Block(block.wires, block.dims, factor)
+                traces, unit = [1.0] * len(blocks), True
+            traces[b] = 1.0
         yield WorldState(names, dims, tuple(blocks))
 
 

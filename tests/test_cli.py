@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzphaser import textcirc
+from fuzzphaser import linalg, textcirc
 from fuzzphaser.cli import main
 from fuzzphaser.density import DensityMatrix, PureState
 from fuzzphaser.lexicon import load_lexicon, save_lexicon
@@ -340,6 +340,27 @@ class TestRun:
         assert not any(line.startswith("Traceback") for line in lines)
         assert not any("RuntimeWarning" in line for line in lines)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_component_over_the_cap_is_input_error(self, tmp_path, capsys, monkeypatch):
+        """One noun on a space of DIM_CAP + 1 exits 2 before any prior is built."""
+
+        def refuse(dim):
+            raise AssertionError(f"a prior of dimension {dim} was built")
+
+        monkeypatch.setattr(DensityMatrix, "maximally_mixed", staticmethod(refuse))
+        dim = linalg.DIM_CAP + 1
+        word = LexiconEntry("w", "big", "pure", "projector", PureState.basis(dim, 0))
+        lex = tmp_path / "big.json"
+        save_lexicon(Lexicon({"big": dim}, [word]), lex)
+        text = tmp_path / "big.txt"
+        text.write_text("A is w.\n")
+        assert main(["run", str(text), "--lexicon", str(lex)]) == 2
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        errors = [line for line in lines if line.startswith("error: ")]
+        assert len(errors) == 1 and "exceeds cap" in errors[0]
+        assert out == ""
+        assert not any(line.startswith("Traceback") for line in lines)
 
     @pytest.mark.parametrize(
         "text, mechanism, thin",

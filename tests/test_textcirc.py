@@ -265,6 +265,19 @@ class TestCompile:
         with pytest.raises(DimensionOverflowError):
             compile_sentences(sentences, lex)
 
+    def test_component_cap_comes_before_any_prior(self, monkeypatch):
+        """One noun on a space of DIM_CAP + 1: the component is refused
+        before any prior is built, whose validation alone is O(d³)."""
+
+        def refuse(dim):
+            raise AssertionError(f"a prior of dimension {dim} was built")
+
+        monkeypatch.setattr(DensityMatrix, "maximally_mixed", staticmethod(refuse))
+        dim = linalg.DIM_CAP + 1
+        word = LexiconEntry("w", "big", "pure", "projector", PureState.basis(dim, 0))
+        with pytest.raises(DimensionOverflowError):
+            compile_sentences([IsA("A", "w")], Lexicon({"big": dim}, [word]))
+
     def test_unjoined_actors_are_blocks_of_their_own(self, monkeypatch):
         """Three dim-4 actors, verbs of every kind only on A0 and A1 (as in
         the long-text workload): blocks of 16 and 4, and no plan is built
@@ -486,19 +499,16 @@ def _route_word(kind: str, dim: int, scale: float, rng) -> LexiconEntry:
 
 
 def _both_forms(slots, dims, kraus, vectors):
-    """The Kraus and, if any, the thin plan, each with every column side
-    batched where b > 1, then each flat: calls costing nothing, then all."""
+    """The Kraus and, if any, the thin plan."""
     frame, size = textcirc._frame(slots, dims), math.prod(dims)
     sizes, order = [dims[w] for w in slots], textcirc._order(slots)
     r = None if vectors is None else vectors[0].shape[1]
     plans = []
-    for call_cost in (0, 10**15):
-        with mock.patch.object(textcirc, "CALL_COST", call_cost):
-            by_kraus, by_thin = textcirc._route_costs(frame, math.prod(sizes), size, len(kraus), r)
-            plans.append(_plan(frame, size, textcirc._route(kraus, None, sizes, order), by_kraus))
-            if vectors is not None:
-                route = textcirc._route(kraus, vectors, sizes, order)
-                plans.append(_plan(frame, size, route, by_thin))
+    by_kraus, by_thin = textcirc._route_costs(frame, math.prod(sizes), size, len(kraus), r)
+    plans.append(_plan(frame, size, textcirc._route(kraus, None, sizes, order), by_kraus))
+    if vectors is not None:
+        route = textcirc._route(kraus, vectors, sizes, order)
+        plans.append(_plan(frame, size, route, by_thin))
     return plans
 
 
@@ -515,8 +525,7 @@ class TestRoutes:
     def test_thin_and_kraus_routes_match_dense(
         self, dims, order, two_slots, mechanism, exponent, seed
     ):
-        """Both routes of one word, in both column-side forms, on permuted
-        and non-adjacent slots."""
+        """Both routes of one word, on permuted and non-adjacent slots."""
         rng = np.random.default_rng(seed)
         wires = list(range(len(dims)))
         order.shuffle(wires)
@@ -534,7 +543,8 @@ class TestRoutes:
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_every_position_frame_and_form(self, mechanism):
         """Leading, middle and trailing wires, in and out of order, adjacent
-        and not, through both routes and both column-side forms."""
+        and not, through both routes, with the wires trailing the column
+        index (b = 1) and not."""
         rng = np.random.default_rng(11)
         dims = (2, 3, 4, 2)
         seen = set()
@@ -549,19 +559,21 @@ class TestRoutes:
                 dense = apply_gate_dense(rho, gate, dims)
                 local = _apply_gate(rho, gate, dims)
                 assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
-                seen |= {(plan.axes is None, flat) for _, _, flat in plan.steps}
-        assert seen == {(True, True), (True, False), (False, True)}
+                seen.add((plan.axes is None, plan.b == 1, plan.thin))
+        frames = {(True, True), (True, False), (False, True)}
+        assert seen == {frame + (thin,) for frame in frames for thin in (True, False)}
 
     def test_local_kernel_check_takes_both_routes(self, monkeypatch):
         """``verify``'s local-kernel-matches-dense, at its default seed, meets
-        both routes, both frames and both column-side forms on the dense
-        joint, and both routes and both frames on the factor."""
+        both routes and both frames on the dense joint, each route on
+        adjacent wires with b = 1 and b > 1, and both routes and both
+        frames on the factor."""
         seen, factor_steps = [], set()
         apply, step = textcirc._apply_gate, textcirc._factor_step
 
         def spy(joint, gate, dims):
             plan = gate.plan
-            seen.extend((plan.thin, plan.axes is None, flat) for _, _, flat in plan.steps)
+            seen.append((plan.thin, plan.axes is None, plan.b == 1))
             return apply(joint, gate, dims)
 
         def factor_spy(factor, gate, dims):
@@ -575,7 +587,8 @@ class TestRoutes:
         assert check_local_kernel(rng, 100, (2, 5)).passed
         assert {thin for thin, _, _ in seen} == {True, False}
         assert {adjacent for _, adjacent, _ in seen} == {True, False}
-        assert {flat for _, adjacent, flat in seen if adjacent} == {True, False}
+        assert {(thin, last) for thin, adjacent, last in seen if adjacent} == {
+            (True, True), (True, False), (False, True), (False, False)}
         assert {thin for thin, _ in factor_steps} == {True, False}
         assert {adjacent for _, adjacent in factor_steps} == {True, False}
 
