@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .demos import DEMO_NAMES, run_black_fuzztones, run_paint_it_black
-from .density import TRACE_FLOOR, DensityMatrix, purity
+from .density import DensityMatrix, purity
 from .errors import FuzzPhaserError, ZeroTraceError
 from .lexicon import _matrix_out, load_lexicon
 from .properties import run_all
@@ -35,12 +35,6 @@ def _fmt_matrix(m: np.ndarray) -> list[str]:
     return [
         "  [" + ", ".join(_fmt_complex(complex(z)) for z in row) + "]" for row in m
     ]
-
-
-def _maybe_purity(state: DensityMatrix) -> float | None:
-    if state.trace <= TRACE_FLOOR:
-        return None
-    return purity(state)
 
 
 def _dims_arg(raw: str) -> tuple[int, int]:
@@ -71,7 +65,7 @@ def _actor_report(circuit: Circuit, states: list[DensityMatrix]) -> list[dict]:
             "space": actor.space,
             "dim": actor.dim,
             "trace": state.trace,
-            "purity": _maybe_purity(state),
+            "purity": None if state.trace <= 0.0 else purity(state),
             "matrix": _matrix_out(state.matrix),
         }
         for actor, state in zip(circuit.actors, states)

@@ -22,10 +22,6 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError, NotHermitianError, NotPSDError, ZeroTraceError
 
-#: Traces at or below this are treated as an annihilated state.
-TRACE_FLOOR = 1e-12
-
-
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A ket with arbitrary (positive) norm; amplitudes need not be unit."""
@@ -174,29 +170,33 @@ def decohere(rho: DensityMatrix, projectors: Sequence[Projector]) -> DensityMatr
 
 
 def nonzero_trace(tr: float) -> float:
-    """``tr``; raises ZeroTraceError if it is at or below TRACE_FLOOR."""
-    if tr <= TRACE_FLOOR:
-        raise ZeroTraceError(
-            f"trace {tr:.3g} is at or below the floor {TRACE_FLOOR}; "
-            "the update annihilated the state"
-        )
+    """``tr``; raises ZeroTraceError at a trace ≤ 0. A positive trace,
+    however small, is kept: its scale carries no tolerance."""
+    if tr <= 0.0:
+        raise ZeroTraceError(f"trace {tr:.3g} is not positive; the update annihilated the state")
     return tr
 
 
+def _unit_scaled(rho: DensityMatrix) -> tuple[np.ndarray, float]:
+    """ρ·2^-e and its trace m in [1/2, 1), for a trace m·2^e > 0
+    (``nonzero_trace``): exact, in two factors that are each a float even
+    where the trace is below the normal range."""
+    mantissa, e = math.frexp(nonzero_trace(rho.trace))
+    return rho.matrix * math.ldexp(1.0, -e // 2) * math.ldexp(1.0, (1 - e) // 2), mantissa
+
+
 def renormalize(rho: DensityMatrix) -> DensityMatrix:
-    """Scale to unit trace; raises ZeroTraceError on annihilated states."""
-    return DensityMatrix._unchecked(rho.matrix / nonzero_trace(rho.trace))
+    """Scale to unit trace; raises ZeroTraceError at a trace ≤ 0. Dividing
+    by the trace's mantissa (``_unit_scaled``) cannot overflow."""
+    unit, mantissa = _unit_scaled(rho)
+    unit /= mantissa
+    return DensityMatrix._unchecked(unit)
 
 
 def purity(rho: DensityMatrix) -> float:
-    """trace(ρ²)/trace(ρ)²; equals 1 exactly for rank-1 states.
-
-    ρ is first scaled by the power of 2 that brings its trace into
-    [1/2, 1), which is exact and keeps the squares from overflowing.
-    """
-    tr = rho.trace
-    if tr <= TRACE_FLOOR:
-        raise ZeroTraceError(f"trace {tr:.3g} is too small to define purity")
-    scale = math.ldexp(1.0, -math.frexp(tr)[1])
-    unit = rho.matrix * scale
-    return float(np.trace(unit @ unit).real) / (tr * scale) ** 2
+    """trace(ρ²)/trace(ρ)²; equals 1 exactly for rank-1 states. Raises
+    ZeroTraceError at a trace ≤ 0. ρ is first scaled by the power of 2 that
+    brings its trace into [1/2, 1) (``_unit_scaled``), so that the squares
+    neither under- nor overflow."""
+    unit, mantissa = _unit_scaled(rho)
+    return float(np.trace(unit @ unit).real) / mantissa**2

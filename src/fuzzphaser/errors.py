@@ -36,7 +36,7 @@ class IncompleteFamilyError(FuzzPhaserError, ValueError):
 
 
 class ZeroTraceError(FuzzPhaserError):
-    """A state was annihilated: its trace is too small to renormalize."""
+    """A state was annihilated: its trace is 0, so it cannot be renormalized."""
 
 
 class ParseError(FuzzPhaserError):

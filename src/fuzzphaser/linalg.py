@@ -142,11 +142,11 @@ def grouped_eigh(matrix) -> list[tuple[float, np.ndarray]]:
     Eigenvalues whose adjacent gap is at most ``GROUP_TOL * ‖M‖``
     (spectral norm) are merged into one group, so rescaling M does not
     change the grouping. Eigenvalues within n·eps·‖M‖ of 0 are M's
-    kernel up to roundoff: they form one group, which merges with no
-    other, so a small eigenvalue next to the kernel keeps its own value
-    and gives none of it to the kernel. Returns (value, column block of
-    orthonormal eigenvectors) pairs, values strictly decreasing; the
-    group value is the mean of its members.
+    kernel up to roundoff: they form one group of value 0, which merges
+    with no other, so a small eigenvalue next to the kernel keeps its own
+    value and gives none of it to the kernel. Returns (value, column block
+    of orthonormal eigenvectors) pairs, values strictly decreasing; every
+    other group's value is the mean of its members.
     """
     m = as_complex_matrix(matrix, square=True)
     if not is_hermitian(m):
@@ -167,7 +167,7 @@ def grouped_eigh(matrix) -> list[tuple[float, np.ndarray]]:
             boundaries.append(i)
     boundaries.append(evals.size)
     groups = [
-        (float(np.mean(evals[a:b])), evecs[:, a:b])
+        (0.0 if kernel[a] else float(np.mean(evals[a:b])), evecs[:, a:b])
         for a, b in zip(boundaries[:-1], boundaries[1:])
     ]
     groups.reverse()

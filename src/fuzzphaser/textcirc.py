@@ -18,26 +18,23 @@ per word and slots, on the wires of its block), to the touched wires
 only.
 
 Each block starts on a factor ρ = L L† of its actors' priors, the
-Kronecker product of one factor per actor (a ket prior's amplitudes,
-I/√d for the default prior, else V·√λ over the prior's eigen-directions
-above roundoff of its own diagonal), and applies each gate to L's row
-index: L ↦ [A_1 L | … | A_m L]. Before the block's next gate L is
-compressed to the directions that carry more than roundoff of the weight
-of some row of L, however small that row is against the largest
-(``_compress``). While on the factor, each gate compares the factor step
-with the dense one (``Plan.dense_cost``); the first time the dense step
-costs less, the block builds its joint once (the Kronecker product of
-its priors before its first gate, L L† after) and applies the rest of
-its gates to it, on adjacent wires through views of the joint. Both
-forms apply each operator on the row index only: ρ is Hermitian, so the
-dense step's column side is the adjoint of its row side, A ρ A† =
-A (A ρ)†. Both steps bound each entry's roundoff from diag ρ alone, and
-a result within 1/ATOL of that bound keeps only the eigen-directions
-above D times it, D the block's dimension, so an annihilated state is
-exactly 0. Each block
-carries its own trace; the joint trace is their product, and a product
-past the float range raises NumericalFailureError as the dense joint's
-overflow would. Every state the evaluator makes is Σ K ρ K† of a
+Kronecker product of their roots (``Actor.root``), and applies each gate
+to L's row index: L ↦ [A_1 L | … | A_m L], compressed before the block's
+next gate to the directions that carry more than roundoff of the weight
+of some row of L, however small that row is (``_compress``). The first
+time the dense step costs less than the factor's (``Plan.dense_cost``),
+the block builds its joint once and applies the rest of its gates to it,
+on adjacent wires through views of the joint. Both forms apply each
+operator on the row index only: ρ is Hermitian, so A ρ A† = A (A ρ)†.
+Both bound each entry's roundoff from diag ρ alone, and a result within
+1/ATOL of that bound keeps only the eigen-directions above D times it,
+D the block's dimension, so an annihilated state is exactly 0. In both
+modes each result is rescaled by the power of four that brings its
+trace into [1/2, 2), which is exact, and its block keeps the exponent:
+the joint trace, the likelihood, is ldexp(∏ block traces, Σ exponents),
+and one past the float range raises NumericalFailureError as the dense
+joint's overflow would. Renormalizing divides each block by its trace
+where it is read. Every state the evaluator makes is Σ K ρ K† of a
 validated state, so none is re-validated, and is Hermitian up to
 roundoff, so none is hermitized: the states that leave the evaluator
 through ``reduced_state`` are validated, and their Hermitian part is
@@ -374,26 +371,6 @@ def _gate_parts(entry: LexiconEntry, mechanism: str):
 _EPS = np.finfo(np.float64).eps
 
 
-def _significant(kraus: tuple[np.ndarray, ...], vectors, d: int):
-    """The operators, and the canonical vectors, of the factors whose update
-    is above roundoff: ‖K_k‖² > d·eps·max_j ‖K_j‖². A dropped K_k changes
-    no entry of Σ K ρ K† by more than the other terms' roundoff; so a
-    fuzz gives none of its weight to σ's kernel, whose eigenvalues are
-    roundoff (``linalg.grouped_eigh``), although ``kraus`` lists it.
-    Column k of W belongs to K_k (``canonical_vectors``).
-    """
-    if len(kraus) < 2:
-        return kraus, vectors
-    weights = np.linalg.norm(np.array(kraus), 2, axis=(1, 2)) ** 2
-    keep = weights > d * _EPS * weights.max()
-    if keep.all():
-        return kraus, vectors
-    if vectors is not None:
-        w, owner = vectors
-        vectors = (w[:, keep[owner]], owner[keep[owner]])
-    return tuple(k for k, kept in zip(kraus, keep) if kept), vectors
-
-
 #: What one BLAS call costs, in complex multiply-adds. On a 2-vCPU host
 #: (numpy 2.4.6, OpenBLAS 0.3.31) one product in a stack of small ones
 #: (4×4 by 4×4, np.matmul) took 0.58 µs, 2,000 multiply-adds at the rate
@@ -658,20 +635,19 @@ def compile_sentences(
     for (names, entry, label), slots in zip(pending, gate_slots):
         effective = mechanism if mechanism is not None else entry.mechanism
         if entry.name not in parts:
-            operand, kraus, vectors = _gate_parts(entry, effective)
-            parts[entry.name] = operand, kraus, *_significant(kraus, vectors, entry.dim)
-        operand, kraus, ops, vectors = parts[entry.name]
+            parts[entry.name] = _gate_parts(entry, effective)
+        operand, kraus, vectors = parts[entry.name]
         if (entry.name, slots) not in plans:
             block_dims, size = block[slots[0]]
             frame = _frame(tuple(local[w] for w in slots), block_dims)
             r = None if vectors is None else vectors[0].shape[1]
-            by_kraus, by_thin = _route_costs(frame, entry.dim, size, len(ops), r)
+            by_kraus, by_thin = _route_costs(frame, entry.dim, size, len(kraus), r)
             thin = by_thin is not None and by_thin < by_kraus
             order = _order(slots)
             key = entry.name, tuple(order), thin
             if key not in routes:
                 sizes = [dims[w] for w in slots]
-                routes[key] = _route(ops, vectors if thin else None, sizes, order)
+                routes[key] = _route(kraus, vectors if thin else None, sizes, order)
             costs = by_thin if thin else by_kraus
             plans[entry.name, slots] = _plan(frame, size, routes[key], costs)
         gates.append(
@@ -694,40 +670,37 @@ def compile_text(text: str, lexicon: Lexicon, mechanism: str | None = None) -> C
 @dataclass(frozen=True, eq=False)
 class Block:
     """The state of one interaction component on its ``wires`` (actor
-    indices, in actor order) of ``dims``: a read-only factor L with
-    ρ = L L† (``factor``, D × c), or once the block has gone dense, ρ
+    indices, in actor order) of ``dims``: ρ = 2^exponent·S, S of ``trace``
+    in [1/2, 2) or 0 (``_exponent``), held as a read-only factor L with
+    S = L L† (``factor``, D × c), or once the block has gone dense, as S
     itself (``dense``, and ``factor`` None)."""
 
     wires: tuple[int, ...]
     dims: tuple[int, ...]
     factor: np.ndarray | None
-    dense: DensityMatrix | None = None
+    dense: DensityMatrix | None
+    trace: float
+    exponent: int
 
-    @property
-    def state(self) -> DensityMatrix:
-        """ρ; on a factor, L L† built on each access."""
-        if self.factor is None:
-            return self.dense
-        return DensityMatrix._unchecked(self.factor @ self.factor.conj().T)
 
-    @property
-    def trace(self) -> float:
-        """tr ρ, on a factor Σ|L_ij|² without building ρ."""
-        if self.factor is None:
-            return self.dense.trace
-        return float(np.vdot(self.factor, self.factor).real)
+def _ldexp(m: np.ndarray, exponent: int) -> np.ndarray:
+    """m·2^exponent, new and exact within the normal float range, for a
+    contiguous complex m, without forming 2^exponent, which may not be a float."""
+    return np.ldexp(m.view(np.float64), exponent).view(np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
 class WorldState:
     """The world over all actors: the tensor product of one ``Block`` per
     interaction component (``Circuit.components``), whose wires it
-    permutes into actor order. Its trace is the product of the blocks'
-    traces; per-actor views come by partial trace within one block."""
+    permutes into actor order. ρ is the blocks' states times 2^Σ
+    exponents, or once ``renormalized``, each block's state over its
+    trace. Per-actor views come by partial trace within one block."""
 
     actor_names: tuple[str, ...]
     dims: tuple[int, ...]
     blocks: tuple[Block, ...]
+    renormalized: bool
 
     @property
     def factor(self) -> np.ndarray | None:
@@ -735,14 +708,24 @@ class WorldState:
         (block,) = self.blocks
         return block.factor
 
+    @property
+    def exponent(self) -> int:
+        return sum(block.exponent for block in self.blocks)
+
     @cached_property
     def joint(self) -> DensityMatrix:
         """The joint density matrix over all actors, in actor order, built
-        on first access as the Kronecker product of the blocks' states."""
-        if len(self.blocks) == 1:
-            return self.blocks[0].state
+        on first access from the Kronecker product of the blocks' states."""
+        states = [
+            block.dense.matrix if block.factor is None else block.factor @ block.factor.conj().T
+            for block in self.blocks
+        ]
+        matrix = states[0] if len(states) == 1 else linalg.kron_all(states)
+        if self.renormalized:
+            matrix = matrix / math.prod(block.trace for block in self.blocks)
+        else:
+            matrix = _ldexp(matrix, self.exponent)
         order = [w for block in self.blocks for w in block.wires]
-        matrix = linalg.kron_all(block.state.matrix for block in self.blocks)
         axes = [int(a) for a in np.argsort(order)]
         tensor = matrix.reshape([self.dims[w] for w in order] * 2)
         tensor = tensor.transpose(axes + [len(order) + a for a in axes])
@@ -750,8 +733,23 @@ class WorldState:
 
     @property
     def trace(self) -> float:
-        """tr ρ: the product of the blocks' traces, without building ρ."""
-        return float(math.prod(block.trace for block in self.blocks))
+        """tr ρ without building ρ: 1 once renormalized, else the likelihood
+        ldexp(∏ block traces, Σ exponents), inf past the float range."""
+        if self.renormalized:
+            return 1.0
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(math.prod(block.trace for block in self.blocks), self.exponent))
+
+    @property
+    def log_trace(self) -> float:
+        """ln tr ρ, which neither under- nor overflows: 0 once renormalized,
+        −inf once a block is annihilated."""
+        if self.renormalized:
+            return 0.0
+        traces = [block.trace for block in self.blocks]
+        if 0.0 in traces:
+            return -math.inf
+        return sum(map(math.log, traces)) + self.exponent * math.log(2.0)
 
 
 def _rows(x: np.ndarray, row: np.ndarray, plan: Plan) -> np.ndarray:
@@ -934,94 +932,96 @@ def _factor_cost(plan: Plan, size: int, columns: int) -> float:
     return per_entry * size * columns + calls + gram + EIGH_COST * owed**3 + EIGH_CALL
 
 
-def _prior_factor(actors: Sequence[Actor], wires) -> np.ndarray:
-    """The Kronecker product of the roots of the actors on ``wires``, read-only."""
-    factor = np.ones((1, 1), dtype=np.complex128)
-    for w in wires:
-        factor = np.kron(factor, actors[w].root)
+def _exponent(tr: float, where: str) -> int:
+    """The even k with tr·2^-k in [1/2, 2), or 0 at tr = 0, but k ≥ -1022
+    so that 2^-k is a float. NumericalFailureError, the joint state not
+    finite ``where``, if tr is not."""
+    if not math.isfinite(tr):
+        raise NumericalFailureError(f"joint state is not finite {where}")
+    return max(math.frexp(tr)[1] & ~1, -1022)
+
+
+def _factor_block(wires, dims, exponent: int, factor: np.ndarray, owed, where: str):
+    """A new factor L as a block and the diag L L† it owes (or None),
+    scaled in place by 2^-k/2 and 2^-k (``_exponent``), which is exact;
+    k is added to ``exponent``, and L made read-only."""
+    tr = float(np.vdot(factor, factor).real)
+    k = _exponent(tr, where)
+    factor *= math.ldexp(1.0, -k // 2)
+    if owed is not None:
+        owed *= math.ldexp(1.0, -k)
     factor.setflags(write=False)
-    return factor
+    return Block(wires, dims, factor, None, math.ldexp(tr, -k), exponent + k), owed
 
 
-def _step(block: Block, owed, fresh: bool, gate: Gate, actors: Sequence[Actor], unit: bool):
-    """``gate`` on its block: the new block, the diag ρ that its compression
-    is owed (or None), and its trace. On the factor, first the compression
+def _step(block: Block, owed, fresh: bool, gate: Gate, actors: Sequence[Actor]):
+    """``gate`` on its block: the new block, and the diag ρ that its
+    compression is owed (or None). On the factor, first the compression
     owed by the block's last gate; then the factor step while that costs
     less than the dense step, else once and for all the block's dense joint
-    (its priors' Kronecker product if ``fresh``, before its first gate,
-    else L L†). With ``unit`` a result of positive trace is divided by it
-    before it is frozen, and what it owes with it."""
+    (if ``fresh``, before its first gate, its priors' Kronecker product at
+    the block's exponent, else L L†). The result is scaled in place as a
+    factor's is (``_factor_block``), before it is frozen."""
     plan, factor = gate.plan, block.factor
+    where = f'after "{gate.label}"'
     if factor is not None:
         if owed is not None:
             factor = _compress(factor, owed)
         if _factor_cost(plan, factor.shape[0], factor.shape[1]) <= plan.dense_cost:
-            factor, owed = _factor_step(factor, gate, block.dims)
-            tr = float(np.vdot(factor, factor).real)
-            if unit and tr > 0:
-                factor /= math.sqrt(tr)
-                if owed is not None:
-                    owed /= tr
-            factor.setflags(write=False)
-            return Block(block.wires, block.dims, factor), owed, tr
+            out, owed = _factor_step(factor, gate, block.dims)
+            return _factor_block(block.wires, block.dims, block.exponent, out, owed, where)
         if fresh:
             joint = linalg.kron_all(actors[w].prior.matrix for w in block.wires)
+            joint *= math.ldexp(1.0, -block.exponent)
         else:
             joint = factor @ factor.conj().T
     else:
         joint = block.dense.matrix
     matrix = _apply_gate(joint, gate, block.dims)
     tr = float(np.trace(matrix).real)
-    if unit and tr > 0:
-        matrix /= tr
-    return Block(block.wires, block.dims, None, DensityMatrix._unchecked(matrix)), None, tr
+    k = _exponent(tr, where)
+    matrix *= math.ldexp(1.0, -k)
+    state = DensityMatrix._unchecked(matrix)
+    return Block(block.wires, block.dims, None, state, math.ldexp(tr, -k), block.exponent + k), None
 
 
 def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[WorldState]:
     """One block per interaction component, from its priors' factor; each
-    gate on its own block only (``_step``).
+    gate on its own block only (``_step``), by the same arithmetic in both
+    modes, so that the blocks are the same bit for bit.
 
-    Each block keeps its own trace, and the joint trace, their product,
-    must stay finite, as the dense joint's entries did. Renormalizing
-    divides by the joint trace (ZeroTraceError at or below TRACE_FLOOR):
-    the first time every block is brought to unit trace, after that only
-    the gated one (in ``_step``, before the checks), whose trace is then
-    the joint's.
+    The likelihood, ldexp(∏ block traces, Σ exponents), must stay finite,
+    as the dense joint's entries did. Renormalizing divides each block by
+    its own trace where the world is read (``WorldState``), after each
+    gate: ZeroTraceError once a block's trace is 0, and then the
+    likelihood may pass the float range.
     """
     names = tuple(a.name for a in circuit.actors)
     dims = tuple(a.dim for a in circuit.actors)
-    blocks = [
-        Block(wires, tuple(dims[w] for w in wires), _prior_factor(circuit.actors, wires))
-        for wires in circuit.components
-    ]
+    blocks = []
+    for wires in circuit.components:
+        factor = np.ones((1, 1), dtype=np.complex128)
+        for w in wires:
+            factor = np.kron(factor, circuit.actors[w].root)
+        wire_dims = tuple(dims[w] for w in wires)
+        blocks.append(_factor_block(wires, wire_dims, 0, factor, None, "at the priors")[0])
     where = {w: b for b, wires in enumerate(circuit.components) for w in wires}
-    traces = [block.trace for block in blocks]
-    if not math.isfinite(math.prod(traces)):
-        raise NumericalFailureError("joint state of the priors is not finite")
-    yield WorldState(names, dims, tuple(blocks))
+    world = WorldState(names, dims, tuple(blocks), False)
+    if not math.isfinite(world.trace):
+        raise NumericalFailureError("joint state is not finite at the priors")
+    yield world
     owed = [None] * len(blocks)  # diag ρ of a factor whose compression is owed
     fresh = [True] * len(blocks)
-    unit = False  # every block at unit trace
     for gate in circuit.gates:
         b = where[gate.slots[0]]
-        blocks[b], owed[b], traces[b] = _step(
-            blocks[b], owed[b], fresh[b], gate, circuit.actors, renormalize_each_step
-        )
+        blocks[b], owed[b] = _step(blocks[b], owed[b], fresh[b], gate, circuit.actors)
         fresh[b] = False
-        total = math.prod(traces)
-        if not math.isfinite(total):
-            raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
+        world = WorldState(names, dims, tuple(blocks), renormalize_each_step)
         if renormalize_each_step:
-            nonzero_trace(total)
-            if not unit:  # the first gate: every other block holds its priors' factor
-                for i, block in enumerate(blocks):
-                    if i != b:
-                        factor = block.factor / math.sqrt(traces[i])
-                        factor.setflags(write=False)
-                        blocks[i] = Block(block.wires, block.dims, factor)
-                traces, unit = [1.0] * len(blocks), True
-            traces[b] = 1.0
-        yield WorldState(names, dims, tuple(blocks))
+            nonzero_trace(min(block.trace for block in blocks))
+        elif not math.isfinite(world.trace):
+            raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
+        yield world
 
 
 def evaluate_trajectory(
@@ -1041,7 +1041,9 @@ def evaluate(circuit: Circuit, renormalize_each_step: bool = False) -> WorldStat
 def reduced_state(world: WorldState, actor: str) -> DensityMatrix:
     """One wire of the world: partial trace over every other wire of its
     block (on a factor, X X† with X the factor's entries for that wire
-    against all else, O(D·c·d)), times the other blocks' traces."""
+    against all else, O(D·c·d)), read as the world is (``WorldState``):
+    over the block's trace once renormalized, else times the other
+    blocks' traces and the likelihood's scale."""
     if actor not in world.actor_names:
         raise UnknownActorError(f"no actor named {actor!r}")
     w = world.actor_names.index(actor)
@@ -1052,6 +1054,9 @@ def reduced_state(world: WorldState, actor: str) -> DensityMatrix:
     else:
         x = block.factor.reshape(math.prod(block.dims[:local]), block.dims[local], -1)
         out = np.matmul(x, x.conj().swapaxes(1, 2)).sum(axis=0)
-    if len(world.blocks) > 1:
-        out = out * math.prod(other.trace for other in world.blocks if other is not block)
+    if world.renormalized:
+        out = out / block.trace
+    else:
+        others = math.prod(other.trace for other in world.blocks if other is not block)
+        out = _ldexp(out * others, world.exponent)
     return DensityMatrix(linalg.hermitize(out))

@@ -74,6 +74,19 @@ VAST_LEXICON = {
 }
 
 
+def _dim_lexicon(scale: float) -> dict:
+    """Door's prior the ket [1, 0], and ``dim`` a phaser by scale·I."""
+    return {
+        "spaces": {"axis": 2},
+        "entries": [
+            {"name": "Door", "space": "axis", "kind": "pure", "mechanism": "projector",
+             "data": [[1.0, 0.0], [0.0, 0.0]]},
+            {"name": "dim", "space": "axis", "kind": "density", "mechanism": "phaser",
+             "data": [[scale, 0.0], [0.0, scale]]},
+        ],
+    }
+
+
 def _save_big_lexicon(path):
     """A pure dim-4 Door and a phaser word ``big`` of trace 1e3."""
     rng = np.random.default_rng(0)
@@ -204,6 +217,34 @@ class TestRun:
         assert code == 0
         assert "purity undefined" in out
 
+
+    def test_tiny_trace_renormalizes(self, tmp_path, capsys):
+        """A phaser by 1e-14·I leaves trace 1e-14, not 0: renormalized, it
+        is Door's pure state."""
+        text, lex = _write(tmp_path, _dim_lexicon(1e-14), "Door is dim.\n")
+        assert main(["run", text, "--lexicon", lex, "--renormalize"]) == 0
+        out = capsys.readouterr().out
+        assert "joint trace: 1\n" in out
+        assert "trace 1, purity 1\n  [1+0j, 0+0j]\n  [0+0j, 0+0j]\n" in out
+
+    @pytest.mark.parametrize("route", [-math.inf, math.inf], ids=["factor", "dense"])
+    @pytest.mark.parametrize("scale, repeats, shown", [(1e-5, 3, "1e-15"), (1e-310, 1, "1e-310")])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_tiny_trace_keeps_its_purity(
+        self, tmp_path, capsys, monkeypatch, fmt, scale, repeats, shown, route
+    ):
+        """Phasers by scale·I leave Door's ket at a trace of 1e-15, or one
+        below the normal float range, still pure."""
+        monkeypatch.setattr(textcirc, "EIGH_CALL", route)
+        text, lex = _write(tmp_path, _dim_lexicon(scale), "Door is dim. " * repeats + "\n")
+        assert main(["run", text, "--lexicon", lex, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "text":
+            assert f"trace {shown}, purity 1\n" in out
+        else:
+            (door,) = json.loads(out)["actors"]
+            assert door["trace"] == pytest.approx(float(shown), rel=1e-12)
+            assert door["purity"] == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("pair", ["rational", "haar", "haar-dim-4"])
     def test_annihilation_by_non_basis_pair(self, tmp_path, capsys, monkeypatch, pair):

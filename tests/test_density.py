@@ -151,6 +151,14 @@ class TestRenormalize:
         with pytest.raises(ZeroTraceError):
             renormalize(DensityMatrix(np.zeros((2, 2))))
 
+    @pytest.mark.parametrize("tr", [1e-15, 1e-300, 1e-310])
+    def test_tiny_trace_is_kept(self, tr):
+        """No trace floor: a positive trace, down to one below the normal
+        float range, renormalizes to 1 and keeps its purity."""
+        rho = DensityMatrix(np.diag([tr / 4, 3 * tr / 4]))
+        assert renormalize(rho).trace == pytest.approx(1.0, rel=1e-12)
+        assert purity(rho) == pytest.approx(0.625, rel=1e-12)
+
 
 class TestPurity:
     def test_pure_is_one(self):

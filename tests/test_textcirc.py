@@ -625,13 +625,14 @@ class TestRoutes:
 
     def test_kernel_of_a_fuzz_takes_no_part_in_the_plan(self):
         """σ of rank 2 on C⁴ whose kernel's roundoff eigenvalues average
-        4.5e-17: ``kraus``, which export lists, keeps that factor; the plan
-        applies σ's two eigenspaces only, and matches the dense route."""
+        4.5e-17: ``kraus``, which export lists, has no factor on the kernel;
+        the plan applies σ's two eigenspaces only, and matches the dense
+        route."""
         sigma = random_density(4, np.random.default_rng(0), rank=2)
         word = LexiconEntry("w", "s1", "density", "fuzz", sigma)
         dims = [2, 4, 3]
         gate, rho = _one_gate(word, (1,), dims, np.random.default_rng(1))
-        assert len(gate.kraus) == 3
+        assert len(gate.kraus) == 2
         plan = gate.plan
         assert (plan.mask.shape[0] if plan.thin else len(plan.steps)) == 2
         dense = apply_gate_dense(rho, gate, dims)
@@ -929,7 +930,7 @@ class TestBlocks:
         global slots), in both modes: the joint trace, the joint and each
         reduced state agree within 1e-10 of their scale, and an
         annihilated state raises under renormalization on both sides or
-        on neither."""
+        on neither. Both modes hold the same blocks, bit for bit."""
         circuit = _text(dims, priors, words, np.random.default_rng(seed), scales, groups)
         dims = [a.dim for a in circuit.actors]
         for renorm in (False, True):
@@ -944,6 +945,7 @@ class TestBlocks:
                     evaluate(circuit, renorm)
                 continue
             world = evaluate(circuit, renorm)
+            assert not renorm or _same_blocks(world, evaluate(circuit))
             states = [linalg.partial_trace(joint, dims, [w]) for w in range(len(dims))]
             scale = max(abs(np.trace(joint).real), *map(linalg.max_abs, states))
             assert abs(world.trace - np.trace(joint).real) <= 1e-10 * scale
@@ -951,6 +953,52 @@ class TestBlocks:
             for actor, theirs in zip(circuit.actors, states):
                 ours = reduced_state(world, actor.name).matrix
                 assert linalg.max_abs(ours - theirs) <= 1e-10 * scale
+
+
+def _same_blocks(a, b) -> bool:
+    """Whether two worlds hold the same blocks, bit for bit."""
+
+    def held(block):
+        return block.dense.matrix if block.factor is None else block.factor
+
+    return len(a.blocks) == len(b.blocks) and all(
+        (x.wires, x.exponent, x.trace) == (y.wires, y.exponent, y.trace)
+        and (x.factor is None) == (y.factor is None)
+        and held(x).shape == held(y).shape
+        and held(x).tobytes() == held(y).tobytes()
+        for x, y in zip(a.blocks, b.blocks)
+    )
+
+
+class TestLongText:
+    def test_likelihood_below_the_float_range(self):
+        """400 sentences over three dim-4 actors, A0 and A1 joined by
+        verbs, every mechanism: each gate keeps about a seventh of the
+        trace, so the likelihood falls far below the float range. Both
+        modes hold the same blocks, bit for bit, and the log-likelihood
+        stays finite."""
+        rng = np.random.default_rng(17)
+        entries, words = [], {m: [] for m in MECHANISMS}
+        for i in range(16):
+            mechanism, verb = MECHANISMS[i % 4], i >= 8
+            name = f"{'v' if verb else 'n'}{i}"
+            spaces, d = (("c", "c"), 16) if verb else ("c", 4)
+            entries.append(_scaled_word(name, mechanism, spaces, d, 1.0, rng))
+            words[mechanism].append((name, verb))
+        sentences = []
+        for g in range(400):
+            name, verb = words[MECHANISMS[g % 4]][int(rng.integers(4))]
+            if verb:
+                a, b = ("A0", "A1") if rng.random() < 0.5 else ("A1", "A0")
+                sentences.append(Transitive(a, name, b))
+            else:
+                sentences.append(IsA(f"A{int(rng.integers(3))}", name))
+        circuit = compile_sentences(sentences, Lexicon({"c": 4}, entries))
+        assert sorted(map(len, circuit.components)) == [1, 2]
+        world = evaluate(circuit)
+        assert world.trace == 0.0
+        assert -math.inf < world.log_trace < -745.0
+        assert _same_blocks(world, evaluate(circuit, True))
 
 
 def _one_gate(word: LexiconEntry, slots, dims, rng):
