@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input error (parse, lexicon, missing file),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -129,18 +130,7 @@ def cmd_verify(args) -> int:
             "trials": args.trials,
             "dims": f"{args.dims[0]}..{args.dims[1]}",
             "passed": ok,
-            "results": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "metric": r.metric,
-                    "bound": r.bound,
-                    "relation": r.relation,
-                    "trials": r.trials,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "results": [dataclasses.asdict(r) for r in results],
         }
         print(json.dumps(doc, indent=2))
         return 0 if ok else 4

@@ -231,7 +231,7 @@ def kraus_from_state(state: DensityMatrix) -> list[np.ndarray]:
     if n * n != state.dim:
         raise DimensionMismatchError(f"dimension {state.dim} is not a square")
     evals, evecs = np.linalg.eigh(state.matrix)
-    cutoff = linalg.ATOL * max(1.0, float(evals.max(initial=0.0)))
+    cutoff = linalg.ATOL * float(evals.max(initial=0.0))
     ops = []
     for k in range(evals.size - 1, -1, -1):
         if evals[k] <= cutoff:
@@ -264,7 +264,7 @@ def canonicalize(d: DoubleDensityMatrix) -> DoubleDensityMatrix:
         a = _kraus_factor(f)
         weight = float(np.trace(a @ a).real)
         evals, evecs = np.linalg.eigh(a)
-        cutoff = linalg.ATOL * max(1.0, float(np.abs(evals).max()))
+        cutoff = linalg.ATOL * float(np.abs(evals).max())
         scale = np.sqrt(weight)
         branches = [
             DdmBranch(evals[k] / scale, PureState(evecs[:, k]))
@@ -281,5 +281,5 @@ def same_channel(a: DoubleDensityMatrix, b: DoubleDensityMatrix) -> bool:
     if a.dim != b.dim:
         return False
     ca, cb = choi_matrix(a), choi_matrix(b)
-    scale = max(1.0, linalg.max_abs(ca), linalg.max_abs(cb))
+    scale = max(linalg.max_abs(ca), linalg.max_abs(cb))
     return linalg.max_abs(ca - cb) <= linalg.ATOL * scale

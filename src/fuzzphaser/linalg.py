@@ -63,8 +63,8 @@ def max_abs(a) -> float:
 
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (M + M†) / 2."""
-    return (matrix + matrix.conj().T) / 2
+    """Return the Hermitian part M/2 + M†/2, which does not overflow where M does not."""
+    return matrix / 2 + matrix.conj().T / 2
 
 
 def is_hermitian(matrix: np.ndarray) -> bool:

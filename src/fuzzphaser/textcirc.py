@@ -13,19 +13,20 @@ its own. Compiling turns each gate into Kraus operators on its own
 wires: projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k], each
 A_k = Σᵢ |ω_ik⟩⟨ω_ik| over the canonical vectors of the gate's double
 density matrix. Each gate applies either the operators or those
-vectors, whichever costs less in products and calls (a plan chosen once
-per word and slots, on the wires of its block), to the touched wires
-only.
+vectors, whichever dense step costs less in products, calls and entries
+written (a plan chosen once per word and slots, on the wires of its
+block), to the touched wires only.
 
 Each block starts on a factor ρ = L L† of its actors' priors, the
 Kronecker product of their roots (``Actor.root``), and applies each gate
 to L's row index: L ↦ [A_1 L | … | A_m L], compressed before the block's
 next gate to the directions that carry more than roundoff of the weight
 of some row of L, however small that row is (``_compress``). The first
-time the dense step costs less than the factor's (``Plan.dense_cost``),
-the block builds its joint once and applies the rest of its gates to it,
-on adjacent wires through views of the joint. Both forms apply each
-operator on the row index only: ρ is Hermitian, so A ρ A† = A (A ρ)†.
+time the dense step costs less than the factor's, counted in the same
+units (``Plan.dense_cost``, ``_factor_cost``), the block builds its
+joint once and applies the rest of its gates to it, on adjacent wires
+through views of the joint. Both forms apply each operator on the row
+index only: ρ is Hermitian, so A ρ A† = A (A ρ)†.
 Both bound each entry's roundoff from diag ρ alone, and a result within
 1/ATOL of that bound keeps only the eigen-directions above D times it,
 D the block's dimension, so an annihilated state is exactly 0. In both
@@ -281,10 +282,10 @@ class Plan:
     for sums of L products, so that Σ_k max(G_k √diag ρ)² bounds the
     roundoff of each entry of the result.
 
-    A factor ρ = L L† takes the row side only (``_factor_step``); its
-    step costs ``factor_cost`` = (per entry of L, fixed) and makes
-    ``fan`` column blocks. ``dense_cost`` is the dense step, in the
-    same units (``CALL_COST``).
+    ``dense_cost`` is the whole dense step of the route (``_route_costs``),
+    the cheaper of the two. A factor ρ = L L† takes the row side only
+    (``_factor_step``) and makes ``fan`` column blocks; its step's cost
+    comes from these same fields (``_factor_cost``).
     """
 
     axes: tuple[int, ...] | None
@@ -295,12 +296,15 @@ class Plan:
     groups: tuple[slice, ...] | None
     roundoff: np.ndarray
     dense_cost: float
-    factor_cost: tuple[float, float]
-    fan: int
 
     @property
     def thin(self) -> bool:
         return self.mask is not None
+
+    @property
+    def fan(self) -> int:
+        """The column blocks a factor step makes: one per K, or per factor of W."""
+        return len(self.steps if self.groups is None else self.groups)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +328,7 @@ class Circuit:
     """Actors, gates in sentence order, and the interaction components:
     each a tuple of actor indices in actor order, the wires that gates
     join directly or through other wires, ordered by their first actor.
-    Each gate's plan is built on its component's wires (``_plan``)."""
+    Each gate's plan is built on its component's wires (``Plan``)."""
 
     actors: tuple[Actor, ...]
     gates: tuple[Gate, ...]
@@ -371,36 +375,38 @@ def _gate_parts(entry: LexiconEntry, mechanism: str):
 _EPS = np.finfo(np.float64).eps
 
 
-#: What one BLAS call costs, in complex multiply-adds. On a 2-vCPU host
-#: (numpy 2.4.6, OpenBLAS 0.3.31) one product in a stack of small ones
-#: (4×4 by 4×4, np.matmul) took 0.58 µs, 2,000 multiply-adds at the rate
-#: of one large product (3.5e9/s), and small products run below that
-#: rate. Over every route and column form of 118 (word, slots, D) cases
-#: of two seeds of the bench lexicons, D = 64, 256 and 1024, the plans
-#: that 4,000 picked took 1.3% and 3.3% longer than the fastest in the
-#: geometric mean (2.5% at 2,000), with the column side then chosen
-#: between a batched form and the 2-D product that ``_sandwich`` keeps.
+#: What one BLAS call costs, in complex multiply-adds, the unit of every
+#: cost: it charges each product call of a dense or factor step. On a
+#: 2-vCPU host (numpy 2.4.6, OpenBLAS 0.3.31) one product in a stack of
+#: small ones (4×4 by 4×4, np.matmul) took 0.58 µs, 2,000 multiply-adds
+#: at the rate of one large product (3.5e9/s), and small products run
+#: below that rate. Over every route and column form of 118 (word,
+#: slots, D) cases of two seeds of the bench lexicons, D = 64, 256 and
+#: 1024, the plans that 4,000 picked took 1.3% and 3.3% longer than the
+#: fastest in the geometric mean (2.5% at 2,000), with the column side
+#: then chosen between a batched form and the 2-D product that
+#: ``_sandwich`` keeps.
 CALL_COST = 4000
 
-#: What the compression of a factor costs beyond its Gram: EIGH_COST·n³
-#: + EIGH_CALL for the eigh of an n × n Gram, in the units of CALL_COST.
-#: On the same host (one large product at 4.0e9 multiply-adds/s), eigh
-#: took 5.5 µs at n = 1, 49 µs at n = 16, 0.58 ms at n = 64 (9.0·n³) and
-#: 2.3 ms at n = 96 (10.7·n³). EIGH_CALL also carries the factor step's
-#: own calls: per-gate probes of both steps (every mechanism and slot
-#: shape of two bench lexicons, D = 64, 256 and 1024, L of 1-64 columns)
-#: lost 0.8-1.0 ms to wrong picks at 400,000, of 123 and 181 ms for the
-#: fastest pick of every case, against 2.1-2.4 ms at 200,000.
-EIGH_COST = 10
-EIGH_CALL = 400_000
-
-#: What writing one entry of a fresh array costs, and one entry of a
-#: permuting copy, in the same units: 10.8 and 8.1 at D = 1024 on that
-#: host (3.1-3.3 and 7.0-9.6 at D ≤ 256). Without them the same probes
-#: lost 21 and 46 ms to wrong picks, dense steps that took longer than
-#: the factor's, most of it at D = 1024.
+#: What writing or copying one entry of an array costs, in the same
+#: units: 10.8 per fresh entry and 8.1 per permuted one at D = 1024 on
+#: that host (3.1-3.3 and 7.0-9.6 at D ≤ 256). It charges every half
+#: result, result, permuting and transposing copy of a step, and the
+#: factor's stacked blocks and scaled rows. Without it per-gate probes
+#: (every mechanism and slot shape of two bench lexicons, D = 64, 256 and
+#: 1024, L of 1-64 columns) lost 21 and 46 ms to dense steps that took
+#: longer than the factor's; at 1, every joint-1024 gate goes dense.
 PASS_COST = 10
-COPY_COST = 8
+
+#: What a factor's compression costs beyond its products, in the same
+#: units: the eigh call on its n × n Gram (counted as n³ multiply-adds;
+#: 5.5 µs at n = 1 and 49 µs at n = 16 on that host) and the rest of the
+#: factor step's numpy calls. It decides the picks at D ≤ 16: at 4,000,
+#: 258-265 of about 800 small-texts gates and 10-25 long-text gates per
+#: seed move to the factor. The same probes lost 0.8-1.0 ms to wrong
+#: picks at 400,000, of 123 and 181 ms for the fastest pick of every
+#: case, against 2.1-2.4 ms at 200,000.
+EIGH_CALL = 400_000
 
 
 def _ascending(m: np.ndarray, sizes: list[int], order: list[int]) -> np.ndarray:
@@ -420,57 +426,49 @@ def _frame(slots, dims):
 
 def _step_cost(q_out: int, q_in: int, rows: int, cols: int, a: int, b: int):
     """The cost of a step mapping q_in to q_out on each side of a rows × cols
-    operand, and its result's shape. Its column side is one 2-D product where
-    b = 1, else a transposing copy and the row side again (``_sandwich``)."""
+    operand, and its result's shape: the row side writes the half result,
+    the column side the result, by one 2-D product where b = 1, else by a
+    transposing copy of the half result and the row side again (``_sandwich``)."""
     cost = q_out * rows * cols + CALL_COST * a
     rows = rows * q_out // q_in
-    size = rows * cols
-    cost += size * q_out + (CALL_COST if b == 1 else COPY_COST * size + CALL_COST * a)
-    return cost, rows, cols * q_out // q_in
+    half, cols = rows * cols, cols * q_out // q_in
+    cost += half * q_out + PASS_COST * (half + rows * cols)
+    cost += CALL_COST if b == 1 else PASS_COST * half + CALL_COST * a
+    return cost, rows, cols
 
 
 def _route_costs(frame, d: int, size: int, m: int, r: int | None):
-    """The cost of the Kraus route with m operators and of the thin route
-    with r vectors (None when r is None), on a size × size joint in
-    ``frame`` (``_frame``)."""
-    _, a, b = frame
+    """The dense step of the Kraus route with m operators and of the thin
+    route with r vectors (None when r is None), on a size × size joint in
+    ``frame`` (``_frame``), whole: complex multiply-adds, CALL_COST per
+    BLAS call and PASS_COST per entry written or copied, the joint's and
+    the result's permuting copies included."""
+    axes, a, b = frame
+    moved = 0 if axes is None else 2 * PASS_COST * size * size
     cost, _, _ = _step_cost(d, d, size, size, a, b)
-    kraus = m * cost + max(m - 1, 0) * (CALL_COST + size * size)
+    if m:  # each step, each summed into the first one's result in place
+        kraus = moved + m * cost + (m - 1) * (CALL_COST + size * size)
+    else:  # the zeros
+        kraus = moved + PASS_COST * size * size
     if r is None:
         return kraus, None
     compress, rows, cols = _step_cost(r, d, size, size, a, b)
     expand, _, _ = _step_cost(d, r, rows, cols, a, b)
-    return kraus, compress + expand + CALL_COST + rows * cols
+    return kraus, moved + compress + expand + CALL_COST + rows * cols
 
 
-@dataclass(frozen=True, eq=False)
-class _Route:
-    """One word's route on its wires in ascending wire order, shared by
-    every slot tuple of the circuit with the same order: the row operators
-    (each K, or W† and W), the columns of each factor of W (thin route),
-    ``mask`` and the roundoff bounds of ``Plan``."""
-
-    rows: tuple[np.ndarray, ...]
-    groups: tuple[slice, ...] | None
-    mask: np.ndarray | None
-    roundoff: np.ndarray
-
-    @property
-    def fan(self) -> int:
-        """The column blocks a factor step makes: one per K, or per factor of W."""
-        return len(self.rows if self.groups is None else self.groups)
-
-
-def _route(kraus, vectors, sizes: list[int], order: list[int]) -> _Route:
+def _route(kraus, vectors, sizes: list[int], order: list[int]) -> tuple:
     """The Kraus route, or the thin one when ``vectors`` (W, the factor of
     each column) is given, A_k = W_k W_k†, on wires of ``sizes`` in slot
-    order that ``order`` sorts."""
+    order that ``order`` sorts: ``Plan``'s steps, mask, groups and roundoff
+    bounds, in ascending wire order, shared by every slot tuple of the
+    circuit with the same order."""
     d = math.prod(sizes)
     if vectors is None:
         # K's rows, then its columns, in ascending wire order
         ops = tuple(_ascending(_ascending(k, sizes, order).T, sizes, order).T for k in kraus)
         bounds = np.abs(np.array(ops, dtype=np.complex128)).reshape(-1, d, d)
-        return _Route(ops, None, None, bounds * np.sqrt(d * _EPS))
+        return ops, None, None, bounds * np.sqrt(d * _EPS)
     w, owner = vectors
     w, r = _ascending(w, sizes, order), w.shape[1]
     # |W_k||W_k|ᵀ, not |A_k|: the route sums W_k's products term by term.
@@ -480,30 +478,7 @@ def _route(kraus, vectors, sizes: list[int], order: list[int]) -> _Route:
     same = (owner[:, None] == owner[None, :]).astype(np.float64)
     starts = [int(i) for i in np.flatnonzero(np.diff(owner, prepend=-1))] + [r]
     groups = tuple(slice(i, j) for i, j in zip(starts, starts[1:]))  # contiguous
-    return _Route((w.conj().T, w), groups, same.reshape(r, 1, r, 1), bounds)
-
-
-def _plan(frame, size: int, route: _Route, cost: float) -> Plan:
-    """``route`` in ``frame`` (``_frame``) of a size × size joint, with the
-    costs of the dense step (``cost``, the route's own entry of
-    ``_route_costs``, plus its passes) and of the factor step."""
-    axes, a, b = frame
-    fan = route.fan
-    if route.groups is None:
-        passes = max(2 * fan, 1)  # each step's two products, or the zeros
-        per_entry, calls = fan * route.roundoff.shape[-1], fan * CALL_COST * a
-    else:
-        w = route.rows[1]
-        ratio = w.shape[1] / w.shape[0]
-        passes = 1 + 2 * ratio + ratio**2  # C before and after its columns, W·C, out
-        per_entry, calls = 2 * w.shape[1], (1 + fan) * CALL_COST * a
-    per_entry += fan * PASS_COST  # the factor's blocks, stacked
-    dense = cost + PASS_COST * passes * size * size
-    if axes is not None:  # the joint and the result are permuted; a factor's rows too
-        dense += 2 * COPY_COST * size * size
-        per_entry += COPY_COST * (1 + fan)
-    return Plan(axes, a, b, route.rows, route.mask, route.groups, route.roundoff,
-                dense, (per_entry, calls), fan)
+    return (w.conj().T, w), same.reshape(r, 1, r, 1), groups, bounds
 
 
 def _order(slots) -> list[int]:
@@ -648,8 +623,7 @@ def compile_sentences(
             if key not in routes:
                 sizes = [dims[w] for w in slots]
                 routes[key] = _route(kraus, vectors if thin else None, sizes, order)
-            costs = by_thin if thin else by_kraus
-            plans[entry.name, slots] = _plan(frame, size, routes[key], costs)
+            plans[entry.name, slots] = Plan(*frame, *routes[key], by_thin if thin else by_kraus)
         gates.append(
             Gate(
                 slots=slots,
@@ -923,13 +897,21 @@ def _factor_step(factor: np.ndarray, gate: Gate, dims: Sequence[int]):
 
 
 def _factor_cost(plan: Plan, size: int, columns: int) -> float:
-    """The gate on a size × ``columns`` factor, in the units of CALL_COST:
-    the step, then the compression its result owes (the rows scaled, the
-    Gram, its eigh)."""
-    per_entry, calls = plan.factor_cost
-    owed = columns * plan.fan
-    gram = size * owed * (PASS_COST + owed)
-    return per_entry * size * columns + calls + gram + EIGH_COST * owed**3 + EIGH_CALL
+    """The gate on a size × ``columns`` factor, in the units of the dense
+    step (``_route_costs``): the plan's own operators on L's rows (each K,
+    or W† and each factor of W), its ``fan`` blocks stacked, L's rows and
+    the result's permuted where the frame permutes, then the compression
+    the result owes: its rows scaled, its n × n Gram, and that Gram's eigh
+    at n³ plus EIGH_CALL."""
+    fan = plan.fan
+    if plan.thin:
+        per_entry, calls = 2 * plan.steps[1].shape[1], 1 + fan
+    else:
+        per_entry, calls = fan * plan.roundoff.shape[-1], fan
+    per_entry += PASS_COST * (fan if plan.axes is None else 1 + 2 * fan)
+    owed = columns * fan
+    gram = size * owed * (PASS_COST + owed) + owed**3
+    return per_entry * size * columns + CALL_COST * plan.a * calls + gram + EIGH_CALL
 
 
 def _exponent(tr: float, where: str) -> int:
@@ -990,11 +972,12 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[World
     gate on its own block only (``_step``), by the same arithmetic in both
     modes, so that the blocks are the same bit for bit.
 
-    The likelihood, ldexp(∏ block traces, Σ exponents), must stay finite,
-    as the dense joint's entries did. Renormalizing divides each block by
-    its own trace where the world is read (``WorldState``), after each
-    gate: ZeroTraceError once a block's trace is 0, and then the
-    likelihood may pass the float range.
+    Each world, the priors' included, is checked as it is read: without
+    renormalizing, the likelihood ldexp(∏ block traces, Σ exponents) must
+    stay finite, as the dense joint's entries did; renormalizing divides
+    each block by its own trace (``WorldState``), so it raises
+    ZeroTraceError once a block's trace is 0, and the likelihood may pass
+    the float range.
     """
     names = tuple(a.name for a in circuit.actors)
     dims = tuple(a.dim for a in circuit.actors)
@@ -1006,22 +989,23 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[World
         wire_dims = tuple(dims[w] for w in wires)
         blocks.append(_factor_block(wires, wire_dims, 0, factor, None, "at the priors")[0])
     where = {w: b for b, wires in enumerate(circuit.components) for w in wires}
-    world = WorldState(names, dims, tuple(blocks), False)
-    if not math.isfinite(world.trace):
-        raise NumericalFailureError("joint state is not finite at the priors")
-    yield world
+
+    def read(at: str) -> WorldState:
+        state = WorldState(names, dims, tuple(blocks), renormalize_each_step)
+        if renormalize_each_step:
+            nonzero_trace(min(block.trace for block in blocks))
+        elif not math.isfinite(state.trace):
+            raise NumericalFailureError(f"joint state is not finite {at}")
+        return state
+
+    yield read("at the priors")
     owed = [None] * len(blocks)  # diag ρ of a factor whose compression is owed
     fresh = [True] * len(blocks)
     for gate in circuit.gates:
         b = where[gate.slots[0]]
         blocks[b], owed[b] = _step(blocks[b], owed[b], fresh[b], gate, circuit.actors)
         fresh[b] = False
-        world = WorldState(names, dims, tuple(blocks), renormalize_each_step)
-        if renormalize_each_step:
-            nonzero_trace(min(block.trace for block in blocks))
-        elif not math.isfinite(world.trace):
-            raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
-        yield world
+        yield read(f'after "{gate.label}"')
 
 
 def evaluate_trajectory(

@@ -109,6 +109,11 @@ HUGE_PRIORS_LEXICON = {
 }
 
 
+#: A phaser by the identity, which changes no state.
+ONE = {"name": "one", "space": "axis", "kind": "density", "mechanism": "phaser",
+       "data": [[1.0, 0.0], [0.0, 1.0]]}
+
+
 def _save_nouns_lexicon(path, count: int):
     """Nouns n000.. on one dim-4 space, every kind and mechanism in turn."""
     rng = np.random.default_rng(4)
@@ -250,9 +255,11 @@ class TestRun:
     def test_annihilation_by_non_basis_pair(self, tmp_path, capsys, monkeypatch, pair):
         """Orthogonal kets off the basis leave roundoff, which must read as 0.
 
-        Calls cost nothing here, so that the projector takes the thin route.
+        Calls and passes cost nothing here, so that the projector takes the
+        thin route.
         """
         monkeypatch.setattr(textcirc, "CALL_COST", 0)
+        monkeypatch.setattr(textcirc, "PASS_COST", 0)
         rng = np.random.default_rng(5)
         if pair == "rational":
             x, down = np.array([0.6, 0.8]), np.array([0.8, -0.6])
@@ -306,8 +313,9 @@ class TestRun:
     def test_roundoff_bound_does_not_overflow(
         self, tmp_path, capsys, monkeypatch, text, mechanism, thin
     ):
-        """Calls cost nothing here, so that routes go by multiply-adds."""
+        """Calls and passes cost nothing here, so that routes go by multiply-adds."""
         monkeypatch.setattr(textcirc, "CALL_COST", 0)
+        monkeypatch.setattr(textcirc, "PASS_COST", 0)
         path, lex = _write(tmp_path, VAST_LEXICON, text + "\n")
         gate = compile_text(text, load_lexicon(lex), mechanism).gates[0]
         assert gate.plan.thin == thin
@@ -381,6 +389,41 @@ class TestRun:
         assert not any(line.startswith("Traceback") for line in lines)
         assert not any("RuntimeWarning" in line for line in lines)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize(
+        "text", ["Once there was Door. Once there was Window.\n",
+                 "Once there was Door. Once there was Window. Door is one.\n"],
+        ids=["priors", "gate"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_priors_renormalize(self, tmp_path, capsys, fmt, text):
+        """The two priors of trace 2e300 above, renormalized: every world,
+        the priors' too, is read at unit trace, so the likelihood's
+        overflow does not stop the run."""
+        lexicon = dict(HUGE_PRIORS_LEXICON, entries=HUGE_PRIORS_LEXICON["entries"] + [ONE])
+        path, lex = _write(tmp_path, lexicon, text)
+        assert main(["run", path, "--lexicon", lex, "--renormalize", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "text":
+            assert "joint trace: 1\n" in out and out.count("trace 1, purity 0.5\n") == 2
+        else:
+            doc = json.loads(out)
+            assert doc["joint_trace"] == pytest.approx(1.0, rel=1e-12)
+            assert [a["trace"] for a in doc["actors"]] == pytest.approx([1.0, 1.0], rel=1e-12)
+
+    def test_largest_floats_load(self, tmp_path, capsys):
+        """A density prior of entry 1.7e308, past half the float maximum,
+        loads and evaluates: its Hermitian part does not overflow."""
+        lexicon = {"spaces": {"axis": 2}, "entries": [
+            {"name": "Door", "space": "axis", "kind": "density", "mechanism": "fuzz",
+             "data": [[1.7e308, 0.0], [0.0, 0.0]]}, ONE]}
+        path, lex = _write(tmp_path, lexicon, "Door is one.\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", path, "--lexicon", lex]) == 0
+        out, err = capsys.readouterr()
+        assert "joint trace: 1.7e+308\n" in out and "trace 1.7e+308, purity 1\n" in out
+        assert err == "" and not caught
 
     def test_component_over_the_cap_is_input_error(self, tmp_path, capsys, monkeypatch):
         """One noun on a space of DIM_CAP + 1 exits 2 before any prior is built."""

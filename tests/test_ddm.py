@@ -236,6 +236,25 @@ class TestCanonicalize:
         assert not same_channel(d1, d2)
         assert not same_channel(d1, _toy_ddm())
 
+    def test_tolerances_scale_with_the_ddm(self):
+        """Every y scaled by 1e-24, so each A_k by 1e-12: the encoded state
+        still yields the channel, canonicalize keeps every factor, and two
+        such channels stay apart, as they do at their own scale."""
+        rng = np.random.default_rng(151)
+
+        def tiny(d):
+            return DoubleDensityMatrix([DdmFactor(1e-24 * f.y, f.branches) for f in d.factors])
+
+        d, other = tiny(random_ddm(3, rng)), tiny(random_ddm(3, rng))
+        rho = random_density(3, rng)
+        expected = ddm_update(rho, d).matrix
+        ops = kraus_from_state(ddm_as_state(d))
+        gap = linalg.max_abs(apply_kraus(rho, ops).matrix - expected)
+        assert gap <= 1e-9 * linalg.max_abs(expected)
+        canon = canonicalize(d)
+        assert len(canon.factors) == len(d.factors) and same_channel(d, canon)
+        assert not same_channel(d, other)
+
 
 class TestLinearity:
     def test_update_linear_in_state(self):

@@ -39,7 +39,6 @@ from fuzzphaser.textcirc import (
     Gate,
     _apply_gate,
     _gate_parts,
-    _plan,
     parse,
     reduced_state,
 )
@@ -296,13 +295,13 @@ class TestCompile:
             IsA("A0", "n1"), Transitive("A0", "v2", "A1"), IsA("A2", "n2"), IsA("A1", "n2"),
         ]
         sizes = []
-        plan = textcirc._plan
+        route_costs = textcirc._route_costs
 
-        def spy(frame, size, route, costs):
+        def spy(frame, d, size, m, r):
             sizes.append(size)
-            return plan(frame, size, route, costs)
+            return route_costs(frame, d, size, m, r)
 
-        monkeypatch.setattr(textcirc, "_plan", spy)
+        monkeypatch.setattr(textcirc, "_route_costs", spy)
         circuit = compile_sentences(sentences, Lexicon({"s": 4}, entries))
         assert circuit.joint_dim == 64
         assert circuit.components == ((0, 1), (2,))
@@ -505,10 +504,10 @@ def _both_forms(slots, dims, kraus, vectors):
     r = None if vectors is None else vectors[0].shape[1]
     plans = []
     by_kraus, by_thin = textcirc._route_costs(frame, math.prod(sizes), size, len(kraus), r)
-    plans.append(_plan(frame, size, textcirc._route(kraus, None, sizes, order), by_kraus))
-    if vectors is not None:
-        route = textcirc._route(kraus, vectors, sizes, order)
-        plans.append(_plan(frame, size, route, by_thin))
+    for route_vectors, cost in ((None, by_kraus), (vectors, by_thin)):
+        if cost is not None:
+            route = textcirc._route(kraus, route_vectors, sizes, order)
+            plans.append(textcirc.Plan(*frame, *route, cost))
     return plans
 
 
@@ -841,6 +840,43 @@ class TestFactorRoute:
         assert world.factor is not None and world.trace > 0
         assert peak < 1024 * 1024 * 16
 
+    def test_long_text_runs_dense_from_each_first_gate(self, monkeypatch):
+        """Three dim-4 actors as in the long-text benchmark: A0 a ket, A1 the
+        default prior, so L has 4 columns at D = 16, and A2 a full-rank
+        density; verbs of every mechanism join only A0 and A1. Every gate
+        runs dense from its block's first gate: no factor step is taken."""
+        rng = np.random.default_rng(13)
+        entries = [
+            LexiconEntry("A0", "s", "pure", "projector", random_pure(4, rng)),
+            LexiconEntry("A2", "s", "density", "fuzz", random_density(4, rng)),
+        ]
+        for prefix, space, dim in (("n", "s", 4), ("v", ("s", "s"), 16)):
+            entries += [
+                LexiconEntry(f"{prefix}0", space, "pure", "projector", random_pure(dim, rng)),
+                LexiconEntry(f"{prefix}1", space, "density", "fuzz", random_density(dim, rng, rank=2)),
+                LexiconEntry(f"{prefix}2", space, "density", "phaser", random_density(dim, rng)),
+                LexiconEntry(f"{prefix}3", space, "ddm", "ddm", random_ddm(dim, rng, 2)),
+            ]
+        sentences = [Introduce(f"A{w}") for w in range(3)]
+        for i in range(48):
+            if i % 3 == 0:
+                pair = ("A0", "A1") if i % 2 else ("A1", "A0")
+                sentences.append(Transitive(pair[0], f"v{i % 4}", pair[1]))
+            else:
+                sentences.append(IsA(f"A{i // 3 % 3}", f"n{i % 4}"))
+        circuit = compile_sentences(sentences, Lexicon({"s": 4}, entries))
+        assert circuit.components == ((0, 1), (2,))
+
+        def factor_step(*args):
+            raise AssertionError("a gate ran on the factor")
+
+        monkeypatch.setattr(textcirc, "_factor_step", factor_step)
+        worlds = evaluate_trajectory(circuit, True)
+        assert [block.factor.shape for block in worlds[0].blocks] == [(16, 4), (4, 4)]
+        for gate, world in zip(circuit.gates, worlds[1:]):
+            (block,) = (block for block in world.blocks if gate.slots[0] in block.wires)
+            assert block.factor is None
+
 
 class TestPriorRoot:
     def test_rank_one_density_prior_keeps_one_column(self, monkeypatch):
@@ -1172,11 +1208,13 @@ class TestReducedState:
     @pytest.mark.parametrize("exponent", [10, 20])
     def test_near_annihilation_on_the_thin_route(self, monkeypatch, mechanism, exponent):
         """As above at dim 5, where each word takes the thin route when
-        the route is chosen by multiply-adds alone, calls costing nothing.
+        the route is chosen by multiply-adds alone, calls and passes
+        costing nothing.
 
         The fuzz weights every other direction.
         """
         monkeypatch.setattr(textcirc, "CALL_COST", 0)
+        monkeypatch.setattr(textcirc, "PASS_COST", 0)
         weights = [0.4, 0.3, 0.2, 0.1] if mechanism == "fuzz" else [0.7, 0.3]
         circuit = _near_annihilation(mechanism, exponent, 5, weights)
         assert circuit.gates[0].plan.thin
