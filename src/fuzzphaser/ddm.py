@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .density import DensityMatrix, PureState
+from .density import DensityMatrix, PureState, require_same_dim
 from .errors import DimensionMismatchError, SizeCapError, ZeroTraceError
 
 
@@ -131,8 +131,7 @@ def canonical_vectors(d: DoubleDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def ddm_update(rho: DensityMatrix, d: DoubleDensityMatrix) -> DensityMatrix:
     """Σₖ A_k ρ A_k, the CP update induced by the double mixture."""
-    if rho.dim != d.dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} != operand dim {d.dim}")
+    require_same_dim(rho, d)
     out = np.zeros((d.dim, d.dim), dtype=np.complex128)
     for f in d.factors:
         a = _kraus_factor(f)

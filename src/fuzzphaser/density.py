@@ -32,7 +32,7 @@ class PureState:
         amps = linalg.as_complex_vector(amplitudes)
         if amps.size == 0:
             raise ValueError("state must have positive dimension")
-        if float(np.linalg.norm(amps)) == 0.0:
+        if not np.any(amps):
             raise ValueError("state must have nonzero norm")
         object.__setattr__(self, "amplitudes", linalg.frozen(amps))
 
@@ -40,11 +40,21 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
+    def _scale(self) -> float:
+        """1, or the largest modulus m where m leaves [2^-480, 2^480]: no
+        square of ψ over it under- or overflows."""
+        m = float(np.max(np.abs(self.amplitudes)))
+        return 1.0 if 2.0**-480 <= m <= 2.0**480 else m
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """‖ψ‖ = s·‖ψ/s‖ (``_scale``); inf past the float maximum."""
+        s = self._scale()
+        return s * float(np.linalg.norm(self.amplitudes / s))
 
     def normalized(self) -> "PureState":
-        return PureState(self.amplitudes / self.norm())
+        """ψ/‖ψ‖, from ψ over its ``_scale``, so finite where ‖ψ‖ is not."""
+        u = self.amplitudes / self._scale()
+        return PureState(u / float(np.linalg.norm(u)))
 
     @staticmethod
     def basis(dim: int, index: int) -> "PureState":
@@ -128,12 +138,18 @@ class Projector:
     @staticmethod
     def onto_pure(psi: PureState) -> "Projector":
         """Rank-1 projector onto the ray of ``psi`` (normalized internally)."""
-        v = psi.amplitudes / psi.norm()
+        v = psi.normalized().amplitudes
         return Projector(np.outer(v, v.conj()))
 
     @staticmethod
     def identity(dim: int) -> "Projector":
         return Projector(np.eye(dim))
+
+
+def require_same_dim(state, operand):
+    """Raise DimensionMismatchError unless ``state`` and ``operand`` share a dim."""
+    if state.dim != operand.dim:
+        raise DimensionMismatchError(f"state dim {state.dim} != operand dim {operand.dim}")
 
 
 def from_pure(psi: PureState) -> DensityMatrix:

@@ -102,23 +102,13 @@ class SpectralDecomposition:
 
     Terms are ordered by strictly decreasing eigenvalue; each projector
     covers the full (possibly degenerate) eigenspace, so a basis rotation
-    inside a degenerate space cannot change the decomposition.
+    inside a degenerate space cannot change the decomposition. Built by
+    ``hermitian_eig``, which holds these by construction, so they are not
+    re-checked; ``check_resolution`` is for families from outside.
     """
 
     terms: tuple[tuple[float, np.ndarray], ...]
     dim: int
-
-    def __post_init__(self):
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
-        prev = math.inf
-        for value, proj in self.terms:
-            if value >= prev:
-                raise ValueError("eigenvalues must be strictly decreasing")
-            prev = value
-            if proj.shape != (self.dim, self.dim):
-                raise ValueError("projector has wrong shape")
-        check_resolution(self.projectors, self.dim)
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -220,24 +210,18 @@ def min_eigenvalue(matrix) -> float:
     return float(evals[0]) if evals.size else 0.0
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with a joint-dimension cap."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > DIM_CAP:
-        raise DimensionOverflowError(
-            f"kron result is {rows}x{cols}, exceeding the cap {DIM_CAP}"
-        )
-    return np.kron(a, b)
-
-
 def kron_all(matrices: Iterable[np.ndarray]) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence (identity for empty)."""
+    """Left-to-right Kronecker product of a sequence (identity for empty),
+    each factor coerced once and the dimension cap checked before each product."""
     out = np.eye(1, dtype=np.complex128)
     for m in matrices:
-        out = kron(out, m)
+        m = as_complex_matrix(m)
+        rows, cols = out.shape[0] * m.shape[0], out.shape[1] * m.shape[1]
+        if max(rows, cols) > DIM_CAP:
+            raise DimensionOverflowError(
+                f"kron result is {rows}x{cols}, exceeding the cap {DIM_CAP}"
+            )
+        out = np.kron(out, m)
     return out
 
 

@@ -156,16 +156,20 @@ def check_matrix_sqrt(seed, trials, dims) -> PropertyResult:
     )
 
 
-def check_phaser_as_spider(seed, trials, dims) -> PropertyResult:
+def _worst_gap(seed, trials, dims, left, right) -> float:
+    """The largest max-abs gap between left(ρ, σ) and right(ρ, σ) over
+    seeded pairs: ρ a random density, σ the k-th ``_operand``."""
     rng = rng_from(seed)
     worst = 0.0
     for k, d in enumerate(_cycle(dims, trials)):
         rho = random_density(d, rng)
         sigma = _operand(d, k, rng)
-        dev = linalg.max_abs(
-            phaser_as_spider(rho, sigma).matrix - phaser(rho, sigma).matrix
-        )
-        worst = max(worst, dev)
+        worst = max(worst, linalg.max_abs(left(rho, sigma).matrix - right(rho, sigma).matrix))
+    return worst
+
+
+def check_phaser_as_spider(seed, trials, dims) -> PropertyResult:
+    worst = _worst_gap(seed, trials, dims, phaser_as_spider, phaser)
     return _below(
         "phaser-as-spider", worst, IDENT_TOL, trials,
         "plugging root weights into a spider reproduces √σρ√σ",
@@ -270,15 +274,7 @@ def check_phaser_trace_witness(seed, trials, dims) -> PropertyResult:
 
 
 def check_ddm_reduces_to_fuzz(seed, trials, dims) -> PropertyResult:
-    rng = rng_from(seed)
-    worst = 0.0
-    for k, d in enumerate(_cycle(dims, trials)):
-        rho = random_density(d, rng)
-        sigma = _operand(d, k, rng)
-        dev = linalg.max_abs(
-            ddm_update(rho, ddm_from_fuzz(sigma)).matrix - fuzz(rho, sigma).matrix
-        )
-        worst = max(worst, dev)
+    worst = _worst_gap(seed, trials, dims, lambda r, s: ddm_update(r, ddm_from_fuzz(s)), fuzz)
     return _below(
         "ddm-reduces-to-fuzz", worst, IDENT_TOL, trials,
         "keeping only the outer mixture reproduces the fuzz",
@@ -286,15 +282,7 @@ def check_ddm_reduces_to_fuzz(seed, trials, dims) -> PropertyResult:
 
 
 def check_ddm_reduces_to_phaser(seed, trials, dims) -> PropertyResult:
-    rng = rng_from(seed)
-    worst = 0.0
-    for k, d in enumerate(_cycle(dims, trials)):
-        rho = random_density(d, rng)
-        sigma = _operand(d, k, rng)
-        dev = linalg.max_abs(
-            ddm_update(rho, ddm_from_phaser(sigma)).matrix - phaser(rho, sigma).matrix
-        )
-        worst = max(worst, dev)
+    worst = _worst_gap(seed, trials, dims, lambda r, s: ddm_update(r, ddm_from_phaser(s)), phaser)
     return _below(
         "ddm-reduces-to-phaser", worst, IDENT_TOL, trials,
         "keeping only the inner mixture reproduces the phaser",

@@ -42,11 +42,11 @@ def random_density(dim: int, rng, rank: int | None = None) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real)
 
 
-def random_psd(dim: int, rng, scale: float = 1.0) -> DensityMatrix:
-    """Random unnormalized PSD matrix with entries of order ``scale``."""
+def random_psd(dim: int, rng) -> DensityMatrix:
+    """Random unnormalized PSD matrix with entries of order 1."""
     rng = rng_from(rng)
     g = _ginibre(dim, rng)
-    return DensityMatrix(scale * (g @ g.conj().T) / dim)
+    return DensityMatrix((g @ g.conj().T) / dim)
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:
@@ -61,8 +61,8 @@ def random_basis(dim: int, rng) -> OrthonormalBasis:
     return OrthonormalBasis.from_columns(random_unitary(dim, rng))
 
 
-def random_ddm(dim: int, rng, max_factors: int = 3, max_branches: int | None = None):
-    """Random double density matrix with 1..max_factors factors.
+def random_ddm(dim: int, rng, max_factors: int = 3):
+    """Random double density matrix: 1..max_factors factors of 1..dim branches.
 
     Branch kets are Haar-random and generically non-orthogonal, so the
     induced channels exercise the full two-level mixture, not just the
@@ -71,12 +71,11 @@ def random_ddm(dim: int, rng, max_factors: int = 3, max_branches: int | None = N
     from .ddm import DdmBranch, DdmFactor, DoubleDensityMatrix
 
     rng = rng_from(rng)
-    max_branches = dim if max_branches is None else max_branches
     factors = []
     for _ in range(int(rng.integers(1, max_factors + 1))):
         branches = [
             DdmBranch(float(rng.uniform(0.1, 1.0)), random_pure(dim, rng))
-            for _ in range(int(rng.integers(1, max_branches + 1)))
+            for _ in range(int(rng.integers(1, dim + 1)))
         ]
         factors.append(DdmFactor(float(rng.uniform(0.2, 1.5)), branches))
     return DoubleDensityMatrix(factors)

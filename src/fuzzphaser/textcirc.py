@@ -18,7 +18,8 @@ written (a plan chosen once per word and slots, on the wires of its
 block), to the touched wires only.
 
 Each block starts on a factor ρ = L L† of its actors' priors, the
-Kronecker product of their roots (``Actor.root``), and applies each gate
+Kronecker product of their roots (``Actor.root``), each scaled by a power
+of two that the block's exponent keeps, and applies each gate
 to L's row index: L ↦ [A_1 L | … | A_m L], compressed before the block's
 next gate to the directions that carry more than roundoff of the weight
 of some row of L, however small that row is (``_compress``). The first
@@ -254,7 +255,8 @@ class Actor:
     prior's amplitudes, I/√d for the default prior, else V·√λ over the
     prior's positive eigenvalues, less the directions that carry only
     roundoff of every row's weight (``_compress`` with S² = diag prior):
-    a rank-1 prior given as a matrix has one column."""
+    a rank-1 prior given as a matrix has one column. V and λ come from the
+    prior scaled by a power of four, so that λ is finite."""
 
     name: str
     space: str
@@ -353,12 +355,12 @@ def _gate_parts(entry: LexiconEntry, mechanism: str):
         )
     if mechanism == "projector":
         p = Projector.onto_pure(entry.operand)
-        v = entry.operand.amplitudes / entry.operand.norm()
+        v = entry.operand.normalized().amplitudes
         return p, (p.matrix,), (v[:, None], np.zeros(1, dtype=int))
     if mechanism == "ddm":
         vectors = canonical_vectors(entry.operand)
         return entry.operand, tuple(ddm_kraus(entry.operand)), vectors
-    sigma = from_pure(entry.operand) if entry.kind == "pure" else entry.operand
+    sigma = _ket_state(entry) if entry.kind == "pure" else entry.operand
     if mechanism == "phaser":
         kraus = (linalg.frozen(linalg.matrix_sqrt(sigma.matrix)),)
         try:
@@ -373,6 +375,22 @@ def _gate_parts(entry: LexiconEntry, mechanism: str):
 
 
 _EPS = np.finfo(np.float64).eps
+
+
+def _ket_state(entry: LexiconEntry) -> DensityMatrix:
+    """|ψ⟩⟨ψ| of a pure entry, or NumericalFailureError naming it where ‖ψ‖²
+    leaves the normal float range: only a ket's direction is scale-free."""
+    norm = entry.operand.norm()
+    if not np.finfo(np.float64).tiny <= norm * norm < math.inf:
+        raise NumericalFailureError(
+            f"entry {entry.name!r}: ket of norm {norm:.3g} squares past the float range"
+        )
+    return from_pure(entry.operand)
+
+
+def _binade(m: np.ndarray) -> int:
+    """The e with m's largest entry in [1/2, 1) at m·2^-e, or 0 for m = 0."""
+    return math.frexp(linalg.max_abs(m))[1]
 
 
 #: What one BLAS call costs, in complex multiply-adds, the unit of every
@@ -597,12 +615,13 @@ def compile_sentences(
         if entry is None:
             prior, root = DensityMatrix.maximally_mixed(dim), np.eye(dim) / math.sqrt(dim)
         elif entry.kind == "pure":
-            prior, root = from_pure(entry.operand), entry.operand.amplitudes[:, None]
+            prior, root = _ket_state(entry), entry.operand.amplitudes[:, None]
         else:  # every direction above roundoff of its rows, however small against the largest
-            prior = entry.operand
-            evals, evecs = np.linalg.eigh(prior.matrix)
+            prior, j = entry.operand, _binade(entry.operand.matrix) // 2
+            scaled = _ldexp(prior.matrix, -2 * j)
+            evals, evecs = np.linalg.eigh(scaled)
             root = evecs[:, evals > 0] * np.sqrt(evals[evals > 0])
-            root = _compress(root, np.diagonal(prior.matrix).real)
+            root = _ldexp(_compress(root, np.diagonal(scaled).real), j)
         actors.append(Actor(name=name, space=space, dim=dim, prior=prior, root=root))
 
     parts, routes, plans = {}, {}, {}
@@ -936,14 +955,15 @@ def _factor_block(wires, dims, exponent: int, factor: np.ndarray, owed, where: s
     return Block(wires, dims, factor, None, math.ldexp(tr, -k), exponent + k), owed
 
 
-def _step(block: Block, owed, fresh: bool, gate: Gate, actors: Sequence[Actor]):
+def _step(block: Block, owed, fresh: int | None, gate: Gate, priors: Sequence[np.ndarray]):
     """``gate`` on its block: the new block, and the diag ρ that its
     compression is owed (or None). On the factor, first the compression
     owed by the block's last gate; then the factor step while that costs
     less than the dense step, else once and for all the block's dense joint
-    (if ``fresh``, before its first gate, its priors' Kronecker product at
-    the block's exponent, else L L†). The result is scaled in place as a
-    factor's is (``_factor_block``), before it is frozen."""
+    (before its first gate, the Kronecker product of its scaled ``priors``,
+    whose exponent is ``fresh``, to the block's exponent; after it, L L†).
+    The result is scaled in place as a factor's is (``_factor_block``),
+    before it is frozen."""
     plan, factor = gate.plan, block.factor
     where = f'after "{gate.label}"'
     if factor is not None:
@@ -952,9 +972,9 @@ def _step(block: Block, owed, fresh: bool, gate: Gate, actors: Sequence[Actor]):
         if _factor_cost(plan, factor.shape[0], factor.shape[1]) <= plan.dense_cost:
             out, owed = _factor_step(factor, gate, block.dims)
             return _factor_block(block.wires, block.dims, block.exponent, out, owed, where)
-        if fresh:
-            joint = linalg.kron_all(actors[w].prior.matrix for w in block.wires)
-            joint *= math.ldexp(1.0, -block.exponent)
+        if fresh is not None:
+            joint = linalg.kron_all(priors[w] for w in block.wires)
+            joint *= math.ldexp(1.0, fresh - block.exponent)
         else:
             joint = factor @ factor.conj().T
     else:
@@ -981,13 +1001,17 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[World
     """
     names = tuple(a.name for a in circuit.actors)
     dims = tuple(a.dim for a in circuit.actors)
-    blocks = []
+    # each root by 2^-e and prior by 4^-e, so that their products neither under- nor overflow
+    scales = [_binade(a.root) for a in circuit.actors]
+    priors = [_ldexp(a.prior.matrix, -2 * e) for a, e in zip(circuit.actors, scales)]
+    blocks, fresh = [], []  # fresh: the priors' exponent until a block's first gate
     for wires in circuit.components:
         factor = np.ones((1, 1), dtype=np.complex128)
         for w in wires:
-            factor = np.kron(factor, circuit.actors[w].root)
+            factor = np.kron(factor, circuit.actors[w].root * math.ldexp(1.0, -scales[w]))
+        fresh.append(2 * sum(scales[w] for w in wires))
         wire_dims = tuple(dims[w] for w in wires)
-        blocks.append(_factor_block(wires, wire_dims, 0, factor, None, "at the priors")[0])
+        blocks.append(_factor_block(wires, wire_dims, fresh[-1], factor, None, "at the priors")[0])
     where = {w: b for b, wires in enumerate(circuit.components) for w in wires}
 
     def read(at: str) -> WorldState:
@@ -1000,11 +1024,10 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[World
 
     yield read("at the priors")
     owed = [None] * len(blocks)  # diag ρ of a factor whose compression is owed
-    fresh = [True] * len(blocks)
     for gate in circuit.gates:
         b = where[gate.slots[0]]
-        blocks[b], owed[b] = _step(blocks[b], owed[b], fresh[b], gate, circuit.actors)
-        fresh[b] = False
+        blocks[b], owed[b] = _step(blocks[b], owed[b], fresh[b], gate, priors)
+        fresh[b] = None
         yield read(f'after "{gate.label}"')
 
 

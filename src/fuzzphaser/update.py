@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .density import DensityMatrix, Projector, PureState, from_pure
+from .density import DensityMatrix, Projector, PureState, from_pure, require_same_dim
 from .errors import DimensionMismatchError, ZeroTraceError
 from .sampling import DEFAULT_SEED, random_density, rng_from
 from .spider import OrthonormalBasis, phase_apply
@@ -69,20 +69,13 @@ class PhaserData:
         )
 
 
-def _require_same_dim(rho: DensityMatrix, other_dim: int):
-    if rho.dim != other_dim:
-        raise DimensionMismatchError(
-            f"state dim {rho.dim} != operand dim {other_dim}"
-        )
-
-
 def fuzz(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
     """Σᵢ xᵢ Pᵢ ρ Pᵢ over σ's grouped eigenspaces: a fuzzy proposition.
 
     Near-degenerate eigenvalues of σ share one eigenspace projector, so
     the result never depends on an arbitrary eigenvector choice.
     """
-    _require_same_dim(rho, sigma.dim)
+    require_same_dim(rho, sigma)
     decomp = linalg.hermitian_eig(sigma.matrix)
     out = np.zeros_like(sigma.matrix)
     for value, proj in decomp.terms:
@@ -92,14 +85,14 @@ def fuzz(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
 
 def phaser(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
     """√σ ρ √σ with the principal root; σ's eigenvalues are the xᵢ²."""
-    _require_same_dim(rho, sigma.dim)
+    require_same_dim(rho, sigma)
     root = linalg.matrix_sqrt(sigma.matrix)
     return DensityMatrix(linalg.hermitize(root @ rho.matrix @ root))
 
 
 def phaser_general(rho: DensityMatrix, data: PhaserData) -> DensityMatrix:
     """(Σᵢ xᵢPᵢ) ρ (Σⱼ x̄ⱼPⱼ) with complex weights."""
-    _require_same_dim(rho, data.dim)
+    require_same_dim(rho, data)
     a = data.weight_operator()
     return DensityMatrix(linalg.hermitize(a @ rho.matrix @ a.conj().T))
 
@@ -109,12 +102,9 @@ def phaser_pure(psi: PureState, sigma: DensityMatrix) -> PureState:
 
     Equivalently φ = √σ ψ, so purity is preserved.
     """
-    if psi.dim != sigma.dim:
-        raise DimensionMismatchError(
-            f"state dim {psi.dim} != operand dim {sigma.dim}"
-        )
+    require_same_dim(psi, sigma)
     phi = linalg.matrix_sqrt(sigma.matrix) @ psi.amplitudes
-    if float(np.linalg.norm(phi)) == 0.0:
+    if not np.any(phi):
         raise ZeroTraceError("sigma annihilated the pure state")
     return PureState(phi)
 
@@ -126,7 +116,7 @@ def phaser_as_spider(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
     over σ's eigenbasis, and conjugate ρ by the resulting phase gate.
     Agrees with ``phaser`` to numerical precision.
     """
-    _require_same_dim(rho, sigma.dim)
+    require_same_dim(rho, sigma)
     evals, evecs = np.linalg.eigh(sigma.matrix)
     roots = linalg.psd_roots(evals)
     if not np.any(roots):

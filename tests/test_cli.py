@@ -12,10 +12,14 @@ from fuzzphaser import linalg, textcirc
 from fuzzphaser.cli import main
 from fuzzphaser.density import DensityMatrix, PureState
 from fuzzphaser.lexicon import load_lexicon, save_lexicon
+from fuzzphaser.properties import run_all
 from fuzzphaser.sampling import random_ddm, random_density, random_pure
 from fuzzphaser.textcirc import Lexicon, LexiconEntry, compile_text
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
+
+#: EIGH_CALL values that pin every gate to the factor or to the dense joint.
+ROUTES = {"factor": -math.inf, "dense": math.inf}
 
 ORTHO_LEXICON = {
     "spaces": {"axis": 2},
@@ -128,6 +132,52 @@ def _save_nouns_lexicon(path, count: int):
             kind, operand = "density", random_density(4, rng, rank=1 + i % 4)
         entries.append(LexiconEntry(f"n{i:03d}", "c", kind, mechanism, operand))
     save_lexicon(Lexicon({"c": 4}, entries), path)
+
+
+def _ket(*amplitudes) -> list:
+    return [[a, 0.0] for a in amplitudes]
+
+
+def _extreme_lexicon(*entries) -> dict:
+    """Door's prior the ket [1, 0], the identity phaser ``one`` and the verb
+    ``joins`` (the identity on two actors), then ``entries``."""
+    door = {"name": "Door", "space": "axis", "kind": "pure", "mechanism": "projector",
+            "data": _ket(1.0, 0.0)}
+    joins = {"name": "joins", "space": ["axis", "axis"], "kind": "density",
+             "mechanism": "phaser", "data": np.eye(4).tolist()}
+    named = {e["name"] for e in entries}
+    return {"spaces": {"axis": 2},
+            "entries": [e for e in (door, ONE, joins) if e["name"] not in named] + list(entries)}
+
+
+def _clean_main(capsys, argv):
+    """main(argv): its exit code, stdout and stderr, checked to hold no
+    traceback and to have raised no RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, out, err
+
+
+def _assert_report(out: str, fmt: str, joint: float, states: dict):
+    """The run reports the joint trace ``joint`` and, for each actor named
+    in ``states``, its (trace, real matrix)."""
+    if fmt == "text":
+        assert f"joint trace: {joint:.6g}\n" in out
+        for name, (trace, _) in states.items():
+            assert f"{name} (space axis, dim 2): trace {trace:.6g}," in out
+        return
+    doc = json.loads(out)
+    assert doc["joint_trace"] == pytest.approx(joint, rel=1e-12)
+    actors = {a["name"]: a for a in doc["actors"]}
+    for name, (trace, matrix) in states.items():
+        assert actors[name]["trace"] == pytest.approx(trace, rel=1e-12)
+        got = np.array(actors[name]["matrix"])
+        assert np.abs(got[..., 0] - matrix).max() <= 1e-12 * np.abs(matrix).max()
+        assert np.abs(got[..., 1]).max() <= 1e-12 * np.abs(matrix).max()
 
 
 def _write(tmp_path, lexicon, text):
@@ -425,6 +475,96 @@ class TestRun:
         assert "joint trace: 1.7e+308\n" in out and "trace 1.7e+308, purity 1\n" in out
         assert err == "" and not caught
 
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("renormalize", [False, True], ids=["likelihood", "renormalize"])
+    @pytest.mark.parametrize("word", [
+        {"name": "w", "space": "axis", "kind": "pure", "mechanism": "projector",
+         "data": _ket(1e200, 1e200)},
+        {"name": "w", "space": "axis", "kind": "pure", "mechanism": "projector",
+         "data": _ket(1e-200, 1e-200)},
+        {"name": "w", "space": "axis", "kind": "pure", "mechanism": "projector",
+         "data": _ket(1.5e308, 1.5e308)},
+        {"name": "w", "space": "axis", "kind": "ddm", "mechanism": "ddm",
+         "data": {"factors": [{"y": 1.0, "branches": [{"x": 1.0, "phi": [1e200, 1e200]}]}]}},
+    ], ids=["huge-projector", "tiny-projector", "norm-past-max-projector", "huge-ddm-branch"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_extreme_kets_take_their_direction(
+        self, tmp_path, capsys, monkeypatch, fmt, word, renormalize, route
+    ):
+        """A projector word or ddm branch uses only its ket's direction, so
+        a ket whose squared norm, or even its norm, leaves the float range
+        evaluates: Door's |0⟩ projected onto [1, 1]/√2 has trace 1/2."""
+        monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES[route])
+        path, lex = _write(tmp_path, _extreme_lexicon(word), "Door is w.\n")
+        argv = ["run", path, "--lexicon", lex, "--format", fmt]
+        code, out, err = _clean_main(capsys, argv + ["--renormalize"] * renormalize)
+        assert code == 0 and err == ""
+        scale = 2.0 if renormalize else 1.0
+        _assert_report(out, fmt, scale / 2, {"Door": (scale / 2, np.full((2, 2), scale / 4))})
+
+    @pytest.mark.parametrize("entry, name", [
+        ({"name": "Door", "space": "axis", "kind": "pure", "mechanism": "projector",
+          "data": _ket(1e200, 1e200)}, "entry 'Door'"),
+        ({"name": "Door", "space": "axis", "kind": "pure", "mechanism": "projector",
+          "data": _ket(1e-200, 1e-200)}, "entry 'Door'"),
+        ({"name": "one", "space": "axis", "kind": "pure", "mechanism": "fuzz",
+          "data": _ket(1e200, 1e200)}, "entry 'one'"),
+        ({"name": "one", "space": "axis", "kind": "pure", "mechanism": "phaser",
+          "data": _ket(1e200, 1e200)}, "entry 'one'"),
+        ({"name": "one", "space": "axis", "kind": "pure", "mechanism": "phaser",
+          "data": _ket(1e-200, 1e-200)}, "entry 'one'"),
+    ], ids=["huge-prior", "tiny-prior", "huge-fuzz", "huge-phaser", "tiny-phaser"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_ket_squared_past_the_float_range_is_input_error(
+        self, tmp_path, capsys, fmt, entry, name
+    ):
+        """A ket prior's |ψ⟩⟨ψ|, or a pure fuzz or phaser operand's, is formed
+        from |ψ|², so where that leaves the float range the text exits 2,
+        naming the actor or the word."""
+        path, lex = _write(tmp_path, _extreme_lexicon(entry), "Door is one.\n")
+        code, out, err = _clean_main(capsys, ["run", path, "--lexicon", lex, "--format", fmt])
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert code == 2 and out == ""
+        assert len(errors) == 1 and name in errors[0] and "float range" in errors[0]
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("text", ["Once there was Door.\n", "Door is one.\n"],
+                             ids=["priors", "gate"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_prior_past_the_float_range(self, tmp_path, capsys, monkeypatch, fmt, text, route):
+        """A density prior whose trace, 2e308, and eigenvalue are past the
+        float range: the likelihood is not finite at the priors, and
+        renormalized, Door is the pure state onto [1, 1]/√2."""
+        monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES[route])
+        prior = {"name": "Door", "space": "axis", "kind": "density", "mechanism": "fuzz",
+                 "data": [[1e308, 1e308], [1e308, 1e308]]}
+        path, lex = _write(tmp_path, _extreme_lexicon(prior), text)
+        code, out, err = _clean_main(capsys, ["run", path, "--lexicon", lex, "--format", fmt])
+        assert code == 2 and out == ""
+        assert err == "error: joint state is not finite at the priors\n"
+        code, out, err = _clean_main(
+            capsys, ["run", path, "--lexicon", lex, "--format", fmt, "--renormalize"]
+        )
+        assert code == 0 and err == ""
+        _assert_report(out, fmt, 1.0, {"Door": (1.0, np.full((2, 2), 0.5))})
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("scale", [1e-200, 1e300])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_joined_priors_at_any_scale(self, tmp_path, capsys, monkeypatch, fmt, scale, route):
+        """Door and Window with prior scale·I, joined by the identity:
+        their product leaves the float range, yet renormalized each is I/2."""
+        monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES[route])
+        priors = [{"name": name, "space": "axis", "kind": "density", "mechanism": "fuzz",
+                   "data": [[scale, 0.0], [0.0, scale]]} for name in ("Door", "Window")]
+        path, lex = _write(tmp_path, _extreme_lexicon(*priors), "Door joins Window.\n")
+        code, out, err = _clean_main(
+            capsys, ["run", path, "--lexicon", lex, "--format", fmt, "--renormalize"]
+        )
+        assert code == 0 and err == ""
+        half = (1.0, np.eye(2) / 2)
+        _assert_report(out, fmt, 1.0, {"Door": half, "Window": half})
+
     def test_component_over_the_cap_is_input_error(self, tmp_path, capsys, monkeypatch):
         """One noun on a space of DIM_CAP + 1 exits 2 before any prior is built."""
 
@@ -490,7 +630,77 @@ class TestDemo:
         assert err.value.code == 2
 
 
+#: Every verify check of ``run_all(trials=5, dims=(2, 3))``, in order:
+#: (name, relation, bound, trials, detail).
+VERIFY_CHECKS = [
+    ('spectral-reconstruction', '<', 1e-09, 5,
+     'grouped eigendecomposition rebuilds every Hermitian input'),
+    ('matrix-sqrt', '<', 1e-09, 5,
+     'principal square root squares back and stays PSD'),
+    ('phaser-as-spider', '<', 1e-09, 5,
+     'plugging root weights into a spider reproduces √σρ√σ'),
+    ('phaser-pure-components', '<', 1e-09, 5,
+     'phaser keeps pure states pure and scales each eigencomponent by xᵢ'),
+    ('fuzz-decoherence-trace', '<', 1e-09, 20,
+     'fuzz preserves the trace when every grouped eigenvalue is 1'),
+    ('fuzz-trace-witness', '>', 1e-06, 5,
+     'any eigenvalue away from 1 yields a trace-deviation witness'),
+    ('phaser-unimodular-trace', '<', 1e-09, 5,
+     'phaser with unimodular weights preserves the trace'),
+    ('phaser-trace-witness', '>', 1e-06, 5,
+     'any weight modulus away from 1 yields a trace-deviation witness'),
+    ('ddm-reduces-to-fuzz', '<', 1e-09, 5,
+     'keeping only the outer mixture reproduces the fuzz'),
+    ('ddm-reduces-to-phaser', '<', 1e-09, 5,
+     'keeping only the inner mixture reproduces the phaser'),
+    ('ddm-choi-psd', '<', 1e-09, 5,
+     'every double-mixture channel is completely positive'),
+    ('ddm-kraus-form', '<', 1e-09, 5,
+     'all Kraus factors, canonical or not, are Hermitian PSD'),
+    ('ddm-rescaling', '<', 1e-09, 5,
+     'y ↦ c²y with x ↦ x/c and canonicalization leave the channel alone'),
+    ('ddm-state-encoding', '<', 1e-09, 5,
+     'the doubled-space state is PSD and recovers the channel'),
+    ('ddm-linearity', '<', 1e-09, 5,
+     'the double-mixture update is linear in its state argument'),
+    ('fuzz-nonadditivity', '>', 0.001, 10,
+     'fuzz is not additive in its operand, so it is no CP map on ρ⊗σ'),
+    ('phaser-nonadditivity', '>', 0.001, 10,
+     'phaser is not additive in its operand, so it is no CP map on ρ⊗σ'),
+    ('fuzz-nonassociativity', '>', 0.001, 10,
+     'fuzz fails associativity as a binary connective'),
+    ('phaser-nonassociativity', '>', 0.001, 10,
+     'phaser fails associativity as a binary connective'),
+    ('fuzz-noncommutativity', '>', 0.001, 10,
+     'fuzz updates depend on their order'),
+    ('phaser-noncommutativity', '>', 0.001, 10,
+     'phaser updates depend on their order'),
+    ('commuting-operands', '<', 1e-09, 5,
+     'operands with a shared eigenbasis update in either order'),
+    ('spider-fusion', '<', 1e-12, 864,
+     'same-basis spiders fuse into one spider over every leg choice'),
+    ('spider-basis-dependence', '>', 0.001, 1,
+     'spiders over bases with overlap 0.8 do not fuse'),
+    ('phase-unitarity', '<', 1e-09, 5,
+     'unimodular phase kets plugged into a spider give a unitary gate'),
+    ('mechanism-coherence', '<', 1e-09, 5,
+     'a ddm gate built from σ acts exactly like the phaser gate on σ'),
+    ('disjoint-gates-commute', '<', 1e-09, 3,
+     'gates on disjoint actor pairs commute'),
+    ('evaluation-determinism', '==', 0.0, 2,
+     're-evaluating the same circuit is bit-identical'),
+    ('local-kernel-matches-dense', '<', 1e-10, 5,
+     'gates applied on their own wires match the embedded dense route (relative)'),
+]
+
+
 class TestVerify:
+    def test_every_check_is_pinned(self):
+        """No check is dropped, renamed, reordered or loosened unnoticed."""
+        results = run_all(trials=5, dims=(2, 3))
+        assert [(r.name, r.relation, r.bound, r.trials, r.detail) for r in results] == VERIFY_CHECKS
+        assert all(r.passed for r in results)
+
     def test_all_pass_text(self, capsys):
         code = main(["verify", "--trials", "10", "--dims", "2..3"])
         out = capsys.readouterr().out
