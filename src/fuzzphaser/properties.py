@@ -222,6 +222,7 @@ def check_fuzz_trace_witness(seed, trials, dims) -> PropertyResult:
     rng = rng_from(seed)
     margin = np.inf
     n_sigma = max(5, trials // 10)
+    dims = max(2, dims[0]), max(2, dims[1])  # at d = 1 no operand breaks the trace
     for d in _cycle(dims, n_sigma):
         sigma = random_density(d, rng)
         rep = trace_preservation_report("fuzz", sigma, trials=100, seed=rng)
@@ -253,6 +254,7 @@ def check_phaser_trace_witness(seed, trials, dims) -> PropertyResult:
     rng = rng_from(seed)
     margin = np.inf
     n_data = max(5, trials // 10)
+    dims = max(2, dims[0]), max(2, dims[1])  # at d = 1 no operand breaks the trace
     for k, d in enumerate(_cycle(dims, n_data)):
         if k % 2 == 0:
             data = PhaserData.from_density(random_density(d, rng))

@@ -28,16 +28,17 @@ units (``Plan.dense_cost``, ``_factor_cost``), the block builds its
 joint once and applies the rest of its gates to it, on adjacent wires
 through views of the joint. Both forms apply each operator on the row
 index only: ρ is Hermitian, so A ρ A† = A (A ρ)†.
-Both bound each entry's roundoff from diag ρ alone, and a result within
-1/ATOL of that bound keeps only the eigen-directions above D times it,
-D the block's dimension, so an annihilated state is exactly 0. In both
-modes each result is rescaled by the power of four that brings its
-trace into [1/2, 2), which is exact, and its block keeps the exponent:
-the joint trace, the likelihood, is ldexp(∏ block traces, Σ exponents),
-and one past the float range raises NumericalFailureError as the dense
-joint's overflow would. Renormalizing divides each block by its trace
-where it is read. Every state the evaluator makes is Σ K ρ K† of a
-validated state, so none is re-validated, and is Hermitian up to
+Both bound each entry's roundoff from diag ρ alone, cheaply from its
+largest entry, then exactly for a result within 1/ATOL of that; a result
+within 1/ATOL of the exact bound keeps only the eigen-directions above D
+times it, D the block's dimension, so an annihilated state is exactly 0.
+In both modes each result is rescaled by the power of four that brings
+its trace into [1/2, 2), which is exact, and its block keeps the
+exponent: the joint trace, the likelihood, is ldexp(∏ block traces, Σ
+exponents), and one past the float range raises NumericalFailureError as
+the dense joint's overflow would. Renormalizing divides each block by
+its trace where it is read. Every state the evaluator makes is Σ K ρ K†
+of a validated state, so none is re-validated, and is Hermitian up to
 roundoff, so none is hermitized: the states that leave the evaluator
 through ``reduced_state`` are validated, and their Hermitian part is
 taken there.
@@ -282,7 +283,9 @@ class Plan:
     ``groups`` are the columns of each factor of W on the thin route.
     ``roundoff`` stacks the route's entrywise bounds G_k, times √(L·eps)
     for sums of L products, so that Σ_k max(G_k √diag ρ)² bounds the
-    roundoff of each entry of the result.
+    roundoff of each entry of the result (``_noise``); G ≥ 0 and no root
+    exceeds √max|ρ_ii|, so the cheap bound ``gain``·max|ρ_ii| bounds that,
+    ``gain`` = Σ_k (max row sum of G_k)².
 
     ``dense_cost`` is the whole dense step of the route (``_route_costs``),
     the cheaper of the two. A factor ρ = L L† takes the row side only
@@ -297,6 +300,7 @@ class Plan:
     mask: np.ndarray | None
     groups: tuple[slice, ...] | None
     roundoff: np.ndarray
+    gain: float
     dense_cost: float
 
     @property
@@ -313,8 +317,8 @@ class Plan:
 class Gate:
     """One update ρ ↦ Σ K ρ K†, with the Kraus operators K on the slots.
 
-    ``kraus`` is in sentence order; ``plan`` is shared by every gate of
-    the circuit with the same word on the same slots.
+    ``kraus`` is in sentence order; ``plan`` is shared by every gate of the
+    circuit with the same word on the same slots, the gate by its ``label``.
     """
 
     slots: tuple[int, ...]
@@ -478,25 +482,28 @@ def _route_costs(frame, d: int, size: int, m: int, r: int | None):
 def _route(kraus, vectors, sizes: list[int], order: list[int]) -> tuple:
     """The Kraus route, or the thin one when ``vectors`` (W, the factor of
     each column) is given, A_k = W_k W_k†, on wires of ``sizes`` in slot
-    order that ``order`` sorts: ``Plan``'s steps, mask, groups and roundoff
-    bounds, in ascending wire order, shared by every slot tuple of the
-    circuit with the same order."""
+    order that ``order`` sorts: ``Plan``'s steps, mask, groups, roundoff
+    bounds and gain, in ascending wire order, shared by every slot tuple
+    of the circuit with the same order."""
     d = math.prod(sizes)
     if vectors is None:
         # K's rows, then its columns, in ascending wire order
-        ops = tuple(_ascending(_ascending(k, sizes, order).T, sizes, order).T for k in kraus)
-        bounds = np.abs(np.array(ops, dtype=np.complex128)).reshape(-1, d, d)
-        return ops, None, None, bounds * np.sqrt(d * _EPS)
-    w, owner = vectors
-    w, r = _ascending(w, sizes, order), w.shape[1]
-    # |W_k||W_k|ᵀ, not |A_k|: the route sums W_k's products term by term.
-    magnitudes = np.abs(w)
-    factor = owner == np.unique(owner)[:, None, None]
-    bounds = (magnitudes * factor) @ magnitudes.T * np.sqrt((d + r) * _EPS)
-    same = (owner[:, None] == owner[None, :]).astype(np.float64)
-    starts = [int(i) for i in np.flatnonzero(np.diff(owner, prepend=-1))] + [r]
-    groups = tuple(slice(i, j) for i, j in zip(starts, starts[1:]))  # contiguous
-    return (w.conj().T, w), same.reshape(r, 1, r, 1), groups, bounds
+        steps = tuple(_ascending(_ascending(k, sizes, order).T, sizes, order).T for k in kraus)
+        bounds = np.abs(np.array(steps, dtype=np.complex128)).reshape(-1, d, d)
+        bounds, mask, groups = bounds * np.sqrt(d * _EPS), None, None
+    else:
+        w, owner = vectors
+        w, r = _ascending(w, sizes, order), w.shape[1]
+        # |W_k||W_k|ᵀ, not |A_k|: the route sums W_k's products term by term.
+        magnitudes = np.abs(w)
+        factor = owner == np.unique(owner)[:, None, None]
+        bounds = (magnitudes * factor) @ magnitudes.T * np.sqrt((d + r) * _EPS)
+        same = (owner[:, None] == owner[None, :]).astype(np.float64)
+        starts = [int(i) for i in np.flatnonzero(np.diff(owner, prepend=-1))] + [r]
+        groups = tuple(slice(i, j) for i, j in zip(starts, starts[1:]))  # contiguous
+        steps, mask = (w.conj().T, w), same.reshape(r, 1, r, 1)
+    gain = float(np.square(bounds.sum(axis=2).max(axis=1, initial=0.0)).sum())
+    return steps, mask, groups, bounds, gain
 
 
 def _order(slots) -> list[int]:
@@ -624,9 +631,10 @@ def compile_sentences(
             root = _ldexp(_compress(root, np.diagonal(scaled).real), j)
         actors.append(Actor(name=name, space=space, dim=dim, prior=prior, root=root))
 
-    parts, routes, plans = {}, {}, {}
-    gates = []
+    parts, routes, plans, made = {}, {}, {}, {}  # made: the gate of each label
     for (names, entry, label), slots in zip(pending, gate_slots):
+        if label in made:
+            continue
         effective = mechanism if mechanism is not None else entry.mechanism
         if entry.name not in parts:
             parts[entry.name] = _gate_parts(entry, effective)
@@ -643,17 +651,16 @@ def compile_sentences(
                 sizes = [dims[w] for w in slots]
                 routes[key] = _route(kraus, vectors if thin else None, sizes, order)
             plans[entry.name, slots] = Plan(*frame, *routes[key], by_thin if thin else by_kraus)
-        gates.append(
-            Gate(
-                slots=slots,
-                mechanism=effective,
-                operand=operand,
-                label=label,
-                kraus=kraus,
-                plan=plans[entry.name, slots],
-            )
+        made[label] = Gate(
+            slots=slots,
+            mechanism=effective,
+            operand=operand,
+            label=label,
+            kraus=kraus,
+            plan=plans[entry.name, slots],
         )
-    return Circuit(actors=tuple(actors), gates=tuple(gates), components=components)
+    gates = tuple(made[label] for _, _, label in pending)
+    return Circuit(actors=tuple(actors), gates=gates, components=components)
 
 
 def compile_text(text: str, lexicon: Lexicon, mechanism: str | None = None) -> Circuit:
@@ -674,6 +681,12 @@ class Block:
     dense: DensityMatrix | None
     trace: float
     exponent: int
+
+
+def _likelihood(blocks: Sequence[Block]) -> float:
+    """ldexp(∏ block traces, Σ exponents), inf past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.prod(b.trace for b in blocks), sum(b.exponent for b in blocks)))
 
 
 def _ldexp(m: np.ndarray, exponent: int) -> np.ndarray:
@@ -728,10 +741,7 @@ class WorldState:
     def trace(self) -> float:
         """tr ρ without building ρ: 1 once renormalized, else the likelihood
         ldexp(∏ block traces, Σ exponents), inf past the float range."""
-        if self.renormalized:
-            return 1.0
-        with np.errstate(over="ignore"):
-            return float(np.ldexp(math.prod(block.trace for block in self.blocks), self.exponent))
+        return 1.0 if self.renormalized else _likelihood(self.blocks)
 
     @property
     def log_trace(self) -> float:
@@ -781,6 +791,19 @@ def _noise(plan: Plan, roots: np.ndarray) -> float:
     return np.square(spread.max(axis=(1, 2), initial=0.0)).sum()
 
 
+def _roundoff(plan: Plan, peak, diag: np.ndarray, dims: Sequence[int]):
+    """``_noise`` from ``diag`` ρ of the gate's input if the result, of largest
+    diagonal entry ``peak``, lies within 1/ATOL of it, else None; computed only
+    within 1/ATOL of 2·gain·max diag ρ (``Plan``), 2 for the sums' rounding."""
+    if peak * linalg.ATOL >= 2.0 * plan.gain * diag.max():
+        return None
+    roots = np.sqrt(diag)
+    if plan.axes is not None:
+        roots = roots.reshape(dims).transpose(plan.axes[: len(dims)])
+    noise = _noise(plan, roots)
+    return noise if peak * linalg.ATOL < noise else None
+
+
 def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarray:
     """Σ A_k ρ A_k† on the gate's wires only: O(D²·d), not O(D³).
 
@@ -799,15 +822,13 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
     Since |ρ_ab| ≤ √(ρ_aa ρ_bb), each entry's roundoff is below ``noise``
     (``_noise``); a result within 1/ATOL of it keeps only eigenvalues
     above D·noise, so what roundoff leaves of an annihilated state is
-    exactly 0.
+    exactly 0. The cheap bound comes first, then the exact one, only for a
+    result within 1/ATOL of the cheap one (``_roundoff``).
     """
     plan = gate.plan
-    n = len(dims)
     frame = joint
-    roots = np.sqrt(np.abs(np.diagonal(joint)))
     if plan.axes is not None:
         frame = np.ascontiguousarray(joint.reshape(list(dims) * 2).transpose(plan.axes))
-        roots = roots.reshape(dims).transpose(plan.axes[:n])
     with np.errstate(over="ignore", invalid="ignore"):
         if not plan.steps:  # no operator: the gate annihilates every state
             out = np.zeros(joint.size, dtype=np.complex128)
@@ -824,11 +845,11 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
             del frame  # so that the permuted copy is gone before the one back
             out = out.reshape(shape).transpose(np.argsort(plan.axes))
         back = out.reshape(joint.shape)
-        peak = np.abs(np.diagonal(back)).max()
-        noise = _noise(plan, roots)
+        peak = np.abs(back.diagonal()).max()
+        noise = _roundoff(plan, peak, np.abs(joint.diagonal()), dims)
     if not np.isfinite(peak):
         raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
-    if peak * linalg.ATOL < noise:
+    if noise is not None:
         evals, evecs = np.linalg.eigh(linalg.hermitize(back))
         keep = evals > joint.shape[0] * noise
         back = (evecs[:, keep] * evals[keep]) @ evecs[:, keep].conj().T
@@ -888,11 +909,9 @@ def _factor_step(factor: np.ndarray, gate: Gate, dims: Sequence[int]):
     plan = gate.plan
     n, size = len(dims), factor.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        roots = np.sqrt(_weights(factor))
         frame = factor
         if plan.axes is not None:
             frame = np.ascontiguousarray(factor.reshape(*dims, -1).transpose(*plan.axes[:n], n))
-            roots = roots.reshape(dims).transpose(plan.axes[:n])
         x = frame.reshape(plan.a, plan.roundoff.shape[-1], -1)
         if plan.mask is None:
             blocks = [np.matmul(k, x) for k in plan.steps]
@@ -907,10 +926,10 @@ def _factor_step(factor: np.ndarray, gate: Gate, dims: Sequence[int]):
             out = out.transpose(*np.argsort(plan.axes[:n]), n)
         out = out.reshape(size, columns)
         weights = _weights(out)
-        noise = _noise(plan, roots)
+        noise = _roundoff(plan, weights.max(), _weights(factor), dims)
     if not np.isfinite(weights.sum()):
         raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
-    if weights.max() * linalg.ATOL < noise:
+    if noise is not None:
         return _annihilate(out, size * noise), None
     return out, weights
 
@@ -980,26 +999,26 @@ def _step(block: Block, owed, fresh: int | None, gate: Gate, priors: Sequence[np
     else:
         joint = block.dense.matrix
     matrix = _apply_gate(joint, gate, block.dims)
-    tr = float(np.trace(matrix).real)
+    tr = float(matrix.trace().real)
     k = _exponent(tr, where)
-    matrix *= math.ldexp(1.0, -k)
+    if k:
+        matrix *= math.ldexp(1.0, -k)
     state = DensityMatrix._unchecked(matrix)
     return Block(block.wires, block.dims, None, state, math.ldexp(tr, -k), block.exponent + k), None
 
 
-def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[WorldState]:
-    """One block per interaction component, from its priors' factor; each
-    gate on its own block only (``_step``), by the same arithmetic in both
-    modes, so that the blocks are the same bit for bit.
+def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[tuple[Block, ...]]:
+    """The blocks at the priors and after each gate: one per interaction
+    component, from its priors' factor; each gate on its own block only
+    (``_step``), by the same arithmetic in both modes, bit for bit.
 
-    Each world, the priors' included, is checked as it is read: without
+    Each step is checked where it changed the world: without
     renormalizing, the likelihood ldexp(∏ block traces, Σ exponents) must
     stay finite, as the dense joint's entries did; renormalizing divides
     each block by its own trace (``WorldState``), so it raises
-    ZeroTraceError once a block's trace is 0, and the likelihood may pass
-    the float range.
+    ZeroTraceError once a block's trace is 0, at the priors or after the
+    gate on it, and the likelihood may pass the float range.
     """
-    names = tuple(a.name for a in circuit.actors)
     dims = tuple(a.dim for a in circuit.actors)
     # each root by 2^-e and prior by 4^-e, so that their products neither under- nor overflow
     scales = [_binade(a.root) for a in circuit.actors]
@@ -1014,35 +1033,42 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[World
         blocks.append(_factor_block(wires, wire_dims, fresh[-1], factor, None, "at the priors")[0])
     where = {w: b for b, wires in enumerate(circuit.components) for w in wires}
 
-    def read(at: str) -> WorldState:
-        state = WorldState(names, dims, tuple(blocks), renormalize_each_step)
+    def check(changed: Iterable[Block], at: str):
         if renormalize_each_step:
-            nonzero_trace(min(block.trace for block in blocks))
-        elif not math.isfinite(state.trace):
+            for block in changed:
+                nonzero_trace(block.trace)
+        elif not math.isfinite(_likelihood(blocks)):
             raise NumericalFailureError(f"joint state is not finite {at}")
-        return state
 
-    yield read("at the priors")
+    check(blocks, "at the priors")
+    yield tuple(blocks)
     owed = [None] * len(blocks)  # diag ρ of a factor whose compression is owed
     for gate in circuit.gates:
         b = where[gate.slots[0]]
         blocks[b], owed[b] = _step(blocks[b], owed[b], fresh[b], gate, priors)
         fresh[b] = None
-        yield read(f'after "{gate.label}"')
+        check(blocks[b : b + 1], f'after "{gate.label}"')
+        yield tuple(blocks)
+
+
+def _world(circuit: Circuit, blocks: tuple[Block, ...], renormalized: bool) -> WorldState:
+    names = tuple(a.name for a in circuit.actors)
+    return WorldState(names, tuple(a.dim for a in circuit.actors), blocks, renormalized)
 
 
 def evaluate_trajectory(
     circuit: Circuit, renormalize_each_step: bool = False
 ) -> list[WorldState]:
     """World state before any gate and after each gate, in order."""
-    return list(_trajectory(circuit, renormalize_each_step))
+    steps = _trajectory(circuit, renormalize_each_step)
+    return [_world(circuit, blocks, renormalize_each_step) for blocks in steps]
 
 
 def evaluate(circuit: Circuit, renormalize_each_step: bool = False) -> WorldState:
     """Apply every gate in sentence order to the priors (keeping one state)."""
-    for world in _trajectory(circuit, renormalize_each_step):
+    for blocks in _trajectory(circuit, renormalize_each_step):
         pass
-    return world
+    return _world(circuit, blocks, renormalize_each_step)
 
 
 def reduced_state(world: WorldState, actor: str) -> DensityMatrix:

@@ -259,6 +259,22 @@ class TestRun:
         assert code == 2
         assert "plaid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "  \n\t\n"])
+    @pytest.mark.parametrize("flags", [[], ["--renormalize"]])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_text_applies_no_gate(self, tmp_path, capsys, fmt, flags, text):
+        """A text without a sentence has no actor and no block: it reports
+        no gate and a joint trace of 1 in both modes."""
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        lex = str(DEMO_DIR / "colors.json")
+        code, out, _ = _clean_main(capsys, ["run", str(path), "--lexicon", lex, "--format", fmt, *flags])
+        assert code == 0
+        if fmt == "text":
+            assert out == "gates applied: 0\njoint trace: 1\n"
+        else:
+            assert json.loads(out) == {"gates": [], "joint_trace": 1.0, "actors": []}
+
     def test_annihilation_exit_code(self, ortho, capsys):
         text, lex = ortho
         code = main(["run", str(text), "--lexicon", str(lex), "--renormalize"])
@@ -709,6 +725,14 @@ class TestVerify:
         assert len(lines) == 29
         assert all(l.startswith("PASS") for l in lines)
         assert "verify: 29/29 passed" in out
+
+    def test_dims_from_one(self, capsys):
+        """At d = 1 no operand witnesses a broken trace preservation, so the
+        witness checks draw their dimensions from 2 up."""
+        code = main(["verify", "--seed", "7", "--trials", "30", "--dims", "1..4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "verify: 29/29 passed (seed 7, trials 30, dims 1..4)" in out
 
     def test_json_format(self, capsys):
         code = main(["verify", "--trials", "5", "--dims", "2..3", "--format", "json"])

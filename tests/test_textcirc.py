@@ -1301,3 +1301,159 @@ class TestReducedState:
         world = evaluate(compile_text("Door is black.", _noun_lexicon()))
         with pytest.raises(UnknownActorError):
             reduced_state(world, "Window")
+
+
+def _exact_bound_only(monkeypatch):
+    """Every plan compiled from here on has gain inf: the cheap bound
+    never clears a result, so the exact one runs at every gate."""
+    route = textcirc._route
+    monkeypatch.setattr(textcirc, "_route", lambda *args: (*route(*args)[:-1], math.inf))
+
+
+def _switching_circuit() -> Circuit:
+    """Four pure dim-4 actors, joined (D = 256), under a full-rank fuzz:
+    the block starts on the factor and goes dense along the text."""
+    rng = np.random.default_rng(3)
+    entries = [
+        LexiconEntry(f"A{w}", "s", "pure", "projector", random_pure(4, rng)) for w in range(4)
+    ]
+    entries.append(LexiconEntry("w", "s", "density", "fuzz", random_density(4, rng)))
+    links, sentences = _links([(f"A{w}", "s", 4) for w in range(4)])
+    sentences += [IsA(f"A{g % 4}", "w") for g in range(8)]
+    return compile_sentences(sentences, Lexicon({"s": 4}, entries + links))
+
+
+def _door_circuit(word: LexiconEntry, text: str) -> Circuit:
+    door = LexiconEntry("Door", "c", "pure", "projector", PureState([1.0, 0.0]))
+    return compile_text(text, Lexicon({"c": 2}, [door, word]))
+
+
+#: Texts whose results the roundoff cut decides: the form switch, then a
+#: phaser by 1e-14·I, an orthogonal projector, a fuzz without operators,
+#: and words that keep 1e-10 or 1e-20 of Door's ket.
+CUT_CASES = {
+    "switch": _switching_circuit,
+    "dim": lambda: _door_circuit(
+        LexiconEntry("dim", "c", "density", "phaser", DensityMatrix(1e-14 * np.eye(2))),
+        "Door is dim.",
+    ),
+    "down": lambda: _door_circuit(
+        LexiconEntry("down", "c", "pure", "projector", PureState([0.0, 1.0])), "Door turns down."
+    ),
+    "void": lambda: _door_circuit(
+        LexiconEntry("void", "c", "density", "fuzz", DensityMatrix(np.zeros((2, 2)))),
+        "Door is void. Door is void.",
+    ),
+    **{
+        f"{mechanism}-{exponent}": (
+            lambda mechanism=mechanism, exponent=exponent: _near_annihilation(
+                mechanism, exponent, 3, [0.7, 0.3]
+            )
+        )
+        for mechanism in ("projector", "fuzz", "phaser")
+        for exponent in (10, 20)
+    },
+}
+
+
+class TestCheapBound:
+    @settings(max_examples=60)
+    @given(
+        mechanism=st.sampled_from(MECHANISMS + ("void",)),
+        low=st.floats(-20.0, -1.0),
+        columns=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cheap_bound_covers_the_exact_one(self, mechanism, low, columns, seed):
+        """gain·max|ρ_ii| ≥ ``_noise`` for both routes of every mechanism and
+        the fuzz without operators, on slots of both frames, from the
+        diagonal of a dense joint and of a factor, whose entries span
+        10^low to 1."""
+        rng = np.random.default_rng(seed)
+        dims = (2, 3, 2)
+        size = math.prod(dims)
+        factor = rng.normal(size=(size, columns)) + 1j * rng.normal(size=(size, columns))
+        exponents = rng.uniform(low, 0.0, size)
+        exponents[0], exponents[-1] = 0.0, low
+        factor *= (10.0 ** (exponents / 2) / np.linalg.norm(factor, axis=1))[:, None]
+        joint = factor @ factor.conj().T
+        frames = set()
+        for slots in [(0,), (1,), (2,), (0, 1), (1, 0), (1, 2), (0, 2), (2, 0)]:
+            d = math.prod(dims[w] for w in slots)
+            if mechanism == "void":
+                entry = LexiconEntry("w", "s", "density", "fuzz", DensityMatrix(np.zeros((d, d))))
+            else:
+                entry = _route_word(mechanism, d, 1.0, rng)
+            _, kraus, vectors = _gate_parts(entry, entry.mechanism)
+            for plan in _both_forms(slots, dims, kraus, vectors):
+                frames.add(plan.axes is None)
+                for diag in (np.abs(joint.diagonal()), textcirc._weights(factor)):
+                    assert diag.max() == pytest.approx(1.0) and diag.min() < 10.0 ** (low + 1e-9)
+                    roots = np.sqrt(diag)
+                    if plan.axes is not None:
+                        roots = roots.reshape(dims).transpose(plan.axes[: len(dims)])
+                    assert plan.gain * diag.max() >= textcirc._noise(plan, roots)
+        assert frames == {True, False}
+
+    @pytest.mark.parametrize("route", ["default", *sorted(ROUTES)])
+    @pytest.mark.parametrize("case", sorted(CUT_CASES))
+    def test_exact_bound_at_every_gate_changes_no_bit(self, monkeypatch, route, case):
+        """With the gain inf, every gate pays for the exact bound; each world
+        of the trajectory is the same, bit for bit, as with the cheap bound
+        first, on the default form choice, the factor and the dense joint."""
+        if route != "default":
+            monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES[route])
+        cheap = evaluate_trajectory(CUT_CASES[case]())
+        _exact_bound_only(monkeypatch)
+        circuit = CUT_CASES[case]()
+        calls = []
+        noise = textcirc._noise
+        monkeypatch.setattr(textcirc, "_noise", lambda *args: calls.append(1) or noise(*args))
+        exact = evaluate_trajectory(circuit)
+        assert len(calls) == len(circuit.gates)
+        assert len(cheap) == len(exact) and all(map(_same_blocks, cheap, exact))
+
+    def test_switching_text_switches(self):
+        """The switch case above starts on the factor and ends dense."""
+        worlds = evaluate_trajectory(_switching_circuit())
+        assert worlds[0].factor is not None and worlds[-1].factor is None
+
+    def test_long_text_pays_no_exact_bound(self, monkeypatch):
+        """2,000 sentences over three dim-4 actors, A0 a ket and A2 a
+        full-rank density, verbs joining A0 and A1 only, words of every
+        mechanism: the cheap bound clears every gate, so ``_noise`` is never
+        called, and compiling builds one Gate per distinct sentence."""
+        rng = np.random.default_rng(1401)
+        entries = [
+            LexiconEntry("A0", "c", "pure", "projector", random_pure(4, rng)),
+            LexiconEntry("A2", "c", "density", "fuzz", random_density(4, rng)),
+        ]
+        words = {m: [] for m in MECHANISMS}
+        for i in range(24):
+            mechanism, verb = MECHANISMS[i % 4], i >= 16
+            name = f"{'v' if verb else 'n'}{i}"
+            spaces, d = (("c", "c"), 16) if verb else ("c", 4)
+            entries.append(_scaled_word(name, mechanism, spaces, d, 1.0, rng))
+            words[mechanism].append((name, verb))
+        sentences = []
+        for _ in range(2000):
+            mechanism = MECHANISMS[int(rng.integers(4))]
+            if rng.random() < 0.25:
+                verbs = [name for name, verb in words[mechanism] if verb]
+                a, b = ("A0", "A1") if rng.random() < 0.5 else ("A1", "A0")
+                sentences.append(Transitive(a, verbs[int(rng.integers(len(verbs)))], b))
+            else:
+                nouns = [name for name, verb in words[mechanism] if not verb]
+                actor, noun = f"A{int(rng.integers(3))}", nouns[int(rng.integers(len(nouns)))]
+                sentences.append((IsA if rng.random() < 0.5 else Turns)(actor, noun))
+        made, calls = [], []
+        gate, noise = textcirc.Gate, textcirc._noise
+        monkeypatch.setattr(textcirc, "Gate", lambda *a, **kw: made.append(1) or gate(*a, **kw))
+        monkeypatch.setattr(textcirc, "_noise", lambda *args: calls.append(1) or noise(*args))
+        circuit = compile_sentences(sentences, Lexicon({"c": 4}, entries))
+        distinct = len(set(sentences))
+        assert len(circuit.gates) == 2000 and distinct < 200
+        assert len(made) == len({id(g) for g in circuit.gates}) == distinct
+        world = evaluate(circuit, True)
+        assert calls == []
+        assert all(block.factor is None for block in world.blocks)
