@@ -394,6 +394,7 @@ def check_ddm_linearity(seed, trials, dims) -> PropertyResult:
 def _witness(mechanism, combine, seed, dims, attempts=10):
     rng = rng_from(seed)
     best = 0.0
+    dims = max(2, dims[0]), max(2, dims[1])  # at d = 1 every operand is a scalar
     for d in _cycle(dims, attempts):
         rho = random_density(d, rng)
         s1, s2 = random_psd(d, rng), random_psd(d, rng)

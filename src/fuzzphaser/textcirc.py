@@ -273,8 +273,9 @@ class Plan:
     The kernel reads the row index of the joint (or of its frame) as
     (a, d, ·) and the column index as (·, d, b), d the gate's dimension.
     ``steps`` are the route's row operators, in ascending wire order:
-    each K, or W† and W. Each step applies its operator on the row side
-    and its adjoint on the column side (``_sandwich``). ``axes`` is None
+    each K, or W† and W, and ``adjoints`` theirs, formed once here. Each
+    step applies its operator on the row side and its adjoint on the
+    column side (``_sandwich``). ``axes`` is None
     when the slots are adjacent, so the joint itself is the frame;
     otherwise it permutes
     the joint to the frame with the wires leading the rows and trailing
@@ -285,7 +286,7 @@ class Plan:
     for sums of L products, so that Σ_k max(G_k √diag ρ)² bounds the
     roundoff of each entry of the result (``_noise``); G ≥ 0 and no root
     exceeds √max|ρ_ii|, so the cheap bound ``gain``·max|ρ_ii| bounds that,
-    ``gain`` = Σ_k (max row sum of G_k)².
+    ``gain`` = Σ_k (max row sum of G_k)² (``clears``).
 
     ``dense_cost`` is the whole dense step of the route (``_route_costs``),
     the cheaper of the two. A factor ρ = L L† takes the row side only
@@ -297,6 +298,7 @@ class Plan:
     a: int
     b: int
     steps: tuple[np.ndarray, ...]
+    adjoints: tuple[np.ndarray, ...]
     mask: np.ndarray | None
     groups: tuple[slice, ...] | None
     roundoff: np.ndarray
@@ -311,6 +313,12 @@ class Plan:
     def fan(self) -> int:
         """The column blocks a factor step makes: one per K, or per factor of W."""
         return len(self.steps if self.groups is None else self.groups)
+
+    def clears(self, peak, top) -> bool:
+        """Whether a result of largest diagonal entry ``peak`` lies 1/ATOL or
+        more above 2·gain·``top``, ``top`` its input's, 2 for the sums'
+        rounding: then no exact bound (``_noise``) reaches it."""
+        return peak * linalg.ATOL >= 2.0 * self.gain * top
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,9 +490,9 @@ def _route_costs(frame, d: int, size: int, m: int, r: int | None):
 def _route(kraus, vectors, sizes: list[int], order: list[int]) -> tuple:
     """The Kraus route, or the thin one when ``vectors`` (W, the factor of
     each column) is given, A_k = W_k W_k†, on wires of ``sizes`` in slot
-    order that ``order`` sorts: ``Plan``'s steps, mask, groups, roundoff
-    bounds and gain, in ascending wire order, shared by every slot tuple
-    of the circuit with the same order."""
+    order that ``order`` sorts: ``Plan``'s steps and their adjoints, mask,
+    groups, roundoff bounds and gain, in ascending wire order, shared by
+    every slot tuple of the circuit with the same order."""
     d = math.prod(sizes)
     if vectors is None:
         # K's rows, then its columns, in ascending wire order
@@ -503,7 +511,7 @@ def _route(kraus, vectors, sizes: list[int], order: list[int]) -> tuple:
         groups = tuple(slice(i, j) for i, j in zip(starts, starts[1:]))  # contiguous
         steps, mask = (w.conj().T, w), same.reshape(r, 1, r, 1)
     gain = float(np.square(bounds.sum(axis=2).max(axis=1, initial=0.0)).sum())
-    return steps, mask, groups, bounds, gain
+    return steps, tuple(step.conj().T for step in steps), mask, groups, bounds, gain
 
 
 def _order(slots) -> list[int]:
@@ -667,13 +675,15 @@ def compile_text(text: str, lexicon: Lexicon, mechanism: str | None = None) -> C
     return compile_sentences(parse(text), lexicon, mechanism)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Block:
     """The state of one interaction component on its ``wires`` (actor
     indices, in actor order) of ``dims``: ρ = 2^exponent·S, S of ``trace``
     in [1/2, 2) or 0 (``_exponent``), held as a read-only factor L with
     S = L L† (``factor``, D × c), or once the block has gone dense, as S
-    itself (``dense``, and ``factor`` None)."""
+    itself (``dense``, and ``factor`` None) with ``peak`` = max|S_ii|, which
+    the next gate's cheap bound reads (``Plan.clears``; None on the factor).
+    One is made per gate, so it is slotted, not frozen."""
 
     wires: tuple[int, ...]
     dims: tuple[int, ...]
@@ -681,6 +691,7 @@ class Block:
     dense: DensityMatrix | None
     trace: float
     exponent: int
+    peak: float | None
 
 
 def _likelihood(blocks: Sequence[Block]) -> float:
@@ -755,23 +766,20 @@ class WorldState:
         return sum(map(math.log, traces)) + self.exponent * math.log(2.0)
 
 
-def _rows(x: np.ndarray, row: np.ndarray, plan: Plan) -> np.ndarray:
-    """``row`` on the gate's wires in x's row index, read as (a, d, ·)."""
-    return np.matmul(row, x.reshape(plan.a, row.shape[1], -1))
-
-
-def _sandwich(x: np.ndarray, row: np.ndarray, plan: Plan) -> np.ndarray:
+def _sandwich(x: np.ndarray, row: np.ndarray, adjoint: np.ndarray, plan: Plan) -> np.ndarray:
     """row x row† for a Hermitian x: ``row`` on the gate's wires in x's row
-    index, then its adjoint on them in the column index, read as (·, d, b).
-    Where b = 1 that is one 2-D product with row†; else it is row (row x)†,
-    ``row`` again on the half result's conjugate transpose."""
-    half = _rows(x, row, plan)
+    index, read as (a, d, ·), then its adjoint on them in the column index,
+    read as (·, d, b). Where b = 1 that is one 2-D product with ``adjoint``,
+    row† from ``Plan.adjoints``; else it is row (row x)†, ``row`` again on
+    the half result's conjugate transpose."""
+    d = row.shape[1]
+    half = np.matmul(row, x.reshape(plan.a, d, -1))
     del x  # the thin route passes C unnamed, so it is freed here, before the result
     if plan.b == 1:
-        return half.reshape(-1, row.shape[1]) @ row.conj().T
-    adjoint = np.conjugate(half.reshape(plan.a * row.shape[0] * plan.b, -1).T, order="C")
+        return half.reshape(-1, d) @ adjoint
+    flipped = np.conjugate(half.reshape(plan.a * row.shape[0] * plan.b, -1).T, order="C")
     del half  # so that the half result is gone before the result is made
-    return _rows(adjoint, row, plan)
+    return np.matmul(row, flipped.reshape(plan.a, d, -1))
 
 
 def _masked(c: np.ndarray, plan: Plan) -> np.ndarray:
@@ -793,10 +801,8 @@ def _noise(plan: Plan, roots: np.ndarray) -> float:
 
 def _roundoff(plan: Plan, peak, diag: np.ndarray, dims: Sequence[int]):
     """``_noise`` from ``diag`` ρ of the gate's input if the result, of largest
-    diagonal entry ``peak``, lies within 1/ATOL of it, else None; computed only
-    within 1/ATOL of 2·gain·max diag ρ (``Plan``), 2 for the sums' rounding."""
-    if peak * linalg.ATOL >= 2.0 * plan.gain * diag.max():
-        return None
+    diagonal entry ``peak``, lies within 1/ATOL of it, else None: the exact
+    bound, for a result that the cheap one does not clear (``Plan.clears``)."""
     roots = np.sqrt(diag)
     if plan.axes is not None:
         roots = roots.reshape(dims).transpose(plan.axes[: len(dims)])
@@ -804,8 +810,10 @@ def _roundoff(plan: Plan, peak, diag: np.ndarray, dims: Sequence[int]):
     return noise if peak * linalg.ATOL < noise else None
 
 
-def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarray:
-    """Σ A_k ρ A_k† on the gate's wires only: O(D²·d), not O(D³).
+def _apply_gate(joint: np.ndarray, top, gate: Gate, dims: Sequence[int]):
+    """Σ A_k ρ A_k† on the gate's wires only: O(D²·d), not O(D³), for ρ of
+    largest diagonal entry ``top``; with the result's largest diagonal
+    entry and its trace, both read from one view of its diagonal.
 
     On adjacent wires the joint is read in place: its row index as
     (a, d, b·D), so one batched product applies an operator to the
@@ -822,8 +830,9 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
     Since |ρ_ab| ≤ √(ρ_aa ρ_bb), each entry's roundoff is below ``noise``
     (``_noise``); a result within 1/ATOL of it keeps only eigenvalues
     above D·noise, so what roundoff leaves of an annihilated state is
-    exactly 0. The cheap bound comes first, then the exact one, only for a
-    result within 1/ATOL of the cheap one (``_roundoff``).
+    exactly 0. The cheap bound comes first, from ``top``; ρ's diagonal is
+    read only for the exact one, for a result within 1/ATOL of the cheap
+    one (``Plan.clears``, ``_roundoff``).
     """
     plan = gate.plan
     frame = joint
@@ -833,27 +842,33 @@ def _apply_gate(joint: np.ndarray, gate: Gate, dims: Sequence[int]) -> np.ndarra
         if not plan.steps:  # no operator: the gate annihilates every state
             out = np.zeros(joint.size, dtype=np.complex128)
         elif plan.mask is None:
-            row, *rest = plan.steps
-            out = _sandwich(frame, row, plan)
-            for row in rest:
-                out += _sandwich(frame, row, plan)
+            (row, *rows), (adjoint, *adjoints) = plan.steps, plan.adjoints
+            out = _sandwich(frame, row, adjoint, plan)
+            for row, adjoint in zip(rows, adjoints):
+                out += _sandwich(frame, row, adjoint, plan)
         else:
-            wh, w = plan.steps
-            out = _sandwich(_masked(_sandwich(frame, wh, plan), plan), w, plan)
+            (wh, w), (wh_adjoint, w_adjoint) = plan.steps, plan.adjoints
+            out = _sandwich(
+                _masked(_sandwich(frame, wh, wh_adjoint, plan), plan), w, w_adjoint, plan
+            )
         if plan.axes is not None:
             shape = frame.shape
             del frame  # so that the permuted copy is gone before the one back
             out = out.reshape(shape).transpose(np.argsort(plan.axes))
         back = out.reshape(joint.shape)
-        peak = np.abs(back.diagonal()).max()
-        noise = _roundoff(plan, peak, np.abs(joint.diagonal()), dims)
-    if not np.isfinite(peak):
-        raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
+        diag = back.diagonal()
+        peak = np.abs(diag).max()
+        clear = plan.clears(peak, top)
+        noise = None if clear else _roundoff(plan, peak, np.abs(joint.diagonal()), dims)
+    if not math.isfinite(peak):
+        raise _not_finite(gate.label)
     if noise is not None:
         evals, evecs = np.linalg.eigh(linalg.hermitize(back))
         keep = evals > joint.shape[0] * noise
         back = (evecs[:, keep] * evals[keep]) @ evecs[:, keep].conj().T
-    return back
+        diag = back.diagonal()
+        peak = np.abs(diag).max()
+    return back, peak, float(diag.sum().real)
 
 
 def _weights(factor: np.ndarray) -> np.ndarray:
@@ -925,10 +940,11 @@ def _factor_step(factor: np.ndarray, gate: Gate, dims: Sequence[int]):
             out = out.reshape(*frame.shape[:-1], columns)
             out = out.transpose(*np.argsort(plan.axes[:n]), n)
         out = out.reshape(size, columns)
-        weights = _weights(out)
-        noise = _roundoff(plan, weights.max(), _weights(factor), dims)
+        weights, diag = _weights(out), _weights(factor)
+        peak = weights.max()
+        noise = None if plan.clears(peak, diag.max()) else _roundoff(plan, peak, diag, dims)
     if not np.isfinite(weights.sum()):
-        raise NumericalFailureError(f'joint state is not finite after "{gate.label}"')
+        raise _not_finite(gate.label)
     if noise is not None:
         return _annihilate(out, size * noise), None
     return out, weights
@@ -952,26 +968,33 @@ def _factor_cost(plan: Plan, size: int, columns: int) -> float:
     return per_entry * size * columns + CALL_COST * plan.a * calls + gram + EIGH_CALL
 
 
-def _exponent(tr: float, where: str) -> int:
+def _not_finite(label: str | None) -> NumericalFailureError:
+    """The error for a joint state that is not finite after the gate of
+    ``label``, or at the priors for None; made only to be raised."""
+    where = "at the priors" if label is None else f'after "{label}"'
+    return NumericalFailureError(f"joint state is not finite {where}")
+
+
+def _exponent(tr: float, label: str | None) -> int:
     """The even k with tr·2^-k in [1/2, 2), or 0 at tr = 0, but k ≥ -1022
-    so that 2^-k is a float. NumericalFailureError, the joint state not
-    finite ``where``, if tr is not."""
+    so that 2^-k is a float. NumericalFailureError (``_not_finite``) if tr
+    is not finite."""
     if not math.isfinite(tr):
-        raise NumericalFailureError(f"joint state is not finite {where}")
+        raise _not_finite(label)
     return max(math.frexp(tr)[1] & ~1, -1022)
 
 
-def _factor_block(wires, dims, exponent: int, factor: np.ndarray, owed, where: str):
+def _factor_block(wires, dims, exponent: int, factor: np.ndarray, owed, label: str | None):
     """A new factor L as a block and the diag L L† it owes (or None),
     scaled in place by 2^-k/2 and 2^-k (``_exponent``), which is exact;
     k is added to ``exponent``, and L made read-only."""
     tr = float(np.vdot(factor, factor).real)
-    k = _exponent(tr, where)
+    k = _exponent(tr, label)
     factor *= math.ldexp(1.0, -k // 2)
     if owed is not None:
         owed *= math.ldexp(1.0, -k)
     factor.setflags(write=False)
-    return Block(wires, dims, factor, None, math.ldexp(tr, -k), exponent + k), owed
+    return Block(wires, dims, factor, None, math.ldexp(tr, -k), exponent + k, None), owed
 
 
 def _step(block: Block, owed, fresh: int | None, gate: Gate, priors: Sequence[np.ndarray]):
@@ -982,29 +1005,30 @@ def _step(block: Block, owed, fresh: int | None, gate: Gate, priors: Sequence[np
     (before its first gate, the Kronecker product of its scaled ``priors``,
     whose exponent is ``fresh``, to the block's exponent; after it, L L†).
     The result is scaled in place as a factor's is (``_factor_block``),
-    before it is frozen."""
+    before it is frozen, and its peak with it; a joint's diagonal is read
+    for its peak only where the joint is built."""
     plan, factor = gate.plan, block.factor
-    where = f'after "{gate.label}"'
     if factor is not None:
         if owed is not None:
             factor = _compress(factor, owed)
         if _factor_cost(plan, factor.shape[0], factor.shape[1]) <= plan.dense_cost:
             out, owed = _factor_step(factor, gate, block.dims)
-            return _factor_block(block.wires, block.dims, block.exponent, out, owed, where)
+            return _factor_block(block.wires, block.dims, block.exponent, out, owed, gate.label)
         if fresh is not None:
             joint = linalg.kron_all(priors[w] for w in block.wires)
             joint *= math.ldexp(1.0, fresh - block.exponent)
         else:
             joint = factor @ factor.conj().T
+        top = np.abs(joint.diagonal()).max()
     else:
-        joint = block.dense.matrix
-    matrix = _apply_gate(joint, gate, block.dims)
-    tr = float(matrix.trace().real)
-    k = _exponent(tr, where)
+        joint, top = block.dense.matrix, block.peak
+    matrix, peak, tr = _apply_gate(joint, top, gate, block.dims)
+    k = _exponent(tr, gate.label)
     if k:
         matrix *= math.ldexp(1.0, -k)
     state = DensityMatrix._unchecked(matrix)
-    return Block(block.wires, block.dims, None, state, math.ldexp(tr, -k), block.exponent + k), None
+    scaled = math.ldexp(tr, -k), block.exponent + k, math.ldexp(peak, -k)
+    return Block(block.wires, block.dims, None, state, *scaled), None
 
 
 def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[tuple[Block, ...]]:
@@ -1030,24 +1054,24 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[tuple
             factor = np.kron(factor, circuit.actors[w].root * math.ldexp(1.0, -scales[w]))
         fresh.append(2 * sum(scales[w] for w in wires))
         wire_dims = tuple(dims[w] for w in wires)
-        blocks.append(_factor_block(wires, wire_dims, fresh[-1], factor, None, "at the priors")[0])
+        blocks.append(_factor_block(wires, wire_dims, fresh[-1], factor, None, None)[0])
     where = {w: b for b, wires in enumerate(circuit.components) for w in wires}
 
-    def check(changed: Iterable[Block], at: str):
+    def check(changed: Iterable[Block], label: str | None):
         if renormalize_each_step:
             for block in changed:
                 nonzero_trace(block.trace)
         elif not math.isfinite(_likelihood(blocks)):
-            raise NumericalFailureError(f"joint state is not finite {at}")
+            raise _not_finite(label)
 
-    check(blocks, "at the priors")
+    check(blocks, None)
     yield tuple(blocks)
     owed = [None] * len(blocks)  # diag ρ of a factor whose compression is owed
     for gate in circuit.gates:
         b = where[gate.slots[0]]
-        blocks[b], owed[b] = _step(blocks[b], owed[b], fresh[b], gate, priors)
-        fresh[b] = None
-        check(blocks[b : b + 1], f'after "{gate.label}"')
+        block, owed[b] = _step(blocks[b], owed[b], fresh[b], gate, priors)
+        blocks[b], fresh[b] = block, None
+        check((block,), gate.label)
         yield tuple(blocks)
 
 

@@ -118,6 +118,22 @@ ONE = {"name": "one", "space": "axis", "kind": "density", "mechanism": "phaser",
        "data": [[1.0, 0.0], [0.0, 1.0]]}
 
 
+#: Door's prior the ket [1, 0], the identity phaser ``one``, phasers
+#: ``big`` and ``tall`` by 1e200·I, and ``down``, the projector onto [0, 1].
+LATER_LEXICON = {
+    "spaces": {"axis": 2},
+    "entries": [
+        {"name": "Door", "space": "axis", "kind": "pure", "mechanism": "projector",
+         "data": [[1.0, 0.0], [0.0, 0.0]]},
+        ONE,
+        *({"name": name, "space": "axis", "kind": "density", "mechanism": "phaser",
+           "data": [[1e200, 0.0], [0.0, 1e200]]} for name in ("big", "tall")),
+        {"name": "down", "space": "axis", "kind": "pure", "mechanism": "projector",
+         "data": [[0.0, 0.0], [1.0, 0.0]]},
+    ],
+}
+
+
 def _save_nouns_lexicon(path, count: int):
     """Nouns n000.. on one dim-4 space, every kind and mechanism in turn."""
     rng = np.random.default_rng(4)
@@ -617,6 +633,33 @@ class TestRun:
             tmp_path, capsys, monkeypatch, text, mechanism, thin
         )
 
+    @pytest.mark.parametrize(
+        "text, flags, code, where, failing",
+        [("Door is one. Door is big. Door is one. Door is tall. Door is one.\n", [], 2,
+          'joint state is not finite after "Door is tall"', "Door is tall"),
+         ("Door is one. Door is one. Door turns down. Door is one.\n", ["--renormalize"], 3,
+          "annihilated the state", "Door turns down")],
+        ids=["overflow", "annihilation"],
+    )
+    def test_later_dense_gate_is_named(
+        self, tmp_path, capsys, monkeypatch, text, flags, code, where, failing
+    ):
+        """A likelihood that overflows, or a state annihilated under
+        --renormalize, at a dense gate after the block's first: the exit
+        code and the error are those of the sentence that failed."""
+        monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES["dense"])
+        dense, apply = [], textcirc._apply_gate
+        monkeypatch.setattr(
+            textcirc, "_apply_gate", lambda *args: dense.append(args[2].label) or apply(*args)
+        )
+        path, lex = _write(tmp_path, LATER_LEXICON, text)
+        result, out, err = _clean_main(capsys, ["run", path, "--lexicon", lex, *flags])
+        assert result == code and out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and where in errors[0]
+        assert dense == [s.strip() for s in text.split(".")][: len(dense)]
+        assert len(dense) >= 3 and dense[-1] == failing
+
     def test_overflowing_state_is_input_error_on_the_factor(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -733,6 +776,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "verify: 29/29 passed (seed 7, trials 30, dims 1..4)" in out
+
+    def test_dims_of_one_only(self, capsys):
+        """At d = 1 every operand is a scalar, so neither fuzz nor phaser
+        can be shown not additive, associative or commutative there: those
+        six witnesses draw their dimensions from 2 up too."""
+        code = main(["verify", "--seed", "3", "--trials", "10", "--dims", "1..1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "verify: 29/29 passed (seed 3, trials 10, dims 1..1)" in out
 
     def test_json_format(self, capsys):
         code = main(["verify", "--trials", "5", "--dims", "2..3", "--format", "json"])

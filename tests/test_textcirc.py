@@ -49,6 +49,11 @@ from fuzzphaser.update import fuzz
 ROUTES = {"factor": -math.inf, "dense": math.inf}
 
 
+def _top(rho):
+    """max|ρ_ii|, the largest diagonal entry that ``_apply_gate`` takes."""
+    return np.abs(rho.diagonal()).max()
+
+
 def _links(actors):
     """Lexicon entries and sentences that join actors (name, space, dim)
     in a chain of verbs, each a fuzz by the identity, which changes no
@@ -468,7 +473,7 @@ class TestLocalKernel:
         assert gate.slots == slots
         rho = linalg.hermitize(random_density(int(np.prod(dims)), rng).matrix)
         dense = apply_gate_dense(rho, gate, dims)
-        local = _apply_gate(rho, gate, dims)
+        local, _, _ = _apply_gate(rho, _top(rho), gate, dims)
         assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
 
 
@@ -536,7 +541,7 @@ class TestRoutes:
         for plan in _both_forms(slots, dims, kraus, vectors):
             gate = Gate(slots, mechanism, operand, "w", kraus, plan)
             dense = apply_gate_dense(rho, gate, dims)
-            local = _apply_gate(rho, gate, dims)
+            local, _, _ = _apply_gate(rho, _top(rho), gate, dims)
             assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
@@ -556,7 +561,7 @@ class TestRoutes:
             for plan in _both_forms(slots, dims, kraus, vectors):
                 gate = Gate(slots, mechanism, operand, "w", kraus, plan)
                 dense = apply_gate_dense(rho, gate, dims)
-                local = _apply_gate(rho, gate, dims)
+                local, _, _ = _apply_gate(rho, _top(rho), gate, dims)
                 assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
                 seen.add((plan.axes is None, plan.b == 1, plan.thin))
         frames = {(True, True), (True, False), (False, True)}
@@ -570,10 +575,10 @@ class TestRoutes:
         seen, factor_steps = [], set()
         apply, step = textcirc._apply_gate, textcirc._factor_step
 
-        def spy(joint, gate, dims):
+        def spy(joint, top, gate, dims):
             plan = gate.plan
             seen.append((plan.thin, plan.axes is None, plan.b == 1))
-            return apply(joint, gate, dims)
+            return apply(joint, top, gate, dims)
 
         def factor_spy(factor, gate, dims):
             factor_steps.add((gate.plan.thin, gate.plan.axes is None))
@@ -614,9 +619,10 @@ class TestRoutes:
             word = LexiconEntry("w", labels, "density", mechanism, sigma)
         gate, rho = _one_gate(word, slots, dims, rng)
         assert gate.plan.thin or len(gate.kraus) == 1
+        top = _top(rho)
         tracemalloc.start()
         try:
-            _apply_gate(rho, gate, dims)
+            _apply_gate(rho, top, gate, dims)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -635,7 +641,7 @@ class TestRoutes:
         plan = gate.plan
         assert (plan.mask.shape[0] if plan.thin else len(plan.steps)) == 2
         dense = apply_gate_dense(rho, gate, dims)
-        local = _apply_gate(rho, gate, dims)
+        local, _, _ = _apply_gate(rho, _top(rho), gate, dims)
         assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
 
 
@@ -1206,7 +1212,7 @@ class TestHermitianPart:
         chain = linalg.kron_all(a.prior.matrix for a in circuit.actors)
         peak = linalg.max_abs(chain)
         for gate in circuit.gates:
-            chain = linalg.hermitize(_apply_gate(chain, gate, dims))
+            chain = linalg.hermitize(_apply_gate(chain, _top(chain), gate, dims)[0])
             if renorm:
                 chain = chain / np.trace(chain).real
             peak = max(peak, linalg.max_abs(chain))
@@ -1422,7 +1428,10 @@ class TestCheapBound:
         """2,000 sentences over three dim-4 actors, A0 a ket and A2 a
         full-rank density, verbs joining A0 and A1 only, words of every
         mechanism: the cheap bound clears every gate, so ``_noise`` is never
-        called, and compiling builds one Gate per distinct sentence."""
+        called, and compiling builds one Gate per distinct sentence. Each
+        plan's step adjoints are formed once, when its route is compiled:
+        evaluating forms no route, and every product with an adjoint takes
+        one of those arrays."""
         rng = np.random.default_rng(1401)
         entries = [
             LexiconEntry("A0", "c", "pure", "projector", random_pure(4, rng)),
@@ -1446,14 +1455,115 @@ class TestCheapBound:
                 nouns = [name for name, verb in words[mechanism] if not verb]
                 actor, noun = f"A{int(rng.integers(3))}", nouns[int(rng.integers(len(nouns)))]
                 sentences.append((IsA if rng.random() < 0.5 else Turns)(actor, noun))
-        made, calls = [], []
-        gate, noise = textcirc.Gate, textcirc._noise
+        made, calls, routes = [], [], []
+        gate, noise, route = textcirc.Gate, textcirc._noise, textcirc._route
         monkeypatch.setattr(textcirc, "Gate", lambda *a, **kw: made.append(1) or gate(*a, **kw))
         monkeypatch.setattr(textcirc, "_noise", lambda *args: calls.append(1) or noise(*args))
+        monkeypatch.setattr(textcirc, "_route", lambda *args: routes.append(1) or route(*args))
         circuit = compile_sentences(sentences, Lexicon({"c": 4}, entries))
         distinct = len(set(sentences))
         assert len(circuit.gates) == 2000 and distinct < 200
         assert len(made) == len({id(g) for g in circuit.gates}) == distinct
+        plans = {id(g.plan): g.plan for g in circuit.gates}
+        assert 0 < len(routes) <= len(plans) < distinct
+        adjoints = {id(a) for plan in plans.values() for a in plan.adjoints}
+        for plan in plans.values():
+            assert len(plan.adjoints) == len(plan.steps)
+            for step, adjoint in zip(plan.steps, plan.adjoints):
+                assert adjoint.tobytes() == step.conj().T.tobytes()
+        compiled, used, sandwich = len(routes), set(), textcirc._sandwich
+        monkeypatch.setattr(
+            textcirc, "_sandwich", lambda *args: used.add(id(args[2])) or sandwich(*args)
+        )
         world = evaluate(circuit, True)
-        assert calls == []
+        assert calls == [] and len(routes) == compiled
+        assert used and used <= adjoints
         assert all(block.factor is None for block in world.blocks)
+
+
+def _carried_peaks(circuit: Circuit, renorm: bool) -> int:
+    """Check every step of the trajectory: each dense block's ``peak`` is
+    max|S_ii| of the state it holds, bit for bit, and a factor's is None.
+    Stops where renormalizing meets an annihilated block. Returns the
+    number of dense blocks checked."""
+    checked = 0
+    try:
+        for blocks in textcirc._trajectory(circuit, renorm):
+            for block in blocks:
+                if block.factor is not None:
+                    assert block.peak is None
+                    continue
+                held = float(np.abs(block.dense.matrix.diagonal()).max())
+                assert block.peak.hex() == held.hex()
+                checked += 1
+    except ZeroTraceError:
+        assert renorm
+    return checked
+
+
+def _pinned_route(route: str):
+    """``_route_costs`` with the thin route's cost set one unit below the
+    Kraus route's, or one above, wherever the gate has canonical vectors."""
+    costs = textcirc._route_costs
+
+    def pinned(frame, d, size, m, r):
+        kraus, thin = costs(frame, d, size, m, r)
+        if thin is None:
+            return kraus, None
+        return kraus, kraus - 1 if route == "thin" else kraus + 1
+
+    return pinned
+
+
+class TestCarriedPeak:
+    @settings(max_examples=80)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        priors=st.lists(st.sampled_from(["ket", "density", None]), min_size=4, max_size=4),
+        scales=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+        words=st.lists(
+            st.tuples(
+                st.sampled_from(MECHANISMS + ("void",)), st.integers(0, 3), st.integers(0, 3)
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        route=st.sampled_from(["kraus", "thin"]),
+        form=st.sampled_from(["default", "dense"]),
+        renorm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_peak_is_the_held_diagonal(self, dims, priors, scales, words, route, form, renorm, seed):
+        """Random texts of every mechanism, one block, both routes, the
+        default form choice or dense from the first gate, both modes."""
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(textcirc, "_route_costs", _pinned_route(route)), \
+                mock.patch.object(textcirc, "EIGH_CALL", ROUTES["dense"] if form == "dense"
+                                  else textcirc.EIGH_CALL):
+            circuit = _text(dims, priors[: len(dims)], words, rng, scales[: len(dims)])
+            _carried_peaks(circuit, renorm)
+
+    @pytest.mark.parametrize("renorm", [False, True])
+    @pytest.mark.parametrize("route", ["kraus", "thin"])
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_every_frame(self, monkeypatch, mechanism, route, renorm):
+        """Each mechanism on every slot shape of wires (2, 3, 2) on the
+        dense joint: adjacent with b = 1 and b > 1, and permuted."""
+        monkeypatch.setattr(textcirc, "_route_costs", _pinned_route(route))
+        monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES["dense"])
+        slots = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (0, 2), (2, 0)]
+        words = [(mechanism, s, o) for s, o in slots] * 2
+        circuit = _text((2, 3, 2), ["ket", "density", None], words, np.random.default_rng(5))
+        plans = [gate.plan for gate in circuit.gates]
+        assert {plan.thin for plan in plans} == {route == "thin"}
+        frames = {(plan.axes is None, plan.b == 1) for plan in plans}
+        assert frames == {(True, True), (True, False), (False, True)}
+        assert _carried_peaks(circuit, renorm) == len(circuit.gates)
+
+    @pytest.mark.parametrize("renorm", [False, True])
+    @pytest.mark.parametrize("case", sorted(CUT_CASES))
+    def test_form_switch_and_annihilations(self, case, renorm):
+        """The text that goes dense along the way, and the texts whose
+        results the roundoff cut decides, where the peak is read again
+        from the state the cut leaves."""
+        assert _carried_peaks(CUT_CASES[case](), renorm) > 0 or renorm
