@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from .demos import DEMO_NAMES, run_black_fuzztones, run_paint_it_black
 from .density import DensityMatrix, purity
-from .errors import FuzzPhaserError, ZeroTraceError
+from .errors import FuzzPhaserError, ParseError, ZeroTraceError
 from .lexicon import _matrix_out, load_lexicon
 from .properties import run_all
 from .sampling import DEFAULT_SEED
@@ -73,8 +74,18 @@ def _actor_report(circuit: Circuit, states: list[DensityMatrix]) -> list[dict]:
     ]
 
 
+def _read_text(path: str) -> str:
+    """The file's UTF-8 text; ParseError naming it where a byte is not UTF-8."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"{path} is not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def cmd_run(args) -> int:
-    text = Path(args.text).read_text(encoding="utf-8")
+    text = _read_text(args.text)
     lexicon = load_lexicon(args.lexicon)
     circuit = compile_text(text, lexicon, args.mechanism)
     world = evaluate(circuit, renormalize_each_step=args.renormalize)
@@ -150,7 +161,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    text = Path(args.text).read_text(encoding="utf-8")
+    text = _read_text(args.text)
     lexicon = load_lexicon(args.lexicon)
     circuit = compile_text(text, lexicon, args.mechanism)
     doc = {
@@ -214,8 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on main's first call, once per process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ZeroTraceError as exc:

@@ -150,7 +150,7 @@ def ddm_from_fuzz(sigma: DensityMatrix) -> DoubleDensityMatrix:
     for value, block in linalg.grouped_eigh(sigma.matrix):
         if value <= 0.0:
             continue
-        branches = [DdmBranch(1.0, PureState(col)) for col in block.T]
+        branches = [DdmBranch(1.0, PureState._unchecked(col)) for col in block.T]
         factors.append(DdmFactor(value, branches))
     if not factors:
         raise ZeroTraceError("operand has no positive eigenvalues")
@@ -168,7 +168,7 @@ def ddm_from_phaser(sigma: DensityMatrix) -> DoubleDensityMatrix:
     evals, evecs = np.linalg.eigh(sigma.matrix)
     roots = linalg.psd_roots(evals)
     branches = [
-        DdmBranch(roots[i], PureState(evecs[:, i]))
+        DdmBranch(roots[i], PureState._unchecked(evecs[:, i]))
         for i in range(evals.size - 1, -1, -1)
         if roots[i] > 0.0
     ]

@@ -54,7 +54,16 @@ class PureState:
     def normalized(self) -> "PureState":
         """ψ/‖ψ‖, from ψ over its ``_scale``, so finite where ‖ψ‖ is not."""
         u = self.amplitudes / self._scale()
-        return PureState(u / float(np.linalg.norm(u)))
+        return PureState._unchecked(u / float(np.linalg.norm(u)))
+
+    @classmethod
+    def _unchecked(cls, amplitudes: np.ndarray) -> "PureState":
+        """Wrap a finite, nonzero complex128 vector of our own unchecked,
+        freezing it in place: a unit ket made here, or an eigenvector."""
+        amplitudes.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
 
     @staticmethod
     def basis(dim: int, index: int) -> "PureState":
@@ -69,7 +78,8 @@ class DensityMatrix:
 
     The constructor is the one check, Hermitian and PSD within ATOL times
     the largest entry. It runs on data from outside and on states leaving
-    the evaluator; states the evaluator makes go through ``_unchecked``.
+    the evaluator; joints the evaluator builds go through ``_unchecked``,
+    and its blocks hold theirs as bare arrays (``textcirc.Block``).
     """
 
     matrix: np.ndarray

@@ -28,12 +28,15 @@ from .textcirc import Lexicon, LexiconEntry
 def _real_in(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise LexiconError(f"{where}: expected a real number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise LexiconError(f"{where}: integer too large for a float") from None
 
 
 def _complex_in(value, where: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
+        return complex(_real_in(value, where), 0.0)
     if isinstance(value, list) and len(value) == 2:
         return complex(_real_in(value[0], where), _real_in(value[1], where))
     raise LexiconError(f"{where}: expected a number or an [re, im] pair")
@@ -166,11 +169,14 @@ def lexicon_to_document(lexicon: Lexicon) -> dict:
 
 
 def load_lexicon(path) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LexiconError(f"{path}: not valid JSON ({exc})") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer of more digits than int takes
+        raise LexiconError(f"{path}: not valid JSON ({exc})") from exc
     return lexicon_from_document(doc)
 
 

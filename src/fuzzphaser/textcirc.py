@@ -34,14 +34,16 @@ within 1/ATOL of the exact bound keeps only the eigen-directions above D
 times it, D the block's dimension, so an annihilated state is exactly 0.
 In both modes each result is rescaled by the power of four that brings
 its trace into [1/2, 2), which is exact, and its block keeps the
-exponent: the joint trace, the likelihood, is ldexp(∏ block traces, Σ
-exponents), and one past the float range raises NumericalFailureError as
-the dense joint's overflow would. Renormalizing divides each block by
-its trace where it is read. Every state the evaluator makes is Σ K ρ K†
-of a validated state, so none is re-validated, and is Hermitian up to
-roundoff, so none is hermitized: the states that leave the evaluator
-through ``reduced_state`` are validated, and their Hermitian part is
-taken there.
+exponent, as it keeps the power of two by which each plan scales the
+parts of its operators' entries below 1 (``Plan.shift``): no product of a
+gate can overflow, and the joint trace, the likelihood, is ldexp(∏ block
+traces, Σ exponents), which alone can pass the float range; that raises
+NumericalFailureError naming the sentence. Renormalizing divides each
+block by its trace where it is read. Every state the evaluator makes is
+Σ K ρ K† of a validated state, so none is re-validated, and is Hermitian
+up to roundoff, so none is hermitized: the states that leave the
+evaluator through ``reduced_state`` are validated, and their Hermitian
+part is taken there.
 """
 
 from __future__ import annotations
@@ -117,8 +119,8 @@ class Transitive:
 Sentence = Union[Introduce, IsA, Turns, Transitive]
 
 
-def _parse_sentence(tokens: list[str], line: int) -> Sentence:
-    if len(tokens) == 4 and tokens[:3] == ["Once", "there", "was"]:
+def _parse_sentence(tokens: tuple[str, ...]) -> Sentence | None:
+    if len(tokens) == 4 and tokens[:3] == ("Once", "there", "was"):
         return Introduce(tokens[3])
     if len(tokens) == 4 and tokens[1] == "is" and tokens[2] in ("a", "an"):
         return IsA(tokens[0], tokens[3])
@@ -128,7 +130,7 @@ def _parse_sentence(tokens: list[str], line: int) -> Sentence:
         return Turns(tokens[0], tokens[2])
     if len(tokens) == 3:
         return Transitive(tokens[0], tokens[1], tokens[2])
-    raise ParseError(line, f"unrecognized sentence shape: {' '.join(tokens)!r}")
+    return None
 
 
 def parse(text: str) -> list[Sentence]:
@@ -136,26 +138,34 @@ def parse(text: str) -> list[Sentence]:
 
     Patterns: "Once there was X", "X is (a|an) N", "X turns N", "X V Y".
     Whitespace-only segments are skipped; a trailing fragment without a
-    terminating '.' is an error.
+    terminating '.' is an error. Each distinct token sequence is matched
+    once, and its occurrences share one ``Sentence``; an error names the
+    line of the first occurrence.
     """
-    sentences = []
-    pos = 0
-    line, counted = 1, 0  # the line of text[counted]; lines are counted once
-    while pos < len(text):
-        stop = text.find(".", pos)
-        segment = text[pos:] if stop == -1 else text[pos:stop]
-        tokens = segment.split()
-        if tokens:
-            start = pos + len(segment) - len(segment.lstrip())
-            line += text.count("\n", counted, start)
-            counted = start
-            if stop == -1:
-                raise ParseError(line, "sentence not terminated by '.'")
-            sentences.append(_parse_sentence(tokens, line))
-        if stop == -1:
-            break
-        pos = stop + 1
+    *segments, tail = text.split(".")
+    sentences, made, shapes = [], {}, {}  # made: by segment, shapes: by tokens
+    pos = 0  # where the segment starts in text
+    for segment in segments:
+        sentence = made.get(segment)
+        if sentence is None:
+            tokens = tuple(segment.split())
+            sentence = shapes.get(tokens) or _parse_sentence(tokens)
+            if sentence is None and tokens:
+                raise ParseError(
+                    _line(text, pos, segment), f"unrecognized sentence shape: {' '.join(tokens)!r}"
+                )
+            made[segment] = shapes[tokens] = sentence
+        if sentence:
+            sentences.append(sentence)
+        pos += len(segment) + 1
+    if tail.strip():
+        raise ParseError(_line(text, pos, tail), "sentence not terminated by '.'")
     return sentences
+
+
+def _line(text: str, pos: int, segment: str) -> int:
+    """The line of ``segment``'s first token, ``segment`` at ``pos`` in ``text``."""
+    return text.count("\n", 0, pos + len(segment) - len(segment.lstrip())) + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,6 +292,11 @@ class Plan:
     the columns (a = b = 1). The Kraus route sums one step per K, the
     thin route chains two steps through ``mask`` (see ``_apply_gate``);
     ``groups`` are the columns of each factor of W on the thin route.
+    The steps are the operators times 2^-e, e the binade of their entries
+    (``_binade``), so that each entry is below √2 and no product with a
+    state of trace below 2 can overflow; ``shift`` is what that takes off
+    the result's exponent, 2e on the Kraus route and 4e on the thin one,
+    which each step adds back to its block's (``_step``, ``_trajectory``).
     ``roundoff`` stacks the route's entrywise bounds G_k, times √(L·eps)
     for sums of L products, so that Σ_k max(G_k √diag ρ)² bounds the
     roundoff of each entry of the result (``_noise``); G ≥ 0 and no root
@@ -299,6 +314,7 @@ class Plan:
     b: int
     steps: tuple[np.ndarray, ...]
     adjoints: tuple[np.ndarray, ...]
+    shift: int
     mask: np.ndarray | None
     groups: tuple[slice, ...] | None
     roundoff: np.ndarray
@@ -401,8 +417,10 @@ def _ket_state(entry: LexiconEntry) -> DensityMatrix:
 
 
 def _binade(m: np.ndarray) -> int:
-    """The e with m's largest entry in [1/2, 1) at m·2^-e, or 0 for m = 0."""
-    return math.frexp(linalg.max_abs(m))[1]
+    """The e with the largest real or imaginary part of m's entries in
+    [1/2, 1) at m·2^-e, or 0 for m = 0: each entry of m·2^-e is then below
+    √2 in modulus. The parts are read apart, so that no modulus overflows."""
+    return math.frexp(max(linalg.max_abs(m.real), linalg.max_abs(m.imag)))[1]
 
 
 #: What one BLAS call costs, in complex multiply-adds, the unit of every
@@ -490,28 +508,35 @@ def _route_costs(frame, d: int, size: int, m: int, r: int | None):
 def _route(kraus, vectors, sizes: list[int], order: list[int]) -> tuple:
     """The Kraus route, or the thin one when ``vectors`` (W, the factor of
     each column) is given, A_k = W_k W_k†, on wires of ``sizes`` in slot
-    order that ``order`` sorts: ``Plan``'s steps and their adjoints, mask,
-    groups, roundoff bounds and gain, in ascending wire order, shared by
-    every slot tuple of the circuit with the same order."""
+    order that ``order`` sorts: ``Plan``'s steps and their adjoints, shift,
+    mask, groups, roundoff bounds and gain, in ascending wire order, shared
+    by every slot tuple of the circuit with the same order. The steps are
+    scaled by 2^-e, e the binade of their entries (``_binade``), which is
+    exact."""
     d = math.prod(sizes)
     if vectors is None:
+        e = _binade(np.array(kraus))
         # K's rows, then its columns, in ascending wire order
         steps = tuple(_ascending(_ascending(k, sizes, order).T, sizes, order).T for k in kraus)
+        steps = tuple(_ldexp(np.ascontiguousarray(step), -e) for step in steps)
         bounds = np.abs(np.array(steps, dtype=np.complex128)).reshape(-1, d, d)
-        bounds, mask, groups = bounds * np.sqrt(d * _EPS), None, None
+        bounds, mask, groups, shift = bounds * np.sqrt(d * _EPS), None, None, 2 * e
     else:
         w, owner = vectors
-        w, r = _ascending(w, sizes, order), w.shape[1]
+        e, r = _binade(w), w.shape[1]
+        w, shift = _ldexp(np.ascontiguousarray(_ascending(w, sizes, order)), -e), 4 * e
+        # each factor's first column; owner ascends (``canonical_vectors``)
+        starts = [int(i) for i in np.flatnonzero(np.diff(owner, prepend=-1))] + [r]
         # |W_k||W_k|ᵀ, not |A_k|: the route sums W_k's products term by term.
+        # (The factors are read at the starts: np.unique's first call imports numpy.ma.)
         magnitudes = np.abs(w)
-        factor = owner == np.unique(owner)[:, None, None]
+        factor = owner == owner[starts[:-1]][:, None, None]
         bounds = (magnitudes * factor) @ magnitudes.T * np.sqrt((d + r) * _EPS)
         same = (owner[:, None] == owner[None, :]).astype(np.float64)
-        starts = [int(i) for i in np.flatnonzero(np.diff(owner, prepend=-1))] + [r]
         groups = tuple(slice(i, j) for i, j in zip(starts, starts[1:]))  # contiguous
         steps, mask = (w.conj().T, w), same.reshape(r, 1, r, 1)
     gain = float(np.square(bounds.sum(axis=2).max(axis=1, initial=0.0)).sum())
-    return steps, tuple(step.conj().T for step in steps), mask, groups, bounds, gain
+    return steps, tuple(step.conj().T for step in steps), shift, mask, groups, bounds, gain
 
 
 def _order(slots) -> list[int]:
@@ -567,13 +592,16 @@ def compile_sentences(
     lexicon entry if present, otherwise from the first gate touching
     them. ``mechanism`` overrides every gate's default where the
     operand kind allows it. Priors default to the maximally mixed
-    state unless the lexicon carries an entry for the actor.
+    state unless the lexicon carries an entry for the actor. Each
+    distinct sentence is compiled once, at its first occurrence, which
+    is where any error it raises is raised; its occurrences share one
+    ``Gate``.
     """
     if mechanism is not None and mechanism not in MECHANISMS:
         raise LexiconError(f"unknown mechanism {mechanism!r}")
     table = _ActorTable()
-    pending = []
-    for s in sentences:
+    pending = {}  # each distinct gate sentence: its actors, entry and label
+    for s in dict.fromkeys(sentences):
         if isinstance(s, Introduce):
             table.touch(s.actor)
             continue
@@ -583,7 +611,7 @@ def compile_sentences(
                 raise LexiconError(f"noun {s.noun!r} must live on a single space")
             table.touch(s.actor, entry.space[0])
             verb = "is" if isinstance(s, IsA) else "turns"
-            pending.append(((s.actor,), entry, f"{s.actor} {verb} {s.noun}"))
+            pending[s] = (s.actor,), entry, f"{s.actor} {verb} {s.noun}"
             continue
         entry = lexicon.entry(s.verb)
         if len(entry.space) != 2:
@@ -594,9 +622,7 @@ def compile_sentences(
             )
         table.touch(s.subject, entry.space[0])
         table.touch(s.object, entry.space[1])
-        pending.append(
-            ((s.subject, s.object), entry, f"{s.subject} {s.verb} {s.object}")
-        )
+        pending[s] = (s.subject, s.object), entry, f"{s.subject} {s.verb} {s.object}"
 
     priors = [lexicon.entries.get(name) for name in table.order]  # each actor's own entry
     for name, entry in zip(table.order, priors):
@@ -612,7 +638,7 @@ def compile_sentences(
     index = {name: i for i, name in enumerate(table.order)}
     spaces = [table.space[name] for name in table.order]
     dims = [lexicon.space_dim(space) for space in spaces]
-    gate_slots = [tuple(index[n] for n in names) for names, _, _ in pending]
+    gate_slots = [tuple(index[n] for n in names) for names, _, _ in pending.values()]
     components = _components(len(dims), gate_slots)
     block, local = {}, {}  # each wire's (block dims, block size), its place in its block
     for wires in components:
@@ -639,9 +665,10 @@ def compile_sentences(
             root = _ldexp(_compress(root, np.diagonal(scaled).real), j)
         actors.append(Actor(name=name, space=space, dim=dim, prior=prior, root=root))
 
-    parts, routes, plans, made = {}, {}, {}, {}  # made: the gate of each label
-    for (names, entry, label), slots in zip(pending, gate_slots):
+    parts, routes, plans, made, gate_of = {}, {}, {}, {}, {}  # made: the gate of each label
+    for (s, (_, entry, label)), slots in zip(pending.items(), gate_slots):
         if label in made:
+            gate_of[s] = made[label]
             continue
         effective = mechanism if mechanism is not None else entry.mechanism
         if entry.name not in parts:
@@ -659,7 +686,7 @@ def compile_sentences(
                 sizes = [dims[w] for w in slots]
                 routes[key] = _route(kraus, vectors if thin else None, sizes, order)
             plans[entry.name, slots] = Plan(*frame, *routes[key], by_thin if thin else by_kraus)
-        made[label] = Gate(
+        made[label] = gate_of[s] = Gate(
             slots=slots,
             mechanism=effective,
             operand=operand,
@@ -667,7 +694,7 @@ def compile_sentences(
             kraus=kraus,
             plan=plans[entry.name, slots],
         )
-    gates = tuple(made[label] for _, _, label in pending)
+    gates = tuple(filter(None, map(gate_of.get, sentences)))  # an Introduce has no gate
     return Circuit(actors=tuple(actors), gates=gates, components=components)
 
 
@@ -681,14 +708,16 @@ class Block:
     indices, in actor order) of ``dims``: ρ = 2^exponent·S, S of ``trace``
     in [1/2, 2) or 0 (``_exponent``), held as a read-only factor L with
     S = L L† (``factor``, D × c), or once the block has gone dense, as S
-    itself (``dense``, and ``factor`` None) with ``peak`` = max|S_ii|, which
-    the next gate's cheap bound reads (``Plan.clears``; None on the factor).
-    One is made per gate, so it is slotted, not frozen."""
+    itself (``dense``, a read-only D × D array, and ``factor`` None) with
+    ``peak`` = max|S_ii|, which the next gate's cheap bound reads
+    (``Plan.clears``; None on the factor). S is Σ K ρ K† of a validated
+    state, so it is held bare, not as a DensityMatrix. One is made per
+    gate, so it is slotted, not frozen."""
 
     wires: tuple[int, ...]
     dims: tuple[int, ...]
     factor: np.ndarray | None
-    dense: DensityMatrix | None
+    dense: np.ndarray | None
     trace: float
     exponent: int
     peak: float | None
@@ -696,8 +725,10 @@ class Block:
 
 def _likelihood(blocks: Sequence[Block]) -> float:
     """ldexp(∏ block traces, Σ exponents), inf past the float range."""
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(math.prod(b.trace for b in blocks), sum(b.exponent for b in blocks)))
+    try:
+        return math.ldexp(math.prod(b.trace for b in blocks), sum(b.exponent for b in blocks))
+    except OverflowError:
+        return math.inf
 
 
 def _ldexp(m: np.ndarray, exponent: int) -> np.ndarray:
@@ -734,7 +765,7 @@ class WorldState:
         """The joint density matrix over all actors, in actor order, built
         on first access from the Kronecker product of the blocks' states."""
         states = [
-            block.dense.matrix if block.factor is None else block.factor @ block.factor.conj().T
+            block.dense if block.factor is None else block.factor @ block.factor.conj().T
             for block in self.blocks
         ]
         matrix = states[0] if len(states) == 1 else linalg.kron_all(states)
@@ -773,13 +804,13 @@ def _sandwich(x: np.ndarray, row: np.ndarray, adjoint: np.ndarray, plan: Plan) -
     row† from ``Plan.adjoints``; else it is row (row x)†, ``row`` again on
     the half result's conjugate transpose."""
     d = row.shape[1]
-    half = np.matmul(row, x.reshape(plan.a, d, -1))
+    half = row @ x.reshape(plan.a, d, -1)
     del x  # the thin route passes C unnamed, so it is freed here, before the result
     if plan.b == 1:
         return half.reshape(-1, d) @ adjoint
     flipped = np.conjugate(half.reshape(plan.a * row.shape[0] * plan.b, -1).T, order="C")
     del half  # so that the half result is gone before the result is made
-    return np.matmul(row, flipped.reshape(plan.a, d, -1))
+    return row @ flipped.reshape(plan.a, d, -1)
 
 
 def _masked(c: np.ndarray, plan: Plan) -> np.ndarray:
@@ -811,9 +842,10 @@ def _roundoff(plan: Plan, peak, diag: np.ndarray, dims: Sequence[int]):
 
 
 def _apply_gate(joint: np.ndarray, top, gate: Gate, dims: Sequence[int]):
-    """Σ A_k ρ A_k† on the gate's wires only: O(D²·d), not O(D³), for ρ of
-    largest diagonal entry ``top``; with the result's largest diagonal
-    entry and its trace, both read from one view of its diagonal.
+    """2^-shift·Σ A_k ρ A_k† (``Plan.shift``) on the gate's wires only:
+    O(D²·d), not O(D³), for ρ of largest diagonal entry ``top``; with the
+    result's largest diagonal entry and its trace, both read from one view
+    of its diagonal. For ρ of trace below 2 no product overflows.
 
     On adjacent wires the joint is read in place: its row index as
     (a, d, b·D), so one batched product applies an operator to the
@@ -825,43 +857,36 @@ def _apply_gate(joint: np.ndarray, top, gate: Gate, dims: Sequence[int]):
     blocks expanded as W C W†, 2R + 2R²/d products per D² instead of
     2m·d for m operators.
     The result is Hermitian up to roundoff; its Hermitian part is taken
-    where states leave the evaluator. A result whose largest diagonal
-    entry is inf or NaN raises NumericalFailureError naming the gate.
-    Since |ρ_ab| ≤ √(ρ_aa ρ_bb), each entry's roundoff is below ``noise``
-    (``_noise``); a result within 1/ATOL of it keeps only eigenvalues
-    above D·noise, so what roundoff leaves of an annihilated state is
-    exactly 0. The cheap bound comes first, from ``top``; ρ's diagonal is
-    read only for the exact one, for a result within 1/ATOL of the cheap
-    one (``Plan.clears``, ``_roundoff``).
+    where states leave the evaluator. Since |ρ_ab| ≤ √(ρ_aa ρ_bb), each
+    entry's roundoff is below ``noise`` (``_noise``); a result within
+    1/ATOL of it keeps only eigenvalues above D·noise, so what roundoff
+    leaves of an annihilated state is exactly 0. The cheap bound comes
+    first, from ``top``; ρ's diagonal is read only for the exact one, for a
+    result within 1/ATOL of the cheap one (``Plan.clears``, ``_roundoff``).
     """
     plan = gate.plan
     frame = joint
     if plan.axes is not None:
         frame = np.ascontiguousarray(joint.reshape(list(dims) * 2).transpose(plan.axes))
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not plan.steps:  # no operator: the gate annihilates every state
-            out = np.zeros(joint.size, dtype=np.complex128)
-        elif plan.mask is None:
-            (row, *rows), (adjoint, *adjoints) = plan.steps, plan.adjoints
-            out = _sandwich(frame, row, adjoint, plan)
-            for row, adjoint in zip(rows, adjoints):
-                out += _sandwich(frame, row, adjoint, plan)
-        else:
-            (wh, w), (wh_adjoint, w_adjoint) = plan.steps, plan.adjoints
-            out = _sandwich(
-                _masked(_sandwich(frame, wh, wh_adjoint, plan), plan), w, w_adjoint, plan
-            )
-        if plan.axes is not None:
-            shape = frame.shape
-            del frame  # so that the permuted copy is gone before the one back
-            out = out.reshape(shape).transpose(np.argsort(plan.axes))
-        back = out.reshape(joint.shape)
-        diag = back.diagonal()
-        peak = np.abs(diag).max()
-        clear = plan.clears(peak, top)
-        noise = None if clear else _roundoff(plan, peak, np.abs(joint.diagonal()), dims)
-    if not math.isfinite(peak):
-        raise _not_finite(gate.label)
+    if not plan.steps:  # no operator: the gate annihilates every state
+        out = np.zeros(joint.size, dtype=np.complex128)
+    elif plan.mask is None:
+        (row, *rows), (adjoint, *adjoints) = plan.steps, plan.adjoints
+        out = _sandwich(frame, row, adjoint, plan)
+        for row, adjoint in zip(rows, adjoints):
+            out += _sandwich(frame, row, adjoint, plan)
+    else:
+        (wh, w), (wh_adjoint, w_adjoint) = plan.steps, plan.adjoints
+        out = _sandwich(_masked(_sandwich(frame, wh, wh_adjoint, plan), plan), w, w_adjoint, plan)
+    if plan.axes is not None:
+        shape = frame.shape
+        del frame  # so that the permuted copy is gone before the one back
+        out = out.reshape(shape).transpose(np.argsort(plan.axes))
+    back = out.reshape(joint.shape)
+    diag = back.diagonal()
+    peak = np.maximum.reduce(np.abs(diag))  # ndarray.max's wrapper costs 0.8 µs a gate
+    clear = plan.clears(peak, top)
+    noise = None if clear else _roundoff(plan, peak, np.abs(joint.diagonal()), dims)
     if noise is not None:
         evals, evecs = np.linalg.eigh(linalg.hermitize(back))
         keep = evals > joint.shape[0] * noise
@@ -913,38 +938,36 @@ def _factor_step(factor: np.ndarray, gate: Gate, dims: Sequence[int]):
     operator on L's row index only, through the plan's own operators.
 
     The Kraus route stacks each K L, the thin route each W_k C_k over
-    C = W† L. Non-adjacent wires permute L's rows (D × c), not ρ. The
-    checks are the dense kernel's (``_apply_gate``), with diag ρ the
-    squared row norms of L: a result that is not finite raises
-    NumericalFailureError naming the gate, and one within 1/ATOL of
-    its roundoff bound keeps only the eigen-directions above D·noise.
-    Returns L' and its diag ρ, which its compression (``_compress``)
-    needs before the next gate, or None when it has been cut already.
+    C = W† L, both times 2^-shift/2 as the plan's steps are (``Plan``), so
+    that for L L† of trace below 2 no product overflows. Non-adjacent
+    wires permute L's rows (D × c), not ρ. The roundoff check is the dense
+    kernel's (``_apply_gate``), with diag ρ the squared row norms of L: a
+    result within 1/ATOL of its roundoff bound keeps only the
+    eigen-directions above D·noise. Returns L' and its diag ρ, which its
+    compression (``_compress``) needs before the next gate, or None when it
+    has been cut already.
     """
     plan = gate.plan
     n, size = len(dims), factor.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        frame = factor
-        if plan.axes is not None:
-            frame = np.ascontiguousarray(factor.reshape(*dims, -1).transpose(*plan.axes[:n], n))
-        x = frame.reshape(plan.a, plan.roundoff.shape[-1], -1)
-        if plan.mask is None:
-            blocks = [np.matmul(k, x) for k in plan.steps]
-        else:
-            wh, w = plan.steps
-            c = np.matmul(wh, x)
-            blocks = [np.matmul(w[:, s], c[:, s]) for s in plan.groups]
-        out = np.stack(blocks, axis=-1) if blocks else np.empty(x.shape + (0,), x.dtype)
-        columns = frame.shape[-1] * len(blocks)
-        if plan.axes is not None:
-            out = out.reshape(*frame.shape[:-1], columns)
-            out = out.transpose(*np.argsort(plan.axes[:n]), n)
-        out = out.reshape(size, columns)
-        weights, diag = _weights(out), _weights(factor)
-        peak = weights.max()
-        noise = None if plan.clears(peak, diag.max()) else _roundoff(plan, peak, diag, dims)
-    if not np.isfinite(weights.sum()):
-        raise _not_finite(gate.label)
+    frame = factor
+    if plan.axes is not None:
+        frame = np.ascontiguousarray(factor.reshape(*dims, -1).transpose(*plan.axes[:n], n))
+    x = frame.reshape(plan.a, plan.roundoff.shape[-1], -1)
+    if plan.mask is None:
+        blocks = [np.matmul(k, x) for k in plan.steps]
+    else:
+        wh, w = plan.steps
+        c = np.matmul(wh, x)
+        blocks = [np.matmul(w[:, s], c[:, s]) for s in plan.groups]
+    out = np.stack(blocks, axis=-1) if blocks else np.empty(x.shape + (0,), x.dtype)
+    columns = frame.shape[-1] * len(blocks)
+    if plan.axes is not None:
+        out = out.reshape(*frame.shape[:-1], columns)
+        out = out.transpose(*np.argsort(plan.axes[:n]), n)
+    out = out.reshape(size, columns)
+    weights, diag = _weights(out), _weights(factor)
+    peak = weights.max()
+    noise = None if plan.clears(peak, float(diag.max())) else _roundoff(plan, peak, diag, dims)
     if noise is not None:
         return _annihilate(out, size * noise), None
     return out, weights
@@ -975,21 +998,18 @@ def _not_finite(label: str | None) -> NumericalFailureError:
     return NumericalFailureError(f"joint state is not finite {where}")
 
 
-def _exponent(tr: float, label: str | None) -> int:
+def _exponent(tr: float) -> int:
     """The even k with tr·2^-k in [1/2, 2), or 0 at tr = 0, but k ≥ -1022
-    so that 2^-k is a float. NumericalFailureError (``_not_finite``) if tr
-    is not finite."""
-    if not math.isfinite(tr):
-        raise _not_finite(label)
+    so that 2^-k is a float."""
     return max(math.frexp(tr)[1] & ~1, -1022)
 
 
-def _factor_block(wires, dims, exponent: int, factor: np.ndarray, owed, label: str | None):
+def _factor_block(wires, dims, exponent: int, factor: np.ndarray, owed):
     """A new factor L as a block and the diag L L† it owes (or None),
     scaled in place by 2^-k/2 and 2^-k (``_exponent``), which is exact;
     k is added to ``exponent``, and L made read-only."""
     tr = float(np.vdot(factor, factor).real)
-    k = _exponent(tr, label)
+    k = _exponent(tr)
     factor *= math.ldexp(1.0, -k // 2)
     if owed is not None:
         owed *= math.ldexp(1.0, -k)
@@ -998,47 +1018,41 @@ def _factor_block(wires, dims, exponent: int, factor: np.ndarray, owed, label: s
 
 
 def _step(block: Block, owed, fresh: int | None, gate: Gate, priors: Sequence[np.ndarray]):
-    """``gate`` on its block: the new block, and the diag ρ that its
-    compression is owed (or None). On the factor, first the compression
-    owed by the block's last gate; then the factor step while that costs
-    less than the dense step, else once and for all the block's dense joint
-    (before its first gate, the Kronecker product of its scaled ``priors``,
-    whose exponent is ``fresh``, to the block's exponent; after it, L L†).
-    The result is scaled in place as a factor's is (``_factor_block``),
-    before it is frozen, and its peak with it; a joint's diagonal is read
-    for its peak only where the joint is built."""
+    """``gate`` on a factor block: first the compression owed by the
+    block's last gate; then the factor step, while that costs less than the
+    dense step, with the diag ρ that the new factor's compression is owed.
+    Else, once and for all, the block's dense joint, not yet gated, and
+    None: before its first gate, the Kronecker product of its scaled
+    ``priors``, whose exponent is ``fresh``, to the block's exponent; after
+    it, L L†. Its diagonal is read for its peak here, where it is built."""
     plan, factor = gate.plan, block.factor
-    if factor is not None:
-        if owed is not None:
-            factor = _compress(factor, owed)
-        if _factor_cost(plan, factor.shape[0], factor.shape[1]) <= plan.dense_cost:
-            out, owed = _factor_step(factor, gate, block.dims)
-            return _factor_block(block.wires, block.dims, block.exponent, out, owed, gate.label)
-        if fresh is not None:
-            joint = linalg.kron_all(priors[w] for w in block.wires)
-            joint *= math.ldexp(1.0, fresh - block.exponent)
-        else:
-            joint = factor @ factor.conj().T
-        top = np.abs(joint.diagonal()).max()
+    if owed is not None:
+        factor = _compress(factor, owed)
+    if _factor_cost(plan, factor.shape[0], factor.shape[1]) <= plan.dense_cost:
+        out, owed = _factor_step(factor, gate, block.dims)
+        return _factor_block(block.wires, block.dims, block.exponent + plan.shift, out, owed)
+    if fresh is not None:
+        joint = linalg.kron_all(priors[w] for w in block.wires)
+        joint *= math.ldexp(1.0, fresh - block.exponent)
     else:
-        joint, top = block.dense.matrix, block.peak
-    matrix, peak, tr = _apply_gate(joint, top, gate, block.dims)
-    k = _exponent(tr, gate.label)
-    if k:
-        matrix *= math.ldexp(1.0, -k)
-    state = DensityMatrix._unchecked(matrix)
-    scaled = math.ldexp(tr, -k), block.exponent + k, math.ldexp(peak, -k)
-    return Block(block.wires, block.dims, None, state, *scaled), None
+        joint = factor @ factor.conj().T
+    peak = float(np.abs(joint.diagonal()).max())
+    return Block(block.wires, block.dims, None, joint, block.trace, block.exponent, peak), None
 
 
 def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[tuple[Block, ...]]:
     """The blocks at the priors and after each gate: one per interaction
-    component, from its priors' factor; each gate on its own block only
-    (``_step``), by the same arithmetic in both modes, bit for bit.
+    component, from its priors' factor; each gate on its own block only,
+    by the same arithmetic in both modes, bit for bit. A factor block takes
+    its step in ``_step``; a dense block, or one that ``_step`` has just
+    made dense, takes ``_apply_gate``, whose result is scaled in place by
+    2^-k (``_exponent``), which is exact, and frozen, and its block's
+    exponent takes the plan's shift and k.
 
     Each step is checked where it changed the world: without
     renormalizing, the likelihood ldexp(∏ block traces, Σ exponents) must
-    stay finite, as the dense joint's entries did; renormalizing divides
+    stay finite, and it alone can leave the float range (``Plan``);
+    renormalizing divides
     each block by its own trace (``WorldState``), so it raises
     ZeroTraceError once a block's trace is 0, at the priors or after the
     gate on it, and the likelihood may pass the float range.
@@ -1054,24 +1068,36 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[tuple
             factor = np.kron(factor, circuit.actors[w].root * math.ldexp(1.0, -scales[w]))
         fresh.append(2 * sum(scales[w] for w in wires))
         wire_dims = tuple(dims[w] for w in wires)
-        blocks.append(_factor_block(wires, wire_dims, fresh[-1], factor, None, None)[0])
+        blocks.append(_factor_block(wires, wire_dims, fresh[-1], factor, None)[0])
     where = {w: b for b, wires in enumerate(circuit.components) for w in wires}
 
-    def check(changed: Iterable[Block], label: str | None):
-        if renormalize_each_step:
-            for block in changed:
-                nonzero_trace(block.trace)
-        elif not math.isfinite(_likelihood(blocks)):
-            raise _not_finite(label)
-
-    check(blocks, None)
+    if renormalize_each_step:
+        for block in blocks:
+            nonzero_trace(block.trace)
+    elif not math.isfinite(_likelihood(blocks)):
+        raise _not_finite(None)
     yield tuple(blocks)
     owed = [None] * len(blocks)  # diag ρ of a factor whose compression is owed
     for gate in circuit.gates:
         b = where[gate.slots[0]]
-        block, owed[b] = _step(blocks[b], owed[b], fresh[b], gate, priors)
-        blocks[b], fresh[b] = block, None
-        check((block,), gate.label)
+        block = blocks[b]
+        if block.factor is not None:
+            block, owed[b] = _step(block, owed[b], fresh[b], gate, priors)
+            fresh[b] = None
+        if block.factor is None:
+            matrix, peak, tr = _apply_gate(block.dense, block.peak, gate, block.dims)
+            k = _exponent(tr)
+            if k:
+                matrix *= math.ldexp(1.0, -k)
+            matrix.setflags(write=False)
+            exponent = block.exponent + gate.plan.shift + k
+            block = Block(block.wires, block.dims, None, matrix, math.ldexp(tr, -k), exponent,
+                          math.ldexp(peak, -k))
+        blocks[b] = block
+        if renormalize_each_step:
+            nonzero_trace(block.trace)
+        elif not math.isfinite(_likelihood(blocks)):
+            raise _not_finite(gate.label)
         yield tuple(blocks)
 
 
@@ -1107,7 +1133,7 @@ def reduced_state(world: WorldState, actor: str) -> DensityMatrix:
     (block,) = (block for block in world.blocks if w in block.wires)
     local = block.wires.index(w)
     if block.factor is None:
-        out = linalg.partial_trace(block.dense.matrix, block.dims, [local])
+        out = linalg.partial_trace(block.dense, block.dims, [local])
     else:
         x = block.factor.reshape(math.prod(block.dims[:local]), block.dims[local], -1)
         out = np.matmul(x, x.conj().swapaxes(1, 2)).sum(axis=0)

@@ -871,6 +871,49 @@ class TestExport:
         assert diagonals == [[0.0, 0.0, 0.0, 1.0], [2.0, 1.0, 0.0, 0.0]]
 
 
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["run", "export"])
+    @pytest.mark.parametrize("bad", ["text", "lexicon"])
+    def test_file_that_is_not_utf8_is_input_error(self, tmp_path, capsys, command, bad):
+        """A text or lexicon file with a byte that is not UTF-8 exits 2 with
+        one error line that names the file, and no traceback."""
+        text, lex = _write(tmp_path, _extreme_lexicon(), "Door is one.\nDoor is one.\n")
+        path = text if bad == "text" else lex
+        raw = Path(path).read_bytes()
+        cut = raw.index(b"\n") + 1 if bad == "text" else raw.index(b"axis")  # in a name
+        Path(path).write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+        code, out, err = _clean_main(capsys, [command, text, "--lexicon", lex])
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert path in lines[0] and "UTF-8" in lines[0]
+        if bad == "text":
+            assert lines[0].startswith("error: line 2: ")
+
+    @pytest.mark.parametrize("where", ["density", "x", "y"])
+    def test_integer_past_the_float_range_is_input_error(self, tmp_path, capsys, where):
+        """An integer literal of 400 digits in a lexicon, as a matrix entry
+        or a ddm weight, exits 2 naming its entry."""
+        huge = "1" + "0" * 399
+        lexicon = _extreme_lexicon(
+            {"name": "Door", "space": "axis", "kind": "density", "mechanism": "fuzz",
+             "data": [[1.0, 0.0], [0.0, 0.0]]},
+            {"name": "w", "space": "axis", "kind": "ddm", "mechanism": "ddm",
+             "data": {"factors": [{"y": 1.0, "branches": [{"x": 1.0, "phi": [1.0, 0.0]}]}]}},
+        )
+        doc = json.dumps(lexicon)
+        target = {"density": "[[1.0, 0.0], [0.0, 0.0]]", "x": '"x": 1.0', "y": '"y": 1.0'}[where]
+        entry = "Door" if where == "density" else "w"
+        replaced = {"density": f"[[{huge}, 0.0], [0.0, 0.0]]", "x": f'"x": {huge}',
+                    "y": f'"y": {huge}'}[where]
+        text, lex = _write(tmp_path, lexicon, "Door is w.\n")
+        Path(lex).write_text(doc.replace(target, replaced, 1))
+        code, out, err = _clean_main(capsys, ["run", text, "--lexicon", lex])
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and f"'{entry}'" in lines[0] and "too large" in lines[0]
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(

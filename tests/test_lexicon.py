@@ -182,6 +182,20 @@ class TestFiles:
             load_lexicon(path)
         assert "broken.json" in str(err.value)
 
+    def test_load_rejects_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(json.dumps(_doc()).encode("utf-8").replace(b'"c"', b'"\xe9"', 1))
+        with pytest.raises(LexiconError) as err:
+            load_lexicon(path)
+        assert "latin.json" in str(err.value) and "UTF-8" in str(err.value)
+
+    @pytest.mark.parametrize("data", [[10**400, 0], [[1, 0], [0, -(10**400)]]])
+    def test_integer_past_the_float_range(self, data):
+        doc = dict(PURE_DOC, data=data)
+        with pytest.raises(LexiconError) as err:
+            entry_from_document(doc)
+        assert "'red'" in str(err.value) and "too large for a float" in str(err.value)
+
     def test_saved_file_is_plain_json(self, tmp_path):
         path = tmp_path / "lex.json"
         save_lexicon(lexicon_from_document(_doc()), path)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -10,17 +12,20 @@ from hypothesis import strategies as st
 
 from fuzzphaser import linalg
 from fuzzphaser import textcirc
+from fuzzphaser.cli import main
 from fuzzphaser.ddm import DdmBranch, DdmFactor, DoubleDensityMatrix
 from fuzzphaser.density import DensityMatrix, PureState, from_pure, nonzero_trace
 from fuzzphaser.errors import (
     DimensionOverflowError,
     LexiconError,
+    NumericalFailureError,
     ParseError,
     SpaceMismatchError,
     UnknownActorError,
     UnknownWordError,
     ZeroTraceError,
 )
+from fuzzphaser.lexicon import save_lexicon
 from fuzzphaser.properties import ALL_CHECKS, apply_gate_dense, check_local_kernel
 from fuzzphaser.sampling import DEFAULT_SEED, random_ddm, random_density, random_psd, random_pure
 from fuzzphaser.textcirc import (
@@ -52,6 +57,11 @@ ROUTES = {"factor": -math.inf, "dense": math.inf}
 def _top(rho):
     """max|ρ_ii|, the largest diagonal entry that ``_apply_gate`` takes."""
     return np.abs(rho.diagonal()).max()
+
+
+def _applied(rho, gate, dims):
+    """Σ K ρ K† by ``_apply_gate``, which returns it times 2^-shift (``Plan.shift``)."""
+    return _apply_gate(rho, _top(rho), gate, dims)[0] * math.ldexp(1.0, gate.plan.shift)
 
 
 def _links(actors):
@@ -473,7 +483,7 @@ class TestLocalKernel:
         assert gate.slots == slots
         rho = linalg.hermitize(random_density(int(np.prod(dims)), rng).matrix)
         dense = apply_gate_dense(rho, gate, dims)
-        local, _, _ = _apply_gate(rho, _top(rho), gate, dims)
+        local = _applied(rho, gate, dims)
         assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
 
 
@@ -541,7 +551,7 @@ class TestRoutes:
         for plan in _both_forms(slots, dims, kraus, vectors):
             gate = Gate(slots, mechanism, operand, "w", kraus, plan)
             dense = apply_gate_dense(rho, gate, dims)
-            local, _, _ = _apply_gate(rho, _top(rho), gate, dims)
+            local = _applied(rho, gate, dims)
             assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
@@ -561,7 +571,7 @@ class TestRoutes:
             for plan in _both_forms(slots, dims, kraus, vectors):
                 gate = Gate(slots, mechanism, operand, "w", kraus, plan)
                 dense = apply_gate_dense(rho, gate, dims)
-                local, _, _ = _apply_gate(rho, _top(rho), gate, dims)
+                local = _applied(rho, gate, dims)
                 assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
                 seen.add((plan.axes is None, plan.b == 1, plan.thin))
         frames = {(True, True), (True, False), (False, True)}
@@ -641,7 +651,7 @@ class TestRoutes:
         plan = gate.plan
         assert (plan.mask.shape[0] if plan.thin else len(plan.steps)) == 2
         dense = apply_gate_dense(rho, gate, dims)
-        local, _, _ = _apply_gate(rho, _top(rho), gate, dims)
+        local = _applied(rho, gate, dims)
         assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
 
 
@@ -1001,7 +1011,7 @@ def _same_blocks(a, b) -> bool:
     """Whether two worlds hold the same blocks, bit for bit."""
 
     def held(block):
-        return block.dense.matrix if block.factor is None else block.factor
+        return block.dense if block.factor is None else block.factor
 
     return len(a.blocks) == len(b.blocks) and all(
         (x.wires, x.exponent, x.trace) == (y.wires, y.exponent, y.trace)
@@ -1212,7 +1222,7 @@ class TestHermitianPart:
         chain = linalg.kron_all(a.prior.matrix for a in circuit.actors)
         peak = linalg.max_abs(chain)
         for gate in circuit.gates:
-            chain = linalg.hermitize(_apply_gate(chain, _top(chain), gate, dims)[0])
+            chain = linalg.hermitize(_applied(chain, gate, dims))
             if renorm:
                 chain = chain / np.trace(chain).real
             peak = max(peak, linalg.max_abs(chain))
@@ -1493,7 +1503,7 @@ def _carried_peaks(circuit: Circuit, renorm: bool) -> int:
                 if block.factor is not None:
                     assert block.peak is None
                     continue
-                held = float(np.abs(block.dense.matrix.diagonal()).max())
+                held = float(np.abs(block.dense.diagonal()).max())
                 assert block.peak.hex() == held.hex()
                 checked += 1
     except ZeroTraceError:
@@ -1567,3 +1577,193 @@ class TestCarriedPeak:
         results the roundoff cut decides, where the peak is read again
         from the state the cut leaves."""
         assert _carried_peaks(CUT_CASES[case](), renorm) > 0 or renorm
+
+
+#: (sentence, its Sentence) pairs for texts drawn with repeats: both forms
+#: of "is", "an", "turns", verbs both ways and "Once there was".
+POOL = [
+    ("Once there was C", Introduce("C")),
+    ("A is a n0", IsA("A", "n0")),
+    ("A is n0", IsA("A", "n0")),
+    ("B is an n1", IsA("B", "n1")),
+    ("B turns n2", Turns("B", "n2")),
+    ("A v0 B", Transitive("A", "v0", "B")),
+    ("C v1 A", Transitive("C", "v1", "A")),
+    ("B v0 C", Transitive("B", "v0", "C")),
+]
+
+#: Sentences that fail: an unknown word, a noun on another space (a space
+#: mismatch wherever A also takes a word on "c"), a self-transitive verb,
+#: and a shape that matches no pattern.
+BAD_POOL = [
+    ("A is zz", IsA("A", "zz")),
+    ("A is m0", IsA("A", "m0")),
+    ("A v0 A", Transitive("A", "v0", "A")),
+    ("A B C D E", None),
+]
+
+
+def _pool_lexicon() -> Lexicon:
+    rng = np.random.default_rng(18)
+    entries = [
+        LexiconEntry("n0", "c", "pure", "projector", random_pure(2, rng)),
+        LexiconEntry("n1", "c", "density", "fuzz", random_density(2, rng)),
+        LexiconEntry("n2", "c", "density", "phaser", random_density(2, rng)),
+        LexiconEntry("v0", ("c", "c"), "ddm", "ddm", random_ddm(4, rng)),
+        LexiconEntry("v1", ("c", "c"), "density", "fuzz", random_density(4, rng, rank=2)),
+        LexiconEntry("m0", "d", "density", "fuzz", random_density(3, rng)),
+        LexiconEntry("C", "c", "pure", "projector", random_pure(2, rng)),
+    ]
+    return Lexicon({"c": 2, "d": 3}, entries)
+
+
+def _compiled(sentences) -> Circuit | Exception:
+    try:
+        return compile_sentences(sentences, _pool_lexicon())
+    except Exception as exc:  # noqa: BLE001 - compared by type and message
+        return exc
+
+
+class TestDistinctSentences:
+    @settings(max_examples=150)
+    @given(
+        drawn=st.lists(st.integers(0, len(POOL) + len(BAD_POOL) - 1), min_size=1, max_size=30),
+        bad=st.booleans(),
+        gaps=st.lists(st.sampled_from([" ", "\n", "  \n ", "\n\n"]), min_size=30, max_size=30),
+    )
+    def test_shared_sentences_compile_as_fresh_copies(self, drawn, bad, gaps):
+        """A text drawn from a pool with repeats: parse shares one Sentence
+        per token sequence, and compiling those is compiling fresh, unshared
+        copies of them: the same actors, spaces, components, labels, slots
+        and mechanisms, one Gate per distinct label, the same trajectory bit
+        for bit, or the same first error, raised at its first occurrence."""
+        pool = POOL + BAD_POOL if bad else POOL
+        drawn = [i % len(pool) for i in drawn]
+        text = "".join(pool[i][0] + "." + gap for i, gap in zip(drawn, gaps))
+        shapeless = [n for n, i in enumerate(drawn) if pool[i][1] is None]
+        if shapeless:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            n = shapeless[0]
+            first = "".join(pool[i][0] + "." + gap for i, gap in zip(drawn[:n], gaps))
+            assert err.value.line == first.count("\n") + 1
+            assert err.value.reason == "unrecognized sentence shape: 'A B C D E'"
+            return
+        sentences = parse(text)
+        assert sentences == [pool[i][1] for i in drawn]
+        assert len({id(s) for s in sentences}) == len({pool[i][0] for i in drawn})
+        fresh = [dataclasses.replace(s) for s in sentences]
+        assert len({id(s) for s in fresh}) == len(fresh)
+        shared, copied = _compiled(sentences), _compiled(fresh)
+        if isinstance(copied, Exception):
+            assert type(shared) is type(copied) and str(shared) == str(copied)
+            return
+        assert [(a.name, a.space, a.dim) for a in shared.actors] == [
+            (a.name, a.space, a.dim) for a in copied.actors]
+        assert shared.components == copied.components
+        assert [(g.label, g.slots, g.mechanism) for g in shared.gates] == [
+            (g.label, g.slots, g.mechanism) for g in copied.gates]
+        labels = {g.label for g in shared.gates}
+        assert len({id(g) for g in shared.gates}) == len(labels)
+        assert len({id(g) for g in copied.gates}) == len(labels)
+        for renorm in (False, True):
+            worlds = zip(evaluate_trajectory(shared, renorm), evaluate_trajectory(copied, renorm))
+            assert all(_same_blocks(a, b) for a, b in worlds)
+
+
+def _scaled_by(entry: LexiconEntry, k: int) -> LexiconEntry:
+    """``entry`` with its operand times 2^k: a ket's amplitudes, a density
+    matrix, or each ddm factor's weight y."""
+    f = math.ldexp(1.0, k)
+    if entry.kind == "pure":
+        operand = PureState(entry.operand.amplitudes * f)
+    elif entry.kind == "density":
+        operand = DensityMatrix(entry.operand.matrix * f)
+    else:
+        factors = [DdmFactor(x.y * f, x.branches) for x in entry.operand.factors]
+        operand = DoubleDensityMatrix(factors)
+    return LexiconEntry(entry.name, entry.space, entry.kind, entry.mechanism, operand)
+
+
+def _bench_like_text(rng):
+    """A lexicon and 2,000 sentences shaped like the benchmark's long text:
+    three dim-4 actors, A0 a ket, A1 the default prior and A2 a density;
+    four nouns and two verbs per mechanism, projector words kets, fuzz and
+    phaser words densities; verbs join A0 and A1 only."""
+    entries = [
+        LexiconEntry("A0", "c", "pure", "projector", random_pure(4, rng)),
+        LexiconEntry("A2", "c", "density", "fuzz", random_density(4, rng)),
+    ]
+    words = {m: ([], []) for m in MECHANISMS}
+    for i in range(24):
+        mechanism, verb = MECHANISMS[i % 4], i >= 16
+        name = f"{'v' if verb else 'n'}{i:03d}"
+        spaces, d = (("c", "c"), 16) if verb else ("c", 4)
+        entries.append(_scaled_word(name, mechanism, spaces, d, 1.0, rng))
+        words[mechanism][verb].append(name)
+    sentences = []
+    for _ in range(2000):
+        nouns, verbs = words[MECHANISMS[int(rng.integers(4))]]
+        if rng.random() < 0.25:
+            a, b = ("A0", "A1") if rng.random() < 0.5 else ("A1", "A0")
+            sentences.append(Transitive(a, verbs[int(rng.integers(len(verbs)))], b))
+        else:
+            actor, noun = f"A{int(rng.integers(3))}", nouns[int(rng.integers(len(nouns)))]
+            sentences.append((IsA if rng.random() < 0.5 else Turns)(actor, noun))
+    return entries, sentences
+
+
+def _render(s) -> str:
+    if isinstance(s, Transitive):
+        return f"{s.subject} {s.verb} {s.object}."
+    return f"{s.actor} {'is' if isinstance(s, IsA) else 'turns'} {s.noun}."
+
+
+class TestOperatorsCannotOverflow:
+    @pytest.mark.parametrize("k", [-400, -256, -100, -4, 4, 100, 256, 400])
+    def test_operand_scale_changes_no_bit(self, k):
+        """Every operand and prior of a long text times 2^k: each plan's
+        steps are the same (``Plan.shift`` takes up the scale), so the
+        renormalized states are the same bit for bit, and the likelihood
+        moves by exactly 2^(k·n), n the gates that are no projector plus 2
+        for A0's ket and 1 for A2's density; or, past the float range,
+        fails naming its sentence or the priors. k is a multiple of 4, since the thin
+        route takes y^(1/4) of each ddm weight, and |k| ≤ 480: beyond, a
+        ket's direction is read over its largest entry (``PureState``) and
+        LAPACK scales the operands it decomposes."""
+        entries, sentences = _bench_like_text(np.random.default_rng(1801))
+        base = compile_sentences(sentences, Lexicon({"c": 4}, entries))
+        scaled = [_scaled_by(e, k) for e in entries]
+        scaled = compile_sentences(sentences, Lexicon({"c": 4}, scaled))
+        power = k * (sum(g.mechanism != "projector" for g in base.gates) + 3)
+        for renorm in (True, False):
+            before = evaluate(base, renorm)
+            try:
+                after = evaluate(scaled, renorm)
+            except NumericalFailureError as exc:
+                assert not renorm and k > 0
+                assert re.fullmatch(r'joint state is not finite (after "[^"]+"|at the priors)', str(exc))
+                continue
+            for x, y in zip(before.blocks, after.blocks):
+                held = [b.dense if b.factor is None else b.factor for b in (x, y)]
+                assert x.trace == y.trace and held[0].tobytes() == held[1].tobytes()
+            assert after.exponent - before.exponent == power
+            if not renorm:
+                assert after.log_trace - before.log_trace == pytest.approx(
+                    power * math.log(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [[], ["--renormalize"]], ids=["likelihood", "renormalize"])
+    def test_run_path_enters_no_errstate(self, tmp_path, capsys, monkeypatch, flags):
+        """``fuzzphaser run`` on a 2,000-sentence text enters np.errstate
+        zero times: no gate's products can overflow."""
+        entries, sentences = _bench_like_text(np.random.default_rng(1802))
+        lex, text = tmp_path / "lexicon.json", tmp_path / "text.txt"
+        save_lexicon(Lexicon({"c": 4}, entries), lex)
+        text.write_text("\n".join(map(_render, sentences)) + "\n")
+        entered, errstate = [], np.errstate
+        monkeypatch.setattr(
+            np, "errstate", lambda *a, **kw: entered.append(1) or errstate(*a, **kw)
+        )
+        assert main(["run", str(text), "--lexicon", str(lex), *flags]) == 0
+        assert "gates applied: 2000\n" in capsys.readouterr().out
+        assert entered == []
