@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .density import DensityMatrix, PureState, require_same_dim
-from .errors import DimensionMismatchError, SizeCapError, ZeroTraceError
+from .errors import DimensionMismatchError, NumericalFailureError, SizeCapError, ZeroTraceError
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +97,11 @@ class DoubleDensityMatrix:
 
 
 def _kraus_factor(factor: DdmFactor) -> np.ndarray:
+    """√y Σᵢ xᵢ |φᵢ⟩⟨φᵢ|, whose entries are at most √y Σᵢ xᵢ in modulus:
+    NumericalFailureError where that passes half the float maximum,
+    before any entry overflows."""
+    if not math.sqrt(factor.y) * sum(b.x for b in factor.branches) < np.finfo(np.float64).max / 2:
+        raise NumericalFailureError("Kraus factor passes the float range")
     acc = np.zeros((factor.dim, factor.dim), dtype=np.complex128)
     for b in factor.branches:
         v = b.phi.amplitudes
@@ -127,6 +132,46 @@ def canonical_vectors(d: DoubleDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     ]
     w = np.array([v for _, v in pairs], dtype=np.complex128).T
     return w, np.array([k for k, _ in pairs])
+
+
+def fuzz_parts(sigma: DensityMatrix):
+    """``ddm_kraus`` and ``canonical_vectors`` of ``ddm_from_fuzz(σ)``, the
+    same bits, from σ's one ``grouped_eigh`` and no DDM: ((), None) where σ
+    has no positive eigenvalue, so that the fuzz annihilates every state."""
+    kraus, columns, owner = [], [], []
+    for value, block in linalg.grouped_eigh(sigma.matrix):
+        if value <= 0.0:
+            continue
+        units = [PureState._unchecked(col).normalized().amplitudes for col in block.T]
+        acc = np.zeros((sigma.dim, sigma.dim), dtype=np.complex128)
+        for v in units:
+            acc += np.outer(v, v.conj())
+        kraus.append(linalg.frozen(np.sqrt(value) * acc))
+        columns += [value**0.25 * v for v in units]
+        owner += [len(kraus) - 1] * len(units)
+    if not kraus:
+        return (), None
+    return tuple(kraus), (np.array(columns, dtype=np.complex128).T, np.array(owner))
+
+
+def phaser_parts(sigma: DensityMatrix):
+    """(√σ,) by ``linalg.matrix_sqrt``'s arithmetic, and ``canonical_vectors``
+    of ``ddm_from_phaser(σ)`` (None for σ = 0), the same bits, from one eigh
+    of σ and no DDM."""
+    try:
+        evals, evecs = np.linalg.eigh(sigma.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+    roots = linalg.psd_roots(evals)
+    kraus = (linalg.frozen(linalg.hermitize((evecs * roots) @ evecs.conj().T)),)
+    kept = [i for i in range(evals.size - 1, -1, -1) if roots[i] > 0.0]
+    if not kept:
+        return kraus, None
+    columns = [
+        np.sqrt(float(roots[i])) * PureState._unchecked(evecs[:, i]).normalized().amplitudes
+        for i in kept
+    ]
+    return kraus, (np.array(columns, dtype=np.complex128).T, np.zeros(len(kept), dtype=int))
 
 
 def ddm_update(rho: DensityMatrix, d: DoubleDensityMatrix) -> DensityMatrix:

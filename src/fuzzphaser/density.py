@@ -40,20 +40,29 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def _scale(self) -> float:
-        """1, or the largest modulus m where m leaves [2^-480, 2^480]: no
-        square of ψ over it under- or overflows."""
-        m = float(np.max(np.abs(self.amplitudes)))
-        return 1.0 if 2.0**-480 <= m <= 2.0**480 else m
+    def _scaled(self) -> tuple[np.ndarray, int]:
+        """(ψ, 0), or (ψ·2^-e, e) with the largest real or imaginary part m
+        of ψ's entries in [1/2, 1) at m·2^-e where m leaves [2^-480, 2^480]:
+        no square of the first under- or overflows, and the scaling is
+        exact, for a subnormal m too."""
+        a = self.amplitudes
+        m = max(np.maximum.reduce(np.abs(a.real)), np.maximum.reduce(np.abs(a.imag)))
+        if 2.0**-480 <= m <= 2.0**480:
+            return a, 0
+        e = math.frexp(m)[1]
+        return np.ldexp(np.ascontiguousarray(a).view(np.float64), -e).view(np.complex128), e
 
     def norm(self) -> float:
-        """‖ψ‖ = s·‖ψ/s‖ (``_scale``); inf past the float maximum."""
-        s = self._scale()
-        return s * float(np.linalg.norm(self.amplitudes / s))
+        """‖ψ‖ = 2^e·‖ψ·2^-e‖ (``_scaled``); inf past the float maximum."""
+        u, e = self._scaled()
+        try:
+            return math.ldexp(float(np.linalg.norm(u)), e)
+        except OverflowError:
+            return math.inf
 
     def normalized(self) -> "PureState":
-        """ψ/‖ψ‖, from ψ over its ``_scale``, so finite where ‖ψ‖ is not."""
-        u = self.amplitudes / self._scale()
+        """ψ/‖ψ‖, from ψ·2^-e (``_scaled``), so finite where ‖ψ‖ is not."""
+        u, _ = self._scaled()
         return PureState._unchecked(u / float(np.linalg.norm(u)))
 
     @classmethod

@@ -15,6 +15,7 @@ operand lives on the product space.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -42,15 +43,41 @@ def _complex_in(value, where: str) -> complex:
     raise LexiconError(f"{where}: expected a number or an [re, im] pair")
 
 
+def _array_in(data, ndim: int) -> np.ndarray | None:
+    """``data`` read by numpy at once as an ``ndim``-dimensional complex
+    array, all of [re, im] pairs or all of bare reals, each leaf an int or
+    a float (not a bool, nor a string, which numpy would take); None where
+    it is not that, so that the per-number readers name the fault."""
+    try:
+        parts = np.array(data, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):  # ragged, not numbers, or an int past the range
+        return None
+    pairs = parts.ndim == ndim + 1 and parts.shape[-1] == 2
+    if not pairs and parts.ndim != ndim:
+        return None
+    leaves = data
+    for _ in range(parts.ndim - 1):
+        leaves = list(itertools.chain.from_iterable(leaves))
+    if not set(map(type, leaves)) <= {float, int}:
+        return None
+    return parts.view(np.complex128)[..., 0] if pairs else parts.astype(np.complex128)
+
+
 def _vector_in(data, where: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise LexiconError(f"{where}: expected a non-empty vector")
+    vector = _array_in(data, 1)
+    if vector is not None:
+        return vector
     return np.array([_complex_in(v, where) for v in data], dtype=np.complex128)
 
 
 def _matrix_in(data, where: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise LexiconError(f"{where}: expected a non-empty matrix")
+    matrix = _array_in(data, 2)
+    if matrix is not None and matrix.shape == (len(data), len(data)):
+        return matrix
     rows = [_vector_in(row, where) for row in data]
     if any(row.size != len(rows) for row in rows):
         raise LexiconError(f"{where}: matrix must be square, rows of equal length")
@@ -87,6 +114,8 @@ def entry_from_document(obj, where: str = "entry") -> LexiconEntry:
         if key not in obj:
             raise LexiconError(f"{where}: missing key {key!r}")
     name, kind = obj["name"], obj["kind"]
+    if not isinstance(name, str):
+        raise LexiconError(f"{where}: entry name must be a string")
     where = f"{where} ({name!r})"
     try:
         if kind == "pure":

@@ -59,7 +59,7 @@ def as_complex_vector(vector) -> np.ndarray:
 def max_abs(a) -> float:
     """Max-norm: largest entrywise absolute value (0 for empty input)."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.maximum.reduce(np.abs(a), axis=None)) if a.size else 0.0
 
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
@@ -136,7 +136,7 @@ def grouped_eigh(matrix) -> list[tuple[float, np.ndarray]]:
     with no other, so a small eigenvalue next to the kernel keeps its own
     value and gives none of it to the kernel. Returns (value, column block
     of orthonormal eigenvectors) pairs, values strictly decreasing; every
-    other group's value is the mean of its members.
+    other group's value is the mean of its members, finite where they are.
     """
     m = as_complex_matrix(matrix, square=True)
     if not is_hermitian(m):
@@ -156,8 +156,8 @@ def grouped_eigh(matrix) -> list[tuple[float, np.ndarray]]:
         if evals[i] - evals[i - 1] > threshold or kernel[i] != kernel[i - 1]:
             boundaries.append(i)
     boundaries.append(evals.size)
-    groups = [
-        (0.0 if kernel[a] else float(np.mean(evals[a:b])), evecs[:, a:b])
+    groups = [  # the mean of halves, which is exact, so that it cannot overflow
+        (0.0 if kernel[a] else float(np.mean(evals[a:b] / 2) * 2), evecs[:, a:b])
         for a, b in zip(boundaries[:-1], boundaries[1:])
     ]
     groups.reverse()

@@ -12,10 +12,11 @@ the whole text, and an actor that no verb joins to another is a block of
 its own. Compiling turns each gate into Kraus operators on its own
 wires: projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k], each
 A_k = Σᵢ |ω_ik⟩⟨ω_ik| over the canonical vectors of the gate's double
-density matrix. Each gate applies either the operators or those
-vectors, whichever dense step costs less in products, calls and entries
-written (a plan chosen once per word and slots, on the wires of its
-block), to the touched wires only.
+density matrix. Each gate applies the operators, those vectors, or on
+the dense joint its doubled operator Σ A_k ⊗ Ā_k on the wires' (row,
+column) index pair, whichever dense step costs less in products, calls
+and entries written (a plan chosen once per word and slots, on the wires
+of its block), to the touched wires only.
 
 Each block starts on a factor ρ = L L† of its actors' priors, the
 Kronecker product of their roots (``Actor.root``), each scaled by a power
@@ -50,19 +51,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 from . import linalg
-from .ddm import (
-    DoubleDensityMatrix,
-    canonical_vectors,
-    ddm_from_fuzz,
-    ddm_from_phaser,
-    ddm_kraus,
-)
+from .ddm import DoubleDensityMatrix, canonical_vectors, ddm_kraus, fuzz_parts, phaser_parts
 from .density import (
     DensityMatrix,
     Projector,
@@ -79,7 +74,6 @@ from .errors import (
     SpaceMismatchError,
     UnknownActorError,
     UnknownWordError,
-    ZeroTraceError,
 )
 
 MECHANISMS = ("projector", "fuzz", "phaser", "ddm")
@@ -292,19 +286,35 @@ class Plan:
     the columns (a = b = 1). The Kraus route sums one step per K, the
     thin route chains two steps through ``mask`` (see ``_apply_gate``);
     ``groups`` are the columns of each factor of W on the thin route.
+    The doubled route keeps the Kraus steps, for the factor, and applies
+    ``doubled``, Φ = Σ_k K_k ⊗ K̄_k (d² × d²), to the dense joint in one
+    product: Φ maps the wires' (row, column) index pair, which
+    ``doubled_axes`` brings to lead, or which leads already (None) where
+    the wires are the whole block.
     The steps are the operators times 2^-e, e the binade of their entries
     (``_binade``), so that each entry is below √2 and no product with a
     state of trace below 2 can overflow; ``shift`` is what that takes off
-    the result's exponent, 2e on the Kraus route and 4e on the thin one,
-    which each step adds back to its block's (``_step``, ``_trajectory``).
+    the result's exponent, 2e on the Kraus and doubled routes and 4e on
+    the thin one, which each step adds back to its block's (``_step``,
+    ``_trajectory``).
     ``roundoff`` stacks the route's entrywise bounds G_k, times √(L·eps)
     for sums of L products, so that Σ_k max(G_k √diag ρ)² bounds the
     roundoff of each entry of the result (``_noise``); G ≥ 0 and no root
     exceeds √max|ρ_ii|, so the cheap bound ``gain``·max|ρ_ii| bounds that,
     ``gain`` = Σ_k (max row sum of G_k)² (``clears``).
 
+    On the doubled route L = d² + m, for m operators: each entry of Φ
+    sums m products, and each result entry (i, j) sums d² products of Φ
+    with ρ's entries (a, b) on the wires, the other wires' indices held.
+    Both sums round by at most L·eps of the sum of their terms' moduli,
+    so the result entry moves by at most L·eps·Σ_k Σ_ab |K_k|_ia |K_k|_jb
+    |ρ_ab|, and |ρ_ab| ≤ √(ρ_aa ρ_bb) gives L·eps·Σ_k (|K_k| √diag ρ)_i
+    (|K_k| √diag ρ)_j ≤ Σ_k max(G_k √diag ρ)² with G_k = |K_k|·√(L·eps),
+    the Kraus route's bound with d² + m for d: ``_noise``, ``gain``,
+    ``clears`` and the cut hold for it unchanged.
+
     ``dense_cost`` is the whole dense step of the route (``_route_costs``),
-    the cheaper of the two. A factor ρ = L L† takes the row side only
+    the cheapest of the three. A factor ρ = L L† takes the row side only
     (``_factor_step``) and makes ``fan`` column blocks; its step's cost
     comes from these same fields (``_factor_cost``).
     """
@@ -312,11 +322,13 @@ class Plan:
     axes: tuple[int, ...] | None
     a: int
     b: int
+    doubled_axes: tuple[int, ...] | None
     steps: tuple[np.ndarray, ...]
     adjoints: tuple[np.ndarray, ...]
     shift: int
     mask: np.ndarray | None
     groups: tuple[slice, ...] | None
+    doubled: np.ndarray | None
     roundoff: np.ndarray
     gain: float
     dense_cost: float
@@ -373,8 +385,9 @@ def _gate_parts(entry: LexiconEntry, mechanism: str):
     """The operand a gate carries, its Kraus operators on its own slots,
     and its canonical vectors (W, the factor of each column) or None.
 
-    A_k = W_k W_k†: projector W = [v], fuzz and phaser W from
-    ``ddm_from_fuzz`` and ``ddm_from_phaser``, ddm the lexicon's own ω.
+    A_k = W_k W_k†: projector W = [v], fuzz and phaser W those of
+    ``ddm_from_fuzz`` and ``ddm_from_phaser`` (``fuzz_parts``,
+    ``phaser_parts``, one decomposition each), ddm the lexicon's own ω.
     """
     if mechanism not in KIND_MECHANISMS[entry.kind]:
         raise LexiconError(
@@ -386,20 +399,13 @@ def _gate_parts(entry: LexiconEntry, mechanism: str):
         v = entry.operand.normalized().amplitudes
         return p, (p.matrix,), (v[:, None], np.zeros(1, dtype=int))
     if mechanism == "ddm":
-        vectors = canonical_vectors(entry.operand)
-        return entry.operand, tuple(ddm_kraus(entry.operand)), vectors
-    sigma = _ket_state(entry) if entry.kind == "pure" else entry.operand
-    if mechanism == "phaser":
-        kraus = (linalg.frozen(linalg.matrix_sqrt(sigma.matrix)),)
         try:
-            return sigma, kraus, canonical_vectors(ddm_from_phaser(sigma))
-        except ZeroTraceError:  # σ = 0, so √σ = 0
-            return sigma, kraus, None
-    try:
-        fuzzed = ddm_from_fuzz(sigma)
-    except ZeroTraceError:  # no positive eigenvalue: the fuzz annihilates every state
-        return sigma, (), None
-    return sigma, tuple(ddm_kraus(fuzzed)), canonical_vectors(fuzzed)
+            kraus = tuple(ddm_kraus(entry.operand))
+        except NumericalFailureError as exc:
+            raise NumericalFailureError(f"entry {entry.name!r}: {exc}") from None
+        return entry.operand, kraus, canonical_vectors(entry.operand)
+    sigma = _ket_state(entry) if entry.kind == "pure" else entry.operand
+    return sigma, *(phaser_parts if mechanism == "phaser" else fuzz_parts)(sigma)
 
 
 _EPS = np.finfo(np.float64).eps
@@ -463,13 +469,16 @@ def _ascending(m: np.ndarray, sizes: list[int], order: list[int]) -> np.ndarray:
 
 
 def _frame(slots, dims):
-    """(axes, a, b): None and the wires' neighbours when the slots are
-    adjacent, else the permutation to the frame and a = b = 1."""
+    """(axes, a, b, doubled_axes): None and the wires' neighbours when the
+    slots are adjacent, else the permutation to the frame and a = b = 1;
+    and the permutation that brings the wires' row indices, then their
+    column indices, to lead, None when the wires are the whole block."""
     wires, n = sorted(slots), len(dims)
-    if wires == list(range(wires[0], wires[-1] + 1)):
-        return None, math.prod(dims[: wires[0]]), math.prod(dims[wires[-1] + 1 :])
     rest = [w for w in range(n) if w not in wires]
-    return tuple(wires + rest + [n + w for w in rest + wires]), 1, 1
+    doubled = tuple(wires + [n + w for w in wires] + rest + [n + w for w in rest]) if rest else None
+    if wires == list(range(wires[0], wires[-1] + 1)):
+        return None, math.prod(dims[: wires[0]]), math.prod(dims[wires[-1] + 1 :]), doubled
+    return tuple(wires + rest + [n + w for w in rest + wires]), 1, 1, doubled
 
 
 def _step_cost(q_out: int, q_in: int, rows: int, cols: int, a: int, b: int):
@@ -485,42 +494,52 @@ def _step_cost(q_out: int, q_in: int, rows: int, cols: int, a: int, b: int):
     return cost, rows, cols
 
 
-def _route_costs(frame, d: int, size: int, m: int, r: int | None):
-    """The dense step of the Kraus route with m operators and of the thin
-    route with r vectors (None when r is None), on a size × size joint in
-    ``frame`` (``_frame``), whole: complex multiply-adds, CALL_COST per
-    BLAS call and PASS_COST per entry written or copied, the joint's and
-    the result's permuting copies included."""
-    axes, a, b = frame
-    moved = 0 if axes is None else 2 * PASS_COST * size * size
+def _route_costs(frame, d: int, size: int, m: int, r: int | None) -> dict[str, float]:
+    """The dense step of each route on a size × size joint in ``frame``
+    (``_frame``), whole: "kraus" with m operators, "thin" with r vectors
+    (absent when r is None) and "doubled", one d² × d² product; in
+    complex multiply-adds, CALL_COST per BLAS call and PASS_COST per entry
+    written or copied, the joint's and the result's permuting copies
+    included. Ties go to the first."""
+    axes, a, b, doubled_axes = frame
+    entries = size * size
+    moved = 0 if axes is None else 2 * PASS_COST * entries
     cost, _, _ = _step_cost(d, d, size, size, a, b)
     if m:  # each step, each summed into the first one's result in place
-        kraus = moved + m * cost + (m - 1) * (CALL_COST + size * size)
+        costs = {"kraus": moved + m * cost + (m - 1) * (CALL_COST + entries)}
     else:  # the zeros
-        kraus = moved + PASS_COST * size * size
-    if r is None:
-        return kraus, None
-    compress, rows, cols = _step_cost(r, d, size, size, a, b)
-    expand, _, _ = _step_cost(d, r, rows, cols, a, b)
-    return kraus, moved + compress + expand + CALL_COST + rows * cols
+        costs = {"kraus": moved + PASS_COST * entries}
+    if r is not None:
+        compress, rows, cols = _step_cost(r, d, size, size, a, b)
+        expand, _, _ = _step_cost(d, r, rows, cols, a, b)
+        costs["thin"] = moved + compress + expand + CALL_COST + rows * cols
+    moved = 0 if doubled_axes is None else 2 * PASS_COST * entries
+    costs["doubled"] = moved + d * d * entries + CALL_COST + PASS_COST * entries
+    return costs
 
 
-def _route(kraus, vectors, sizes: list[int], order: list[int]) -> tuple:
-    """The Kraus route, or the thin one when ``vectors`` (W, the factor of
-    each column) is given, A_k = W_k W_k†, on wires of ``sizes`` in slot
-    order that ``order`` sorts: ``Plan``'s steps and their adjoints, shift,
-    mask, groups, roundoff bounds and gain, in ascending wire order, shared
-    by every slot tuple of the circuit with the same order. The steps are
+def _route(kraus, vectors, sizes: list[int], order: list[int], doubled: bool = False) -> tuple:
+    """The Kraus route, the doubled one where ``doubled``, or the thin one
+    when ``vectors`` (W, the factor of each column) is given, A_k = W_k
+    W_k†, on wires of ``sizes`` in slot order that ``order`` sorts:
+    ``Plan``'s steps and their adjoints, shift, mask, groups, doubled
+    operator, roundoff bounds and gain, in ascending wire order, shared by
+    every slot tuple of the circuit with the same order. The steps are
     scaled by 2^-e, e the binade of their entries (``_binade``), which is
-    exact."""
-    d = math.prod(sizes)
+    exact; the doubled route keeps the Kraus steps and forms Φ from them."""
+    d, phi = math.prod(sizes), None
     if vectors is None:
         e = _binade(np.array(kraus))
         # K's rows, then its columns, in ascending wire order
         steps = tuple(_ascending(_ascending(k, sizes, order).T, sizes, order).T for k in kraus)
         steps = tuple(_ldexp(np.ascontiguousarray(step), -e) for step in steps)
-        bounds = np.abs(np.array(steps, dtype=np.complex128)).reshape(-1, d, d)
-        bounds, mask, groups, shift = bounds * np.sqrt(d * _EPS), None, None, 2 * e
+        stacked = np.array(steps, dtype=np.complex128).reshape(-1, d, d)
+        terms = d  # per result entry: d products, or Φ's m and then d² of Φ's
+        if doubled:  # Φ[(i, j), (a, b)] = Σ_k S_k[i, a] S̄_k[j, b], by broadcasting
+            terms = d * d + len(steps)
+            phi = (stacked[:, :, None, :, None] * stacked.conj()[:, None, :, None, :]).sum(axis=0)
+            phi = phi.reshape(d * d, d * d)
+        bounds, mask, groups, shift = np.abs(stacked) * np.sqrt(terms * _EPS), None, None, 2 * e
     else:
         w, owner = vectors
         e, r = _binade(w), w.shape[1]
@@ -536,7 +555,14 @@ def _route(kraus, vectors, sizes: list[int], order: list[int]) -> tuple:
         groups = tuple(slice(i, j) for i, j in zip(starts, starts[1:]))  # contiguous
         steps, mask = (w.conj().T, w), same.reshape(r, 1, r, 1)
     gain = float(np.square(bounds.sum(axis=2).max(axis=1, initial=0.0)).sum())
-    return steps, tuple(step.conj().T for step in steps), shift, mask, groups, bounds, gain
+    return steps, tuple(step.conj().T for step in steps), shift, mask, groups, phi, bounds, gain
+
+
+@cache
+def _inverse(axes: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation that undoes ``axes``; np.argsort per gate costs
+    several µs at the sizes of small blocks."""
+    return tuple(int(i) for i in np.argsort(axes))
 
 
 def _order(slots) -> list[int]:
@@ -595,13 +621,16 @@ def compile_sentences(
     state unless the lexicon carries an entry for the actor. Each
     distinct sentence is compiled once, at its first occurrence, which
     is where any error it raises is raised; its occurrences share one
-    ``Gate``.
+    ``Gate``. Occurrences are told apart by identity first (``parse``
+    shares one object among them), then by equality among the distinct
+    objects, so that equal sentences made apart share their Gate too.
     """
     if mechanism is not None and mechanism not in MECHANISMS:
         raise LexiconError(f"unknown mechanism {mechanism!r}")
     table = _ActorTable()
     pending = {}  # each distinct gate sentence: its actors, entry and label
-    for s in dict.fromkeys(sentences):
+    objects = {id(s): s for s in sentences}  # each object once, in first-occurrence order
+    for s in dict.fromkeys(objects.values()):
         if isinstance(s, Introduce):
             table.touch(s.actor)
             continue
@@ -678,14 +707,14 @@ def compile_sentences(
             block_dims, size = block[slots[0]]
             frame = _frame(tuple(local[w] for w in slots), block_dims)
             r = None if vectors is None else vectors[0].shape[1]
-            by_kraus, by_thin = _route_costs(frame, entry.dim, size, len(kraus), r)
-            thin = by_thin is not None and by_thin < by_kraus
+            costs = _route_costs(frame, entry.dim, size, len(kraus), r)
+            route = min(costs, key=costs.get)
             order = _order(slots)
-            key = entry.name, tuple(order), thin
+            key = entry.name, tuple(order), route
             if key not in routes:
-                sizes = [dims[w] for w in slots]
-                routes[key] = _route(kraus, vectors if thin else None, sizes, order)
-            plans[entry.name, slots] = Plan(*frame, *routes[key], by_thin if thin else by_kraus)
+                sizes, thin = [dims[w] for w in slots], route == "thin"
+                routes[key] = _route(kraus, vectors if thin else None, sizes, order, route == "doubled")
+            plans[entry.name, slots] = Plan(*frame, *routes[key], costs[route])
         made[label] = gate_of[s] = Gate(
             slots=slots,
             mechanism=effective,
@@ -694,7 +723,8 @@ def compile_sentences(
             kraus=kraus,
             plan=plans[entry.name, slots],
         )
-    gates = tuple(filter(None, map(gate_of.get, sentences)))  # an Introduce has no gate
+    by_id = {key: gate_of.get(s) for key, s in objects.items()}  # an Introduce has no gate
+    gates = tuple(filter(None, map(by_id.__getitem__, map(id, sentences))))
     return Circuit(actors=tuple(actors), gates=gates, components=components)
 
 
@@ -855,7 +885,10 @@ def _apply_gate(joint: np.ndarray, top, gate: Gate, dims: Sequence[int]):
     Kraus route applies each K. The thin route applies the gate's canonical
     vectors, A_k = W_k W_k†: C = W† ρ W, then only C's same-factor
     blocks expanded as W C W†, 2R + 2R²/d products per D² instead of
-    2m·d for m operators.
+    2m·d for m operators. The doubled route applies Φ = Σ_k K_k ⊗ K̄_k
+    to the wires' (row, column) index pair in one product, d² per entry:
+    in place where the wires are the whole block, else on the frame that
+    ``Plan.doubled_axes`` permutes the joint to, and back.
     The result is Hermitian up to roundoff; its Hermitian part is taken
     where states leave the evaluator. Since |ρ_ab| ≤ √(ρ_aa ρ_bb), each
     entry's roundoff is below ``noise`` (``_noise``); a result within
@@ -865,10 +898,13 @@ def _apply_gate(joint: np.ndarray, top, gate: Gate, dims: Sequence[int]):
     result within 1/ATOL of the cheap one (``Plan.clears``, ``_roundoff``).
     """
     plan = gate.plan
+    axes = plan.axes if plan.doubled is None else plan.doubled_axes
     frame = joint
-    if plan.axes is not None:
-        frame = np.ascontiguousarray(joint.reshape(list(dims) * 2).transpose(plan.axes))
-    if not plan.steps:  # no operator: the gate annihilates every state
+    if axes is not None:
+        frame = np.ascontiguousarray(joint.reshape(list(dims) * 2).transpose(axes))
+    if plan.doubled is not None:
+        out = plan.doubled @ frame.reshape(plan.doubled.shape[1], -1)
+    elif not plan.steps:  # no operator: the gate annihilates every state
         out = np.zeros(joint.size, dtype=np.complex128)
     elif plan.mask is None:
         (row, *rows), (adjoint, *adjoints) = plan.steps, plan.adjoints
@@ -878,10 +914,10 @@ def _apply_gate(joint: np.ndarray, top, gate: Gate, dims: Sequence[int]):
     else:
         (wh, w), (wh_adjoint, w_adjoint) = plan.steps, plan.adjoints
         out = _sandwich(_masked(_sandwich(frame, wh, wh_adjoint, plan), plan), w, w_adjoint, plan)
-    if plan.axes is not None:
+    if axes is not None:
         shape = frame.shape
         del frame  # so that the permuted copy is gone before the one back
-        out = out.reshape(shape).transpose(np.argsort(plan.axes))
+        out = out.reshape(shape).transpose(_inverse(axes))
     back = out.reshape(joint.shape)
     diag = back.diagonal()
     peak = np.maximum.reduce(np.abs(diag))  # ndarray.max's wrapper costs 0.8 µs a gate
@@ -893,7 +929,7 @@ def _apply_gate(joint: np.ndarray, top, gate: Gate, dims: Sequence[int]):
         back = (evecs[:, keep] * evals[keep]) @ evecs[:, keep].conj().T
         diag = back.diagonal()
         peak = np.abs(diag).max()
-    return back, peak, float(diag.sum().real)
+    return back, peak, float(np.add.reduce(diag).real)  # as diag.sum(), less its wrapper
 
 
 def _weights(factor: np.ndarray) -> np.ndarray:
@@ -963,7 +999,7 @@ def _factor_step(factor: np.ndarray, gate: Gate, dims: Sequence[int]):
     columns = frame.shape[-1] * len(blocks)
     if plan.axes is not None:
         out = out.reshape(*frame.shape[:-1], columns)
-        out = out.transpose(*np.argsort(plan.axes[:n]), n)
+        out = out.transpose(*_inverse(plan.axes[:n]), n)
     out = out.reshape(size, columns)
     weights, diag = _weights(out), _weights(factor)
     peak = weights.max()

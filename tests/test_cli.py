@@ -518,14 +518,20 @@ class TestRun:
          "data": _ket(1.5e308, 1.5e308)},
         {"name": "w", "space": "axis", "kind": "ddm", "mechanism": "ddm",
          "data": {"factors": [{"y": 1.0, "branches": [{"x": 1.0, "phi": [1e200, 1e200]}]}]}},
-    ], ids=["huge-projector", "tiny-projector", "norm-past-max-projector", "huge-ddm-branch"])
+        {"name": "w", "space": "axis", "kind": "pure", "mechanism": "projector",
+         "data": _ket(5e-324, 5e-324)},
+        {"name": "w", "space": "axis", "kind": "ddm", "mechanism": "ddm",
+         "data": {"factors": [{"y": 1.0, "branches": [{"x": 1.0, "phi": [5e-324, 5e-324]}]}]}},
+    ], ids=["huge-projector", "tiny-projector", "norm-past-max-projector", "huge-ddm-branch",
+            "subnormal-projector", "subnormal-ddm-branch"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_extreme_kets_take_their_direction(
         self, tmp_path, capsys, monkeypatch, fmt, word, renormalize, route
     ):
         """A projector word or ddm branch uses only its ket's direction, so
         a ket whose squared norm, or even its norm, leaves the float range
-        evaluates: Door's |0⟩ projected onto [1, 1]/√2 has trace 1/2."""
+        evaluates, subnormal amplitudes too: Door's |0⟩ projected onto
+        [1, 1]/√2 has trace 1/2."""
         monkeypatch.setattr(textcirc, "EIGH_CALL", ROUTES[route])
         path, lex = _write(tmp_path, _extreme_lexicon(word), "Door is w.\n")
         argv = ["run", path, "--lexicon", lex, "--format", fmt]
@@ -912,6 +918,48 @@ class TestInputFiles:
         lines = err.splitlines()
         assert code == 2 and out == ""
         assert len(lines) == 1 and f"'{entry}'" in lines[0] and "too large" in lines[0]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_fuzz_eigenvalue(self, tmp_path, capsys, fmt):
+        """A fuzz by 1e308·I, whose one eigen-group has a mean past the float
+        maximum if summed as it is: renormalized, Door keeps its ket; in
+        likelihood mode the second gate takes the likelihood past the float
+        range, and the run exits 2 naming it."""
+        word = {"name": "w", "space": "axis", "kind": "density", "mechanism": "fuzz",
+                "data": [[1e308, 0.0], [0.0, 1e308]]}
+        path, lex = _write(tmp_path, _extreme_lexicon(word), "Door is w. Door is w.\n")
+        argv = ["run", path, "--lexicon", lex, "--format", fmt]
+        code, out, err = _clean_main(capsys, argv + ["--renormalize"])
+        assert code == 0 and err == ""
+        _assert_report(out, fmt, 1.0, {"Door": (1.0, np.diag([1.0, 0.0]))})
+        code, out, err = _clean_main(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == 'error: joint state is not finite after "Door is w"\n'
+
+    @pytest.mark.parametrize("renormalize", [False, True], ids=["likelihood", "renormalize"])
+    def test_ddm_kraus_factor_past_the_float_range(self, tmp_path, capsys, renormalize):
+        """A ddm entry with y = x = 1e308: its Kraus factor √y·x·|φ⟩⟨φ| passes
+        the float range, so the run exits 2 with one error line naming the
+        entry, and no warning."""
+        word = {"name": "w", "space": "axis", "kind": "ddm", "mechanism": "ddm",
+                "data": {"factors": [{"y": 1e308, "branches": [{"x": 1e308, "phi": [1.0, 0.0]}]}]}}
+        path, lex = _write(tmp_path, _extreme_lexicon(word), "Door is w.\n")
+        argv = ["run", path, "--lexicon", lex] + ["--renormalize"] * renormalize
+        code, out, err = _clean_main(capsys, argv)
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error: entry 'w': ")
+        assert "float range" in lines[0]
+
+    def test_entry_name_must_be_a_string(self, tmp_path, capsys):
+        """An entry named by a list exits 2 naming the entry's place."""
+        word = {"name": ["red"], "space": "axis", "kind": "pure", "mechanism": "projector",
+                "data": _ket(1.0, 0.0)}
+        lexicon = {"spaces": {"axis": 2}, "entries": [ONE, word]}
+        path, lex = _write(tmp_path, lexicon, "Door is one.\n")
+        code, out, err = _clean_main(capsys, ["run", path, "--lexicon", lex])
+        assert code == 2 and out == ""
+        assert err == "error: entries[1]: entry name must be a string\n"
 
 
 class TestConsoleScript:

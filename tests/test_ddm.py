@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzphaser import linalg
 from fuzzphaser.ddm import (
@@ -7,6 +9,7 @@ from fuzzphaser.ddm import (
     DdmFactor,
     DoubleDensityMatrix,
     apply_kraus,
+    canonical_vectors,
     canonicalize,
     choi_matrix,
     ddm_as_state,
@@ -14,7 +17,9 @@ from fuzzphaser.ddm import (
     ddm_from_phaser,
     ddm_kraus,
     ddm_update,
+    fuzz_parts,
     kraus_from_state,
+    phaser_parts,
     same_channel,
 )
 from fuzzphaser.density import DensityMatrix, PureState
@@ -154,6 +159,47 @@ class TestReductions:
             ddm_from_fuzz(zero)
         with pytest.raises(ZeroTraceError):
             ddm_from_phaser(zero)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestOneDecomposition:
+    @settings(max_examples=100)
+    @given(
+        dim=st.integers(1, 6),
+        rank=st.integers(0, 6),
+        levels=st.lists(st.sampled_from([0.5, 1.0, 2.0, 1e-3]), min_size=6, max_size=6),
+        exponent=st.floats(-300.0, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_parts_are_the_ddm_routes_bit_for_bit(self, dim, rank, levels, exponent, seed):
+        """``fuzz_parts`` and ``phaser_parts`` give the Kraus operators and
+        canonical vectors of ``ddm_from_fuzz`` and ``ddm_from_phaser`` (√σ by
+        ``linalg.matrix_sqrt``), the same bits, for σ of any rank, degenerate
+        eigenvalues and scale, σ = 0 included."""
+        rng = np.random.default_rng(seed)
+        rank = min(rank, dim)
+        basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        weights = np.array(levels[:rank]) * 10.0**exponent
+        sigma = DensityMatrix((basis[:, :rank] * weights) @ basis[:, :rank].conj().T)
+        kraus, vectors = fuzz_parts(sigma)
+        try:
+            fuzzed = ddm_from_fuzz(sigma)
+        except ZeroTraceError:
+            assert kraus == () and vectors is None
+        else:
+            assert all(map(_same_bits, kraus, ddm_kraus(fuzzed))) and len(kraus) == len(fuzzed.factors)
+            assert all(map(_same_bits, vectors, canonical_vectors(fuzzed)))
+        (root,), vectors = phaser_parts(sigma)
+        assert _same_bits(root, linalg.matrix_sqrt(sigma.matrix))
+        try:
+            phased = ddm_from_phaser(sigma)
+        except ZeroTraceError:
+            assert vectors is None
+        else:
+            assert all(map(_same_bits, vectors, canonical_vectors(phased)))
 
 
 class TestChoi:

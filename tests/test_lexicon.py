@@ -1,7 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fuzzphaser import lexicon
 
 from fuzzphaser.ddm import DoubleDensityMatrix
 from fuzzphaser.density import DensityMatrix, PureState
@@ -99,6 +104,43 @@ class TestEntryParsing:
     def test_bool_is_not_a_number(self):
         with pytest.raises(LexiconError):
             entry_from_document(dict(PURE_DOC, data=[True, 0.0]))
+
+    @pytest.mark.parametrize("leaf", [True, "0.5", None], ids=["bool", "string", "null"])
+    def test_leaf_that_numpy_would_take_is_not_a_number(self, leaf):
+        """numpy reads True, "0.5" and None as floats; each array is read
+        whole only when every leaf is an int or a float, so each of these
+        still fails with the per-number reader's message, in a pair or bare,
+        in a vector or a matrix."""
+        cases = [
+            (PURE_DOC, [[leaf, 0.0], [0.6, 0.0]], "expected a real number"),
+            (PURE_DOC, [leaf, 0.6], "expected a number or an [re, im] pair"),
+            (DENSITY_DOC, [[[leaf, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+             "expected a real number"),
+            (DENSITY_DOC, [[leaf, 0.0], [0.0, 1.0]], "expected a number or an [re, im] pair"),
+        ]
+        for doc, data, message in cases:
+            with pytest.raises(LexiconError, match=re.escape(message)):
+                entry_from_document(dict(doc, data=data))
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.integers(-(2**70), 2**70),
+                st.lists(st.one_of(st.floats(allow_nan=False), st.integers(-(2**70), 2**70)),
+                         min_size=2, max_size=2),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_array_reader_reads_as_the_per_number_reader(self, values):
+        """Pairs, bare reals, ints past 2^63 and signed zeros, all pairs,
+        all bare or mixed: the same complex128 bits either way."""
+        got = lexicon._vector_in(values, "entry")
+        want = np.array([lexicon._complex_in(v, "entry") for v in values], dtype=np.complex128)
+        assert got.tobytes() == want.tobytes()
 
     def test_invalid_operand_reported_with_entry_name(self):
         bad = dict(DENSITY_DOC, data=[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])

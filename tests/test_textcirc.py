@@ -512,17 +512,26 @@ def _route_word(kind: str, dim: int, scale: float, rng) -> LexiconEntry:
     return LexiconEntry("w", "s", "density", kind, DensityMatrix(sigma))
 
 
-def _both_forms(slots, dims, kraus, vectors):
-    """The Kraus and, if any, the thin plan."""
+#: Every dense route, in the order in which ``_route_costs`` breaks ties.
+ROUTE_NAMES = ("kraus", "thin", "doubled")
+
+
+def _route_of(plan) -> str:
+    return "doubled" if plan.doubled is not None else "thin" if plan.thin else "kraus"
+
+
+def _route_plans(slots, dims, kraus, vectors):
+    """The plan of each route: Kraus, thin (if the gate has canonical
+    vectors) and doubled."""
     frame, size = textcirc._frame(slots, dims), math.prod(dims)
     sizes, order = [dims[w] for w in slots], textcirc._order(slots)
     r = None if vectors is None else vectors[0].shape[1]
+    costs = textcirc._route_costs(frame, math.prod(sizes), size, len(kraus), r)
     plans = []
-    by_kraus, by_thin = textcirc._route_costs(frame, math.prod(sizes), size, len(kraus), r)
-    for route_vectors, cost in ((None, by_kraus), (vectors, by_thin)):
-        if cost is not None:
-            route = textcirc._route(kraus, route_vectors, sizes, order)
-            plans.append(textcirc.Plan(*frame, *route, cost))
+    for route, cost in costs.items():
+        route_vectors = vectors if route == "thin" else None
+        parts = textcirc._route(kraus, route_vectors, sizes, order, route == "doubled")
+        plans.append(textcirc.Plan(*frame, *parts, cost))
     return plans
 
 
@@ -539,7 +548,8 @@ class TestRoutes:
     def test_thin_and_kraus_routes_match_dense(
         self, dims, order, two_slots, mechanism, exponent, seed
     ):
-        """Both routes of one word, on permuted and non-adjacent slots."""
+        """Every route of one word, on permuted and non-adjacent slots, and
+        on the whole block, where the doubled route permutes nothing."""
         rng = np.random.default_rng(seed)
         wires = list(range(len(dims)))
         order.shuffle(wires)
@@ -548,7 +558,7 @@ class TestRoutes:
         entry = _route_word(mechanism, d, 10.0**exponent, rng)
         operand, kraus, vectors = _gate_parts(entry, mechanism)
         rho = linalg.hermitize(random_density(int(np.prod(dims)), rng).matrix)
-        for plan in _both_forms(slots, dims, kraus, vectors):
+        for plan in _route_plans(slots, dims, kraus, vectors):
             gate = Gate(slots, mechanism, operand, "w", kraus, plan)
             dense = apply_gate_dense(rho, gate, dims)
             local = _applied(rho, gate, dims)
@@ -557,7 +567,7 @@ class TestRoutes:
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_every_position_frame_and_form(self, mechanism):
         """Leading, middle and trailing wires, in and out of order, adjacent
-        and not, through both routes, with the wires trailing the column
+        and not, through every route, with the wires trailing the column
         index (b = 1) and not."""
         rng = np.random.default_rng(11)
         dims = (2, 3, 4, 2)
@@ -568,30 +578,34 @@ class TestRoutes:
             entry = _route_word(mechanism, d, 1.0, rng)
             operand, kraus, vectors = _gate_parts(entry, mechanism)
             rho = linalg.hermitize(random_density(int(np.prod(dims)), rng).matrix)
-            for plan in _both_forms(slots, dims, kraus, vectors):
+            for plan in _route_plans(slots, dims, kraus, vectors):
                 gate = Gate(slots, mechanism, operand, "w", kraus, plan)
                 dense = apply_gate_dense(rho, gate, dims)
                 local = _applied(rho, gate, dims)
                 assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
-                seen.add((plan.axes is None, plan.b == 1, plan.thin))
+                seen.add((plan.axes is None, plan.b == 1, _route_of(plan)))
         frames = {(True, True), (True, False), (False, True)}
-        assert seen == {frame + (thin,) for frame in frames for thin in (True, False)}
+        assert seen == {frame + (route,) for frame in frames for route in ROUTE_NAMES}
 
     def test_local_kernel_check_takes_both_routes(self, monkeypatch):
         """``verify``'s local-kernel-matches-dense, at its default seed, meets
-        both routes and both frames on the dense joint, each route on
-        adjacent wires with b = 1 and b > 1, and both routes and both
-        frames on the factor."""
+        every route on the dense joint: the Kraus and thin routes on both
+        frames, the Kraus route on adjacent wires with b = 1 and b > 1 and
+        the thin one with b = 1, and the doubled route on the whole block
+        and permuted; and every route, both frames, on the factor. (Its
+        single-wire gates with b > 1 take the doubled route; the thin
+        route there is pinned in ``test_every_position_frame_and_form``.)"""
         seen, factor_steps = [], set()
         apply, step = textcirc._apply_gate, textcirc._factor_step
 
         def spy(joint, top, gate, dims):
             plan = gate.plan
-            seen.append((plan.thin, plan.axes is None, plan.b == 1))
+            adjacent = (plan.axes if plan.doubled is None else plan.doubled_axes) is None
+            seen.append((_route_of(plan), adjacent, plan.b == 1))
             return apply(joint, top, gate, dims)
 
         def factor_spy(factor, gate, dims):
-            factor_steps.add((gate.plan.thin, gate.plan.axes is None))
+            factor_steps.add((_route_of(gate.plan), gate.plan.axes is None))
             return step(factor, gate, dims)
 
         monkeypatch.setattr(textcirc, "_apply_gate", spy)
@@ -599,11 +613,12 @@ class TestRoutes:
         seeds = np.random.SeedSequence(DEFAULT_SEED).spawn(len(ALL_CHECKS))
         rng = np.random.default_rng(seeds[ALL_CHECKS.index(check_local_kernel)])
         assert check_local_kernel(rng, 100, (2, 5)).passed
-        assert {thin for thin, _, _ in seen} == {True, False}
-        assert {adjacent for _, adjacent, _ in seen} == {True, False}
-        assert {(thin, last) for thin, adjacent, last in seen if adjacent} == {
-            (True, True), (True, False), (False, True), (False, False)}
-        assert {thin for thin, _ in factor_steps} == {True, False}
+        assert {(route, adjacent) for route, adjacent, _ in seen} == {
+            (route, adjacent) for route in ROUTE_NAMES for adjacent in (True, False)}
+        assert {(route, last) for route, adjacent, last in seen
+                if adjacent and route != "doubled"} == {
+            ("kraus", True), ("kraus", False), ("thin", True)}
+        assert {route for route, _ in factor_steps} == set(ROUTE_NAMES)
         assert {adjacent for _, adjacent in factor_steps} == {True, False}
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
@@ -1381,7 +1396,7 @@ class TestCheapBound:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_cheap_bound_covers_the_exact_one(self, mechanism, low, columns, seed):
-        """gain·max|ρ_ii| ≥ ``_noise`` for both routes of every mechanism and
+        """gain·max|ρ_ii| ≥ ``_noise`` for every route of every mechanism and
         the fuzz without operators, on slots of both frames, from the
         diagonal of a dense joint and of a factor, whose entries span
         10^low to 1."""
@@ -1401,7 +1416,7 @@ class TestCheapBound:
             else:
                 entry = _route_word(mechanism, d, 1.0, rng)
             _, kraus, vectors = _gate_parts(entry, entry.mechanism)
-            for plan in _both_forms(slots, dims, kraus, vectors):
+            for plan in _route_plans(slots, dims, kraus, vectors):
                 frames.add(plan.axes is None)
                 for diag in (np.abs(joint.diagonal()), textcirc._weights(factor)):
                     assert diag.max() == pytest.approx(1.0) and diag.min() < 10.0 ** (low + 1e-9)
@@ -1441,7 +1456,8 @@ class TestCheapBound:
         called, and compiling builds one Gate per distinct sentence. Each
         plan's step adjoints are formed once, when its route is compiled:
         evaluating forms no route, and every product with an adjoint takes
-        one of those arrays."""
+        one of those arrays. The gates take every route; each doubled plan's
+        Φ is Σ_k S_k ⊗ S̄_k of its own steps S_k."""
         rng = np.random.default_rng(1401)
         entries = [
             LexiconEntry("A0", "c", "pure", "projector", random_pure(4, rng)),
@@ -1477,10 +1493,14 @@ class TestCheapBound:
         plans = {id(g.plan): g.plan for g in circuit.gates}
         assert 0 < len(routes) <= len(plans) < distinct
         adjoints = {id(a) for plan in plans.values() for a in plan.adjoints}
+        assert {_route_of(plan) for plan in plans.values()} == set(ROUTE_NAMES)
         for plan in plans.values():
             assert len(plan.adjoints) == len(plan.steps)
             for step, adjoint in zip(plan.steps, plan.adjoints):
                 assert adjoint.tobytes() == step.conj().T.tobytes()
+            if plan.doubled is not None:
+                kron = sum(np.kron(step, step.conj()) for step in plan.steps)
+                assert np.abs(plan.doubled - kron).max() <= 1e-15 * np.abs(kron).max()
         compiled, used, sandwich = len(routes), set(), textcirc._sandwich
         monkeypatch.setattr(
             textcirc, "_sandwich", lambda *args: used.add(id(args[2])) or sandwich(*args)
@@ -1512,15 +1532,16 @@ def _carried_peaks(circuit: Circuit, renorm: bool) -> int:
 
 
 def _pinned_route(route: str):
-    """``_route_costs`` with the thin route's cost set one unit below the
-    Kraus route's, or one above, wherever the gate has canonical vectors."""
+    """``_route_costs`` with ``route``'s cost set one unit below the
+    cheapest, wherever the gate has that route: the Kraus and doubled
+    routes always, the thin one where the gate has canonical vectors."""
     costs = textcirc._route_costs
 
     def pinned(frame, d, size, m, r):
-        kraus, thin = costs(frame, d, size, m, r)
-        if thin is None:
-            return kraus, None
-        return kraus, kraus - 1 if route == "thin" else kraus + 1
+        by = costs(frame, d, size, m, r)
+        if route in by:
+            by[route] = min(by.values()) - 1
+        return by
 
     return pinned
 
@@ -1538,13 +1559,13 @@ class TestCarriedPeak:
             min_size=1,
             max_size=8,
         ),
-        route=st.sampled_from(["kraus", "thin"]),
+        route=st.sampled_from(ROUTE_NAMES),
         form=st.sampled_from(["default", "dense"]),
         renorm=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_peak_is_the_held_diagonal(self, dims, priors, scales, words, route, form, renorm, seed):
-        """Random texts of every mechanism, one block, both routes, the
+        """Random texts of every mechanism, one block, each route, the
         default form choice or dense from the first gate, both modes."""
         rng = np.random.default_rng(seed)
         with mock.patch.object(textcirc, "_route_costs", _pinned_route(route)), \
@@ -1554,7 +1575,7 @@ class TestCarriedPeak:
             _carried_peaks(circuit, renorm)
 
     @pytest.mark.parametrize("renorm", [False, True])
-    @pytest.mark.parametrize("route", ["kraus", "thin"])
+    @pytest.mark.parametrize("route", ROUTE_NAMES)
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_every_frame(self, monkeypatch, mechanism, route, renorm):
         """Each mechanism on every slot shape of wires (2, 3, 2) on the
@@ -1565,7 +1586,7 @@ class TestCarriedPeak:
         words = [(mechanism, s, o) for s, o in slots] * 2
         circuit = _text((2, 3, 2), ["ket", "density", None], words, np.random.default_rng(5))
         plans = [gate.plan for gate in circuit.gates]
-        assert {plan.thin for plan in plans} == {route == "thin"}
+        assert {_route_of(plan) for plan in plans} == {route}
         frames = {(plan.axes is None, plan.b == 1) for plan in plans}
         assert frames == {(True, True), (True, False), (False, True)}
         assert _carried_peaks(circuit, renorm) == len(circuit.gates)
@@ -1767,3 +1788,91 @@ class TestOperatorsCannotOverflow:
         assert main(["run", str(text), "--lexicon", str(lex), *flags]) == 0
         assert "gates applied: 2000\n" in capsys.readouterr().out
         assert entered == []
+
+
+def _weakest_word(name, mechanism, slots, rho, dims, keep, rng) -> LexiconEntry:
+    """A word on ``slots`` that keeps ``keep`` of the weakest nonzero
+    eigendirection u of ρ's reduced state on them (in slot order): a fuzz
+    or phaser by I − (1 − keep)|u⟩⟨u|, or the projector onto √(1 − keep)·s
+    + √keep·u, s the strongest direction."""
+    kept = linalg.partial_trace(rho, dims, slots)
+    if list(slots) != sorted(slots):  # partial_trace keeps wire order
+        a, b = (dims[w] for w in sorted(slots))
+        kept = kept.reshape(a, b, a, b).transpose(1, 0, 3, 2).reshape(a * b, a * b)
+    evals, evecs = np.linalg.eigh(linalg.hermitize(kept))
+    weakest = int(np.flatnonzero(evals > 1e-12 * evals[-1])[0])
+    u, strongest = evecs[:, weakest], evecs[:, -1]
+    labels = tuple(f"s{w}" for w in slots)
+    if mechanism == "projector" or weakest == evals.size - 1:
+        ket = np.sqrt(1.0 - keep) * strongest + np.sqrt(keep) * u
+        if weakest == evals.size - 1:  # one direction only: a random other one
+            other = random_pure(u.size, rng).amplitudes
+            ket = np.sqrt(1.0 - keep) * other + np.sqrt(keep) * u
+        return LexiconEntry(name, labels, "pure", "projector", PureState(ket))
+    sigma = np.eye(u.size) - (1.0 - keep) * np.outer(u, u.conj())
+    return LexiconEntry(name, labels, "density", mechanism, DensityMatrix(sigma))
+
+
+class TestChainedRoundoff:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dims=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+        groups=st.lists(st.integers(0, 1), min_size=3, max_size=3),
+        words=st.lists(
+            st.tuples(
+                st.sampled_from(["projector", "fuzz", "phaser"]),
+                st.integers(0, 2),
+                st.integers(0, 2),
+                st.floats(4.0, 6.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        route=st.sampled_from(ROUTE_NAMES),
+        form=st.sampled_from(["default", "factor", "dense"]),
+        renorm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exit_states_pass_the_check(self, dims, groups, words, route, form, renorm, seed):
+        """Chains of projectors, fuzzes and phasers on 1-3 wires, in one
+        block or several, each gate keeping 10^-4 to 10^-6 of the weakest
+        direction of the state on its wires, on each route pinned, the
+        default form choice or either form pinned, in both modes: every
+        actor's state at exit passes ``reduced_state``'s check."""
+        rng = np.random.default_rng(seed)
+        n = len(dims)
+        groups = groups[:n]
+        entries, sentences = [], [Introduce(f"A{w}") for w in range(n)]
+        for g in set(groups):
+            members = [(f"A{w}", f"s{w}", dims[w]) for w in range(n) if groups[w] == g]
+            links, linked = _links(members)
+            entries, sentences = entries + links, sentences + linked
+        for w, d in enumerate(dims):
+            entries.append(LexiconEntry(f"A{w}", f"s{w}", "density", "fuzz", random_density(d, rng)))
+        rho = linalg.kron_all(e.operand.matrix for e in entries[-n:])
+        for i, (mechanism, subject, obj, exponent) in enumerate(words):
+            subject = subject % n
+            group = [w for w in range(n) if groups[w] == groups[subject]]
+            obj = group[obj % len(group)]
+            slots = (subject,) if subject == obj else (subject, obj)
+            word = _weakest_word(f"w{i}", mechanism, slots, rho, dims, 10.0**-exponent, rng)
+            entries.append(word)
+            if len(slots) == 1:
+                sentences.append(IsA(f"A{subject}", word.name))
+            else:
+                sentences.append(Transitive(f"A{subject}", word.name, f"A{obj}"))
+            _, kraus, _ = _gate_parts(word, word.mechanism)
+            rho = sum(
+                k @ rho @ k.conj().T
+                for k in (linalg.embed_on_subsystem(k, dims, slots) for k in kraus)
+            )
+            rho = rho / np.trace(rho).real
+        eigh_call = {"default": textcirc.EIGH_CALL, **ROUTES}[form]
+        with mock.patch.object(textcirc, "_route_costs", _pinned_route(route)), \
+                mock.patch.object(textcirc, "EIGH_CALL", eigh_call):
+            lexicon = Lexicon({f"s{w}": d for w, d in enumerate(dims)}, entries)
+            circuit = compile_sentences(sentences, lexicon)
+            world = evaluate(circuit, renorm)
+        assert {_route_of(gate.plan) for gate in circuit.gates[-len(words):]} == {route}
+        for w in range(n):
+            reduced_state(world, f"A{w}")
