@@ -97,16 +97,24 @@ class DoubleDensityMatrix:
 
 
 def _kraus_factor(factor: DdmFactor) -> np.ndarray:
-    """√y Σᵢ xᵢ |φᵢ⟩⟨φᵢ|, whose entries are at most √y Σᵢ xᵢ in modulus:
-    NumericalFailureError where that passes half the float maximum,
-    before any entry overflows."""
-    if not math.sqrt(factor.y) * sum(b.x for b in factor.branches) < np.finfo(np.float64).max / 2:
-        raise NumericalFailureError("Kraus factor passes the float range")
+    """√y Σᵢ xᵢ |φᵢ⟩⟨φᵢ|. Its entries are at most √y Σᵢ xᵢ in modulus; where
+    that could pass the float range, the sum is taken on xᵢ·2^-k, k the
+    binade of the largest xᵢ, and the result scaled back by 2^k, exact but
+    for subnormal terms: NumericalFailureError only where a part of an
+    entry is past the float range."""
+    root, weights = math.sqrt(factor.y), [b.x for b in factor.branches]
+    big = np.finfo(np.float64).max
+    k = 0 if root * sum(weights) < big / 2 else math.frexp(max(weights))[1]
     acc = np.zeros((factor.dim, factor.dim), dtype=np.complex128)
-    for b in factor.branches:
+    for x, b in zip(weights, factor.branches):
         v = b.phi.amplitudes
-        acc += b.x * np.outer(v, v.conj())
-    return np.sqrt(factor.y) * acc
+        acc += math.ldexp(x, -k) * np.outer(v, v.conj())
+    acc = root * acc
+    if k == 0:
+        return acc
+    if max(linalg.max_abs(acc.real), linalg.max_abs(acc.imag)) > math.ldexp(big, -k):
+        raise NumericalFailureError("Kraus factor passes the float range")
+    return np.ldexp(acc.view(np.float64), k).view(np.complex128)
 
 
 def ddm_kraus(d: DoubleDensityMatrix) -> list[np.ndarray]:

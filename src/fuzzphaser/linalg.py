@@ -156,12 +156,23 @@ def grouped_eigh(matrix) -> list[tuple[float, np.ndarray]]:
         if evals[i] - evals[i - 1] > threshold or kernel[i] != kernel[i - 1]:
             boundaries.append(i)
     boundaries.append(evals.size)
-    groups = [  # the mean of halves, which is exact, so that it cannot overflow
-        (0.0 if kernel[a] else float(np.mean(evals[a:b] / 2) * 2), evecs[:, a:b])
+    groups = [
+        (0.0 if kernel[a] else _mean(evals[a:b]), evecs[:, a:b])
         for a, b in zip(boundaries[:-1], boundaries[1:])
     ]
     groups.reverse()
     return groups
+
+
+def _mean(values: np.ndarray) -> float:
+    """The mean of ascending values. Where their sum could pass the float
+    range, it is taken on values·2^-j, 2^j above their count, and scaled
+    back: exact there, as the kernel then holds every subnormal eigenvalue.
+    Every other group keeps its bits."""
+    if max(-values[0], values[-1]) < np.finfo(np.float64).max / (2 * values.size):
+        return float(np.mean(values))
+    j = values.size.bit_length()
+    return math.ldexp(float(np.mean(np.ldexp(values, -j))), j)
 
 
 def hermitian_eig(matrix) -> SpectralDecomposition:

@@ -314,7 +314,7 @@ class Plan:
     ``clears`` and the cut hold for it unchanged.
 
     ``dense_cost`` is the whole dense step of the route (``_route_costs``),
-    the cheapest of the three. A factor ρ = L L† takes the row side only
+    the cheapest of those offered. A factor ρ = L L† takes the row side only
     (``_factor_step``) and makes ``fan`` column blocks; its step's cost
     comes from these same fields (``_factor_cost``).
     """
@@ -500,7 +500,10 @@ def _route_costs(frame, d: int, size: int, m: int, r: int | None) -> dict[str, f
     (absent when r is None) and "doubled", one d² × d² product; in
     complex multiply-adds, CALL_COST per BLAS call and PASS_COST per entry
     written or copied, the joint's and the result's permuting copies
-    included. Ties go to the first."""
+    included. Ties go to the first. The doubled route is offered only
+    where writing Φ's d⁴ entries costs no more than one pass over the
+    joint and one call, so that no word's Φ holds more than the joint's
+    entries and CALL_COST / PASS_COST (400) more, whatever its d and m."""
     axes, a, b, doubled_axes = frame
     entries = size * size
     moved = 0 if axes is None else 2 * PASS_COST * entries
@@ -513,32 +516,35 @@ def _route_costs(frame, d: int, size: int, m: int, r: int | None) -> dict[str, f
         compress, rows, cols = _step_cost(r, d, size, size, a, b)
         expand, _, _ = _step_cost(d, r, rows, cols, a, b)
         costs["thin"] = moved + compress + expand + CALL_COST + rows * cols
-    moved = 0 if doubled_axes is None else 2 * PASS_COST * entries
-    costs["doubled"] = moved + d * d * entries + CALL_COST + PASS_COST * entries
+    if PASS_COST * d**4 <= PASS_COST * entries + CALL_COST:
+        moved = 0 if doubled_axes is None else 2 * PASS_COST * entries
+        costs["doubled"] = moved + d * d * entries + CALL_COST + PASS_COST * entries
     return costs
 
 
-def _route(kraus, vectors, sizes: list[int], order: list[int], doubled: bool = False) -> tuple:
-    """The Kraus route, the doubled one where ``doubled``, or the thin one
-    when ``vectors`` (W, the factor of each column) is given, A_k = W_k
-    W_k†, on wires of ``sizes`` in slot order that ``order`` sorts:
+def _route(kraus, vectors, sizes: list[int], order: list[int], route: str) -> tuple:
+    """The ``route`` named by ``_route_costs``: "kraus", "doubled", or
+    "thin" by ``vectors`` (W, the factor of each column), A_k = W_k W_k†,
+    on wires of ``sizes`` in slot order that ``order`` sorts:
     ``Plan``'s steps and their adjoints, shift, mask, groups, doubled
     operator, roundoff bounds and gain, in ascending wire order, shared by
     every slot tuple of the circuit with the same order. The steps are
     scaled by 2^-e, e the binade of their entries (``_binade``), which is
-    exact; the doubled route keeps the Kraus steps and forms Φ from them."""
+    exact; the doubled route keeps the Kraus steps and forms Φ from them,
+    by one product and no temporary larger than Φ."""
     d, phi = math.prod(sizes), None
-    if vectors is None:
+    if route != "thin":
         e = _binade(np.array(kraus))
         # K's rows, then its columns, in ascending wire order
         steps = tuple(_ascending(_ascending(k, sizes, order).T, sizes, order).T for k in kraus)
         steps = tuple(_ldexp(np.ascontiguousarray(step), -e) for step in steps)
         stacked = np.array(steps, dtype=np.complex128).reshape(-1, d, d)
         terms = d  # per result entry: d products, or Φ's m and then d² of Φ's
-        if doubled:  # Φ[(i, j), (a, b)] = Σ_k S_k[i, a] S̄_k[j, b], by broadcasting
+        if route == "doubled":  # Φ[(i, j), (a, b)] = Σ_k S_k[i, a] S̄_k[j, b]
             terms = d * d + len(steps)
-            phi = (stacked[:, :, None, :, None] * stacked.conj()[:, None, :, None, :]).sum(axis=0)
-            phi = phi.reshape(d * d, d * d)
+            pairs = stacked.reshape(-1, d * d).T  # column k: S_k's (i, a) entries
+            phi = (pairs @ pairs.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+            phi = np.ascontiguousarray(phi).reshape(d * d, d * d)
         bounds, mask, groups, shift = np.abs(stacked) * np.sqrt(terms * _EPS), None, None, 2 * e
     else:
         w, owner = vectors
@@ -712,8 +718,7 @@ def compile_sentences(
             order = _order(slots)
             key = entry.name, tuple(order), route
             if key not in routes:
-                sizes, thin = [dims[w] for w in slots], route == "thin"
-                routes[key] = _route(kraus, vectors if thin else None, sizes, order, route == "doubled")
+                routes[key] = _route(kraus, vectors, [dims[w] for w in slots], order, route)
             plans[entry.name, slots] = Plan(*frame, *routes[key], costs[route])
         made[label] = gate_of[s] = Gate(
             slots=slots,

@@ -951,6 +951,27 @@ class TestInputFiles:
         assert len(lines) == 1 and lines[0].startswith("error: entry 'w': ")
         assert "float range" in lines[0]
 
+    @pytest.mark.parametrize("branches", [
+        [{"x": 1e308, "phi": [1.0, 0.0]}],
+        [{"x": 6e307, "phi": [1.0, 0.0]}, {"x": 6e307, "phi": [0.0, 1.0]}],
+    ], ids=["one-branch", "two-orthogonal"])
+    def test_ddm_kraus_factor_at_the_float_range(self, tmp_path, capsys, branches):
+        """A ddm entry with y = 1 whose Kraus factor has entries up to 1e308,
+        all finite: renormalized, Door keeps its ket; in likelihood mode the
+        gate takes the likelihood past the float range, and the run exits 2
+        naming it."""
+        factors = [{"y": 1.0, "branches": [dict(b, phi=_ket(*b["phi"])) for b in branches]}]
+        word = {"name": "w", "space": "axis", "kind": "ddm", "mechanism": "ddm",
+                "data": {"factors": factors}}
+        path, lex = _write(tmp_path, _extreme_lexicon(word), "Door is w.\n")
+        argv = ["run", path, "--lexicon", lex]
+        code, out, err = _clean_main(capsys, argv + ["--renormalize"])
+        assert code == 0 and err == ""
+        _assert_report(out, "text", 1.0, {"Door": (1.0, np.diag([1.0, 0.0]))})
+        code, out, err = _clean_main(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == 'error: joint state is not finite after "Door is w"\n'
+
     def test_entry_name_must_be_a_string(self, tmp_path, capsys):
         """An entry named by a list exits 2 naming the entry's place."""
         word = {"name": ["red"], "space": "axis", "kind": "pure", "mechanism": "projector",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ class TestGroupedEigh:
         for _ in range(20):
             vals = [v for v, _ in linalg.grouped_eigh(_hermitian(5, rng))]
             assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-310, 1e308, np.finfo(float).max])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_group_mean_at_the_ends_of_the_float_range(self, value, n):
+        """A degenerate group's value is the mean of its eigenvalues up to the
+        mean's own rounding, both where their sum passes the float range and
+        where they are subnormal (so exactly, there)."""
+        groups = linalg.grouped_eigh(value * np.eye(n))
+        mean = float(sum(map(Fraction, np.linalg.eigvalsh(value * np.eye(n)))) / n)
+        assert [block.shape[1] for _, block in groups] == [n]
+        assert abs(groups[0][0] - mean) <= 4e-16 * mean
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):

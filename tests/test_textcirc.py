@@ -27,7 +27,9 @@ from fuzzphaser.errors import (
 )
 from fuzzphaser.lexicon import save_lexicon
 from fuzzphaser.properties import ALL_CHECKS, apply_gate_dense, check_local_kernel
-from fuzzphaser.sampling import DEFAULT_SEED, random_ddm, random_density, random_psd, random_pure
+from fuzzphaser.sampling import (
+    DEFAULT_SEED, random_ddm, random_density, random_psd, random_pure, random_unitary,
+)
 from fuzzphaser.textcirc import (
     MECHANISMS,
     Introduce,
@@ -522,17 +524,13 @@ def _route_of(plan) -> str:
 
 def _route_plans(slots, dims, kraus, vectors):
     """The plan of each route: Kraus, thin (if the gate has canonical
-    vectors) and doubled."""
+    vectors) and doubled (where ``_route_costs`` offers it)."""
     frame, size = textcirc._frame(slots, dims), math.prod(dims)
     sizes, order = [dims[w] for w in slots], textcirc._order(slots)
     r = None if vectors is None else vectors[0].shape[1]
     costs = textcirc._route_costs(frame, math.prod(sizes), size, len(kraus), r)
-    plans = []
-    for route, cost in costs.items():
-        route_vectors = vectors if route == "thin" else None
-        parts = textcirc._route(kraus, route_vectors, sizes, order, route == "doubled")
-        plans.append(textcirc.Plan(*frame, *parts, cost))
-    return plans
+    return [textcirc.Plan(*frame, *textcirc._route(kraus, vectors, sizes, order, route), cost)
+            for route, cost in costs.items()]
 
 
 class TestRoutes:
@@ -590,11 +588,9 @@ class TestRoutes:
     def test_local_kernel_check_takes_both_routes(self, monkeypatch):
         """``verify``'s local-kernel-matches-dense, at its default seed, meets
         every route on the dense joint: the Kraus and thin routes on both
-        frames, the Kraus route on adjacent wires with b = 1 and b > 1 and
-        the thin one with b = 1, and the doubled route on the whole block
-        and permuted; and every route, both frames, on the factor. (Its
-        single-wire gates with b > 1 take the doubled route; the thin
-        route there is pinned in ``test_every_position_frame_and_form``.)"""
+        frames, each on adjacent wires with b = 1 and b > 1, and the doubled
+        route on the whole block and permuted; and every route, both
+        frames, on the factor."""
         seen, factor_steps = [], set()
         apply, step = textcirc._apply_gate, textcirc._factor_step
 
@@ -617,9 +613,36 @@ class TestRoutes:
             (route, adjacent) for route in ROUTE_NAMES for adjacent in (True, False)}
         assert {(route, last) for route, adjacent, last in seen
                 if adjacent and route != "doubled"} == {
-            ("kraus", True), ("kraus", False), ("thin", True)}
+            ("kraus", True), ("kraus", False), ("thin", True), ("thin", False)}
         assert {route for route, _ in factor_steps} == set(ROUTE_NAMES)
         assert {adjacent for _, adjacent in factor_steps} == {True, False}
+
+    def test_doubled_route_holds_no_more_than_the_joint(self):
+        """A ddm of 14 full-rank factors on one wire of dimension 32, alone
+        in its block (D = 32): one d² × d² product would cost less than its
+        14 Kraus steps, but Φ would hold 32⁴ entries, a thousand joints, so
+        the gate takes another route, and compiling it allocates well below
+        one Φ."""
+        d, rng = 32, np.random.default_rng(19)
+        factors = []
+        for _ in range(14):
+            basis = random_unitary(d, rng)
+            branches = [DdmBranch(float(x), PureState(basis[:, i]))
+                        for i, x in enumerate(rng.uniform(0.2, 1.0, d))]
+            factors.append(DdmFactor(float(rng.uniform(0.2, 1.0)), branches))
+        entries = [LexiconEntry("A", "s", "density", "fuzz", random_density(d, rng)),
+                   LexiconEntry("w", "s", "ddm", "ddm", DoubleDensityMatrix(factors))]
+        tracemalloc.start()
+        try:
+            circuit = compile_sentences([Introduce("A"), IsA("A", "w")],
+                                        Lexicon({"s": d}, entries))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        plan = circuit.gates[0].plan
+        doubled = d**4 + textcirc.CALL_COST + textcirc.PASS_COST * d**2
+        assert plan.doubled is None and doubled < plan.dense_cost
+        assert peak < d**4 * 16 / 4
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("slots", [(0,), (1,), (3,), (0, 1), (2, 1), (2, 3)])
@@ -1534,12 +1557,13 @@ def _carried_peaks(circuit: Circuit, renorm: bool) -> int:
 def _pinned_route(route: str):
     """``_route_costs`` with ``route``'s cost set one unit below the
     cheapest, wherever the gate has that route: the Kraus and doubled
-    routes always, the thin one where the gate has canonical vectors."""
+    routes always, the doubled one also where its Φ would outgrow the
+    joint, and the thin one where the gate has canonical vectors."""
     costs = textcirc._route_costs
 
     def pinned(frame, d, size, m, r):
         by = costs(frame, d, size, m, r)
-        if route in by:
+        if route in by or route == "doubled":
             by[route] = min(by.values()) - 1
         return by
 
