@@ -81,73 +81,3 @@ from .update import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Circuit",
-    "DdmBranch",
-    "DdmFactor",
-    "DensityMatrix",
-    "DimensionMismatchError",
-    "DimensionOverflowError",
-    "DoubleDensityMatrix",
-    "FuzzPhaserError",
-    "IncompleteFamilyError",
-    "Lexicon",
-    "LexiconEntry",
-    "LexiconError",
-    "NotHermitianError",
-    "NotPSDError",
-    "NumericalFailureError",
-    "OrthonormalBasis",
-    "ParseError",
-    "PhaserData",
-    "Projector",
-    "PureState",
-    "SizeCapError",
-    "SpaceMismatchError",
-    "SpectralDecomposition",
-    "SpiderTensor",
-    "TracePreservationReport",
-    "UnknownActorError",
-    "UnknownWordError",
-    "WorldState",
-    "ZeroTraceError",
-    "apply_kraus",
-    "canonicalize",
-    "cap",
-    "choi_matrix",
-    "compile_sentences",
-    "compile_text",
-    "contract",
-    "cup",
-    "ddm_as_state",
-    "ddm_from_fuzz",
-    "ddm_from_phaser",
-    "ddm_kraus",
-    "ddm_update",
-    "decohere",
-    "evaluate",
-    "evaluate_trajectory",
-    "from_pure",
-    "fuzz",
-    "grouped_eigh",
-    "hermitian_eig",
-    "kraus_from_state",
-    "load_lexicon",
-    "make_spider",
-    "matrix_sqrt",
-    "parse",
-    "partial_trace",
-    "phase_apply",
-    "phaser",
-    "phaser_as_spider",
-    "phaser_general",
-    "phaser_pure",
-    "projector_update",
-    "purity",
-    "reduced_state",
-    "renormalize",
-    "same_channel",
-    "save_lexicon",
-    "trace_preservation_report",
-]

@@ -68,8 +68,15 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(matrix: np.ndarray) -> bool:
-    """Check ‖M − M†‖_max ≤ ATOL · ‖M‖_max, a bound that scales with M."""
-    return max_abs(matrix - matrix.conj().T) <= ATOL * max_abs(matrix)
+    """Check ‖M − M†‖_max ≤ ATOL · ‖M‖_max, a bound that scales with M. Only
+    where an entry of M exceeds half the float maximum, so that M − M†
+    could overflow, is the check made on halves, which lose no bit that
+    the bound can see there; elsewhere on M itself, where halving a
+    subnormal entry would round."""
+    scale = max_abs(matrix)
+    if scale > np.finfo(np.float64).max / 2:
+        matrix, scale = matrix / 2, scale / 2
+    return max_abs(matrix - matrix.conj().T) <= ATOL * scale
 
 
 def frozen(a: np.ndarray) -> np.ndarray:

@@ -14,9 +14,10 @@ wires: projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k], each
 A_k = Σᵢ |ω_ik⟩⟨ω_ik| over the canonical vectors of the gate's double
 density matrix. Each gate applies the operators, those vectors, or on
 the dense joint its doubled operator Σ A_k ⊗ Ā_k on the wires' (row,
-column) index pair, whichever dense step costs less in products, calls
-and entries written (a plan chosen once per word and slots, on the wires
-of its block), to the touched wires only.
+column) index pair, whole or as V·V† over the same-factor products of
+those vectors, whichever dense step costs less in products, calls and
+entries written (a plan chosen once per word and slots, on the wires of
+its block), to the touched wires only.
 
 Each block starts on a factor ρ = L L† of its actors' priors, the
 Kronecker product of their roots (``Actor.root``), each scaled by a power
@@ -26,13 +27,17 @@ next gate to the directions that carry more than roundoff of the weight
 of some row of L, however small that row is (``_compress``). The first
 time the dense step costs less than the factor's, counted in the same
 units (``Plan.dense_cost``, ``_factor_cost``), the block builds its
-joint once and applies the rest of its gates to it, on adjacent wires
-through views of the joint. Both forms apply each operator on the row
-index only: ρ is Hermitian, so A ρ A† = A (A ρ)†.
-Both bound each entry's roundoff from diag ρ alone, cheaply from its
-largest entry, then exactly for a result within 1/ATOL of that; a result
-within 1/ATOL of the exact bound keeps only the eigen-directions above D
-times it, D the block's dimension, so an annihilated state is exactly 0.
+joint once and applies the rest of its gates to it, held in the frame
+(an order of its tensor's axes) that its last gate left it in, and put
+back in actor order only where it leaves the evaluator (``Block``). The
+Kraus and thin routes apply each operator on the row index only: ρ is
+Hermitian, so A ρ A† = A (A ρ)†.
+Both forms bound each entry's roundoff from diag ρ alone: the dense step
+cheaply from its result's trace and its input's (``_apply_gate``), the
+factor's from the largest diagonal entries, then each exactly for a
+result within 1/ATOL of that; a result within 1/ATOL of the exact bound
+keeps only the eigen-directions above D times it, D the block's
+dimension, so an annihilated state is exactly 0.
 In both modes each result is rescaled by the power of four that brings
 its trace into [1/2, 2), which is exact, and its block keeps the
 exponent, as it keeps the power of two by which each plan scales the
@@ -50,7 +55,8 @@ part is taken there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -272,31 +278,41 @@ class Actor:
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """How one word's update is applied on one slot tuple of one circuit.
+    """How one word's update is applied on one slot tuple of one circuit,
+    on a block of wires ``dims``.
 
-    The kernel reads the row index of the joint (or of its frame) as
-    (a, d, ·) and the column index as (·, d, b), d the gate's dimension.
-    ``steps`` are the route's row operators, in ascending wire order:
-    each K, or W† and W, and ``adjoints`` theirs, formed once here. Each
-    step applies its operator on the row side and its adjoint on the
-    column side (``_sandwich``). ``axes`` is None
-    when the slots are adjacent, so the joint itself is the frame;
-    otherwise it permutes
-    the joint to the frame with the wires leading the rows and trailing
-    the columns (a = b = 1). The Kraus route sums one step per K, the
-    thin route chains two steps through ``mask`` (see ``_apply_gate``);
-    ``groups`` are the columns of each factor of W on the thin route.
-    The doubled route keeps the Kraus steps, for the factor, and applies
-    ``doubled``, Φ = Σ_k K_k ⊗ K̄_k (d² × d²), to the dense joint in one
-    product: Φ maps the wires' (row, column) index pair, which
-    ``doubled_axes`` brings to lead, or which leads already (None) where
-    the wires are the whole block.
+    A dense state is held in a frame: an order of the axes of its tensor,
+    the wires' row indices then their column indices, or None for that
+    order itself (``Block``). The Kraus and thin routes read the row index
+    of their frame ``axes`` as (a, d, ·) and the column index as (·, d,
+    b), d the gate's dimension: ``axes`` is None when the slots are
+    adjacent, else it brings the wires to lead the rows and trail the
+    columns (a = b = 1). ``steps`` are the route's row operators, in
+    ascending wire order: each K, or W† and W, and ``adjoints`` theirs,
+    formed once here. Each step applies its operator on the row side and
+    its adjoint on the column side (``_sandwich``). The Kraus route sums
+    one step per K, the thin route chains two steps through ``mask`` (see
+    ``_apply_gate``); ``groups`` are the columns of each factor of W.
+
+    The doubled and factored routes apply ``doubled``, products on the
+    wires' (row, column) index pair, in the ``paired`` frame, where each
+    wire's row index sits next to its column index, the wires in
+    ascending order, or the gate's wires first where they are not
+    adjacent: that pair is read as (lead, d², trail) (``around``), so all
+    single-wire steps of a block share one frame. The doubled route's one
+    product is Φ = Σ_k K_k ⊗ K̄_k (d² × d²), and it keeps the Kraus steps
+    for the factor. The factored route's two are V† and V, Φ = V·V†, V (d²
+    × s, s = Σ_k r_k²) holding the same-factor products w_p ⊗ w̄_q of the
+    thin route's W, whose steps it keeps for the factor. ``frame`` is
+    where the route's dense step reads and leaves the state, and
+    ``diagonal`` where S_ii lies in it, i in actor order.
+
     The steps are the operators times 2^-e, e the binade of their entries
     (``_binade``), so that each entry is below √2 and no product with a
     state of trace below 2 can overflow; ``shift`` is what that takes off
     the result's exponent, 2e on the Kraus and doubled routes and 4e on
-    the thin one, which each step adds back to its block's (``_step``,
-    ``_trajectory``).
+    the thin and factored ones, which each step adds back to its block's
+    (``_step``, ``_trajectory``).
     ``roundoff`` stacks the route's entrywise bounds G_k, times √(L·eps)
     for sums of L products, so that Σ_k max(G_k √diag ρ)² bounds the
     roundoff of each entry of the result (``_noise``); G ≥ 0 and no root
@@ -313,6 +329,18 @@ class Plan:
     the Kraus route's bound with d² + m for d: ``_noise``, ``gain``,
     ``clears`` and the cut hold for it unchanged.
 
+    On the factored route L = d² + s: y = V†ρ sums, for each same-factor
+    pair (p, q), d² products w̄_p[a] w_q[b] ρ_ab, and the result entry
+    (i, j) sums s products w_p[i] w̄_q[j] y_pq. The first sum rounds y_pq
+    by at most d²·eps·Σ_ab |w_p[a]||w_q[b]||ρ_ab|, which the second
+    carries with weight |w_p[i]||w_q[j]|, and the second rounds by at most
+    s·eps of its terms' moduli, each below that same weight times Σ_ab
+    |w_p[a]||w_q[b]||ρ_ab|. So the entry moves by at most L·eps·Σ_k
+    Σ_{p,q∈k} Σ_ab |w_p[i]||w_p[a]| |w_q[j]||w_q[b]| |ρ_ab|, and |ρ_ab| ≤
+    √(ρ_aa ρ_bb) gives L·eps·Σ_k (|W_k||W_k|ᵀ √diag ρ)_i (|W_k||W_k|ᵀ
+    √diag ρ)_j ≤ Σ_k max(G_k √diag ρ)² with G_k = |W_k||W_k|ᵀ·√(L·eps),
+    the thin route's bound with d² + s for d + r.
+
     ``dense_cost`` is the whole dense step of the route (``_route_costs``),
     the cheapest of those offered. A factor ρ = L L† takes the row side only
     (``_factor_step``) and makes ``fan`` column blocks; its step's cost
@@ -322,16 +350,26 @@ class Plan:
     axes: tuple[int, ...] | None
     a: int
     b: int
-    doubled_axes: tuple[int, ...] | None
+    paired: tuple[int, ...] | None
+    around: tuple[int, int]
+    dims: tuple[int, ...]
+    route: str
     steps: tuple[np.ndarray, ...]
     adjoints: tuple[np.ndarray, ...]
     shift: int
     mask: np.ndarray | None
     groups: tuple[slice, ...] | None
-    doubled: np.ndarray | None
+    doubled: tuple[np.ndarray, ...]
     roundoff: np.ndarray
     gain: float
     dense_cost: float
+    frame: tuple[int, ...] | None = field(init=False)
+    diagonal: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        frame = self.paired if self.doubled else self.axes
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "diagonal", _diagonal_at(frame, self.dims))
 
     @property
     def thin(self) -> bool:
@@ -345,7 +383,8 @@ class Plan:
     def clears(self, peak, top) -> bool:
         """Whether a result of largest diagonal entry ``peak`` lies 1/ATOL or
         more above 2·gain·``top``, ``top`` its input's, 2 for the sums'
-        rounding: then no exact bound (``_noise``) reaches it."""
+        rounding: then no exact bound (``_noise``) reaches it. It holds for
+        any ``peak`` below the result's and any ``top`` above the input's."""
         return peak * linalg.ATOL >= 2.0 * self.gain * top
 
 
@@ -426,7 +465,7 @@ def _binade(m: np.ndarray) -> int:
     """The e with the largest real or imaginary part of m's entries in
     [1/2, 1) at m·2^-e, or 0 for m = 0: each entry of m·2^-e is then below
     √2 in modulus. The parts are read apart, so that no modulus overflows."""
-    return math.frexp(max(linalg.max_abs(m.real), linalg.max_abs(m.imag)))[1]
+    return math.frexp(linalg.max_abs(np.ascontiguousarray(m).view(np.float64)))[1]
 
 
 #: What one BLAS call costs, in complex multiply-adds, the unit of every
@@ -465,20 +504,60 @@ EIGH_CALL = 400_000
 
 def _ascending(m: np.ndarray, sizes: list[int], order: list[int]) -> np.ndarray:
     """m's rows, indexed by the slots in sentence order, in ascending wire order."""
+    if order == sorted(order):
+        return m
     return m.reshape(*sizes, -1).transpose(*order, len(sizes)).reshape(m.shape)
 
 
-def _frame(slots, dims):
-    """(axes, a, b, doubled_axes): None and the wires' neighbours when the
-    slots are adjacent, else the permutation to the frame and a = b = 1;
-    and the permutation that brings the wires' row indices, then their
-    column indices, to lead, None when the wires are the whole block."""
+@cache
+def _frame(slots: tuple[int, ...], dims: tuple[int, ...]) -> tuple:
+    """Plan's first fields: (axes, a, b), None and the wires' neighbours
+    when the slots are adjacent, else the permutation to the frame and a =
+    b = 1; the paired frame and (lead, trail) around the wires' (row,
+    column) index pair in it; and the block's ``dims``."""
     wires, n = sorted(slots), len(dims)
     rest = [w for w in range(n) if w not in wires]
-    doubled = tuple(wires + [n + w for w in wires] + rest + [n + w for w in rest]) if rest else None
-    if wires == list(range(wires[0], wires[-1] + 1)):
-        return None, math.prod(dims[: wires[0]]), math.prod(dims[wires[-1] + 1 :]), doubled
-    return tuple(wires + rest + [n + w for w in rest + wires]), 1, 1, doubled
+    adjacent = wires == list(range(wires[0], wires[-1] + 1))
+    order = list(range(n)) if adjacent else wires + rest
+    paired = tuple(axis for w in order for axis in (w, n + w)) if n > 1 else None
+    lead = math.prod(dims[w] ** 2 for w in order[: order.index(wires[0])])
+    trail = math.prod(dims[w] ** 2 for w in order[order.index(wires[-1]) + 1 :])
+    if adjacent:
+        frame = None, math.prod(dims[: wires[0]]), math.prod(dims[wires[-1] + 1 :])
+    else:
+        frame = tuple(wires + rest + [n + w for w in rest + wires]), 1, 1
+    return *frame, paired, (lead, trail), tuple(dims)
+
+
+@cache
+def _diagonal_at(frame: tuple[int, ...] | None, dims: tuple[int, ...]) -> np.ndarray:
+    """Where each S_ii lies, i in actor order, in a state held in ``frame``:
+    Σ_w i_w times the strides of wire w's row and column axes there, from
+    arrays of D entries, not D²."""
+    n, shape = len(dims), dims * 2
+    strides, step = [0] * 2 * n, 1
+    for axis in reversed(frame or range(2 * n)):
+        strides[axis], step = step, step * shape[axis]
+    index = np.indices(dims).reshape(n, -1)
+    return sum(index[w] * (strides[w] + strides[n + w]) for w in range(n))
+
+
+@cache
+def _move(src: tuple[int, ...] | None, dst: tuple[int, ...] | None, dims: tuple[int, ...]):
+    """The shape of a state held in frame ``src`` and the axes that read it in ``dst``."""
+    identity = tuple(range(2 * len(dims)))
+    src, dst = src or identity, dst or identity
+    inverse = _inverse(src)
+    return tuple((dims * 2)[axis] for axis in src), tuple(inverse[axis] for axis in dst)
+
+
+def _reframed(x: np.ndarray, src, dst, dims) -> np.ndarray:
+    """x, held in frame ``src``, held in frame ``dst``: x itself if they are
+    one, else one permuting copy."""
+    if src == dst:
+        return x
+    shape, axes = _move(src, dst, tuple(dims))
+    return np.ascontiguousarray(x.reshape(shape).transpose(axes)).reshape(x.shape)
 
 
 def _step_cost(q_out: int, q_in: int, rows: int, cols: int, a: int, b: int):
@@ -494,17 +573,24 @@ def _step_cost(q_out: int, q_in: int, rows: int, cols: int, a: int, b: int):
     return cost, rows, cols
 
 
-def _route_costs(frame, d: int, size: int, m: int, r: int | None) -> dict[str, float]:
+def _route_costs(frame, d: int, size: int, m: int, ranks) -> dict[str, float]:
     """The dense step of each route on a size × size joint in ``frame``
-    (``_frame``), whole: "kraus" with m operators, "thin" with r vectors
-    (absent when r is None) and "doubled", one d² × d² product; in
+    (``_frame``), whole: "kraus" with m operators, "thin" with canonical
+    vectors of ``ranks`` per factor (absent when ranks is None), "doubled",
+    one d² × d² product, and "factored", V† and V of s = Σ r_k² columns; in
     complex multiply-adds, CALL_COST per BLAS call and PASS_COST per entry
-    written or copied, the joint's and the result's permuting copies
-    included. Ties go to the first. The doubled route is offered only
-    where writing Φ's d⁴ entries costs no more than one pass over the
-    joint and one call, so that no word's Φ holds more than the joint's
-    entries and CALL_COST / PASS_COST (400) more, whatever its d and m."""
-    axes, a, b, doubled_axes = frame
+    written or copied. The Kraus and thin routes pay the joint's permuting
+    copy there and back where the wires are not adjacent, and the doubled
+    route where they are not its whole block (the factored route's always
+    are). Ties go to the first. The doubled route is offered only where
+    writing Φ's d⁴ entries costs no more than one pass over the joint and
+    one call, and the factored one only on a gate whose wires are its
+    whole block, where V†'s product reads the state as one vector, and
+    where writing V's d²·s entries costs no more than one pass over the
+    joint and the Kraus operators and one call: so that no word's Φ or V
+    holds more than the joint's entries, its own Kraus operators' and
+    CALL_COST / PASS_COST (400) more."""
+    axes, a, b, *_ = frame
     entries = size * size
     moved = 0 if axes is None else 2 * PASS_COST * entries
     cost, _, _ = _step_cost(d, d, size, size, a, b)
@@ -512,28 +598,39 @@ def _route_costs(frame, d: int, size: int, m: int, r: int | None) -> dict[str, f
         costs = {"kraus": moved + m * cost + (m - 1) * (CALL_COST + entries)}
     else:  # the zeros
         costs = {"kraus": moved + PASS_COST * entries}
-    if r is not None:
-        compress, rows, cols = _step_cost(r, d, size, size, a, b)
-        expand, _, _ = _step_cost(d, r, rows, cols, a, b)
+    if ranks is not None:
+        compress, rows, cols = _step_cost(sum(ranks), d, size, size, a, b)
+        expand, _, _ = _step_cost(d, sum(ranks), rows, cols, a, b)
         costs["thin"] = moved + compress + expand + CALL_COST + rows * cols
     if PASS_COST * d**4 <= PASS_COST * entries + CALL_COST:
-        moved = 0 if doubled_axes is None else 2 * PASS_COST * entries
+        moved = 0 if d == size else 2 * PASS_COST * entries
         costs["doubled"] = moved + d * d * entries + CALL_COST + PASS_COST * entries
+    if ranks is not None and d == size:
+        s = sum(r * r for r in ranks)
+        if PASS_COST * d * d * s <= PASS_COST * (entries + m * d * d) + CALL_COST:
+            costs["factored"] = 2 * s * entries + 2 * CALL_COST + PASS_COST * (s + entries)
     return costs
+
+
+def _ranks(vectors) -> tuple[int, ...] | None:
+    """The number of canonical vectors of each factor (``vectors`` as
+    ``_gate_parts`` gives them), or None for a gate without them."""
+    return None if vectors is None else tuple(Counter(vectors[1].tolist()).values())
 
 
 def _route(kraus, vectors, sizes: list[int], order: list[int], route: str) -> tuple:
     """The ``route`` named by ``_route_costs``: "kraus", "doubled", or
-    "thin" by ``vectors`` (W, the factor of each column), A_k = W_k W_k†,
-    on wires of ``sizes`` in slot order that ``order`` sorts:
-    ``Plan``'s steps and their adjoints, shift, mask, groups, doubled
-    operator, roundoff bounds and gain, in ascending wire order, shared by
-    every slot tuple of the circuit with the same order. The steps are
-    scaled by 2^-e, e the binade of their entries (``_binade``), which is
-    exact; the doubled route keeps the Kraus steps and forms Φ from them,
-    by one product and no temporary larger than Φ."""
-    d, phi = math.prod(sizes), None
-    if route != "thin":
+    "thin" and "factored" by ``vectors`` (W, the factor of each column),
+    A_k = W_k W_k†, on wires of ``sizes`` in slot order that ``order``
+    sorts: ``Plan``'s route, steps and their adjoints, shift, mask, groups,
+    products on the index pair, roundoff bounds and gain, in ascending wire
+    order, shared by every slot tuple of the circuit with the same order.
+    The steps are scaled by 2^-e, e the binade of their entries
+    (``_binade``), which is exact. The doubled route keeps the Kraus steps
+    and forms Φ from them, the factored one keeps the thin steps and forms
+    V from W, each by one product and no temporary larger than itself."""
+    d, doubled, ascending = math.prod(sizes), (), [sizes[i] for i in order]
+    if route in ("kraus", "doubled"):
         e = _binade(np.array(kraus))
         # K's rows, then its columns, in ascending wire order
         steps = tuple(_ascending(_ascending(k, sizes, order).T, sizes, order).T for k in kraus)
@@ -541,27 +638,40 @@ def _route(kraus, vectors, sizes: list[int], order: list[int], route: str) -> tu
         stacked = np.array(steps, dtype=np.complex128).reshape(-1, d, d)
         terms = d  # per result entry: d products, or Φ's m and then d² of Φ's
         if route == "doubled":  # Φ[(i, j), (a, b)] = Σ_k S_k[i, a] S̄_k[j, b]
-            terms = d * d + len(steps)
+            terms, n = d * d + len(steps), len(sizes)
             pairs = stacked.reshape(-1, d * d).T  # column k: S_k's (i, a) entries
-            phi = (pairs @ pairs.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-            phi = np.ascontiguousarray(phi).reshape(d * d, d * d)
-        bounds, mask, groups, shift = np.abs(stacked) * np.sqrt(terms * _EPS), None, None, 2 * e
+            # its axes are i, a, j and b, one per wire each; (i, j) and (a, b) in paired order
+            axes = [k * n + w for pair in ((0, 2), (1, 3)) for w in range(n) for k in pair]
+            phi = (pairs @ pairs.conj().T).reshape(ascending * 4).transpose(axes)
+            doubled = (np.ascontiguousarray(phi).reshape(d * d, d * d),)
+        bounds, mask, groups, shift = np.abs(stacked) * math.sqrt(terms * _EPS), None, None, 2 * e
     else:
         w, owner = vectors
         e, r = _binade(w), w.shape[1]
         w, shift = _ldexp(np.ascontiguousarray(_ascending(w, sizes, order)), -e), 4 * e
         # each factor's first column; owner ascends (``canonical_vectors``)
-        starts = [int(i) for i in np.flatnonzero(np.diff(owner, prepend=-1))] + [r]
-        # |W_k||W_k|ᵀ, not |A_k|: the route sums W_k's products term by term.
+        owners = owner.tolist()
+        starts = [i for i in range(r) if i == 0 or owners[i] != owners[i - 1]] + [r]
+        same = owner[:, None] == owner[None, :]
+        terms = d + r  # per result entry: d products, then r; or d², then s
+        if route == "factored":  # V[(i, j), (p, q)] = w_p[i] w̄_q[j], p and q of one factor
+            p, q = np.nonzero(same)
+            # (i, j) in the paired frame's order (i₀, j₀, i₁, j₁, …), by broadcasting
+            left = [k for n in ascending for k in (n, 1)]
+            right = [k for n in ascending for k in (1, n)]
+            v = w[:, p].reshape(*left, -1) * w.conj()[:, q].reshape(*right, -1)
+            v = v.reshape(d * d, p.size)
+            doubled, terms = (v.conj().T.copy(), v), d * d + p.size
+        # |W_k||W_k|ᵀ, not |A_k|: the routes sum W_k's products term by term.
         # (The factors are read at the starts: np.unique's first call imports numpy.ma.)
         magnitudes = np.abs(w)
         factor = owner == owner[starts[:-1]][:, None, None]
-        bounds = (magnitudes * factor) @ magnitudes.T * np.sqrt((d + r) * _EPS)
-        same = (owner[:, None] == owner[None, :]).astype(np.float64)
+        bounds = (magnitudes * factor) @ magnitudes.T * math.sqrt(terms * _EPS)
         groups = tuple(slice(i, j) for i, j in zip(starts, starts[1:]))  # contiguous
-        steps, mask = (w.conj().T, w), same.reshape(r, 1, r, 1)
+        steps, mask = (w.conj().T, w), same.astype(np.float64).reshape(r, 1, r, 1)
     gain = float(np.square(bounds.sum(axis=2).max(axis=1, initial=0.0)).sum())
-    return steps, tuple(step.conj().T for step in steps), shift, mask, groups, phi, bounds, gain
+    adjoints = tuple(step.conj().T for step in steps)
+    return route, steps, adjoints, shift, mask, groups, doubled, bounds, gain
 
 
 @cache
@@ -700,20 +810,23 @@ def compile_sentences(
             root = _ldexp(_compress(root, np.diagonal(scaled).real), j)
         actors.append(Actor(name=name, space=space, dim=dim, prior=prior, root=root))
 
-    parts, routes, plans, made, gate_of = {}, {}, {}, {}, {}  # made: the gate of each label
+    parts, priced, routes, plans, made, gate_of = {}, {}, {}, {}, {}, {}  # made: each label's gate
     for (s, (_, entry, label)), slots in zip(pending.items(), gate_slots):
         if label in made:
             gate_of[s] = made[label]
             continue
         effective = mechanism if mechanism is not None else entry.mechanism
         if entry.name not in parts:
-            parts[entry.name] = _gate_parts(entry, effective)
-        operand, kraus, vectors = parts[entry.name]
+            operand, kraus, vectors = _gate_parts(entry, effective)
+            parts[entry.name] = operand, kraus, vectors, _ranks(vectors)
+        operand, kraus, vectors, ranks = parts[entry.name]
         if (entry.name, slots) not in plans:
             block_dims, size = block[slots[0]]
             frame = _frame(tuple(local[w] for w in slots), block_dims)
-            r = None if vectors is None else vectors[0].shape[1]
-            costs = _route_costs(frame, entry.dim, size, len(kraus), r)
+            shape = frame, entry.dim, size, len(kraus), ranks
+            if shape not in priced:
+                priced[shape] = _route_costs(*shape)
+            costs = priced[shape]
             route = min(costs, key=costs.get)
             order = _order(slots)
             key = entry.name, tuple(order), route
@@ -743,19 +856,27 @@ class Block:
     indices, in actor order) of ``dims``: ρ = 2^exponent·S, S of ``trace``
     in [1/2, 2) or 0 (``_exponent``), held as a read-only factor L with
     S = L L† (``factor``, D × c), or once the block has gone dense, as S
-    itself (``dense``, a read-only D × D array, and ``factor`` None) with
-    ``peak`` = max|S_ii|, which the next gate's cheap bound reads
-    (``Plan.clears``; None on the factor). S is Σ K ρ K† of a validated
-    state, so it is held bare, not as a DensityMatrix. One is made per
-    gate, so it is slotted, not frozen."""
+    itself (``dense``, a read-only D × D array, and ``factor`` None) in the
+    ``frame`` that its last gate left it in (``Plan``; None, actor order,
+    on the factor): the next gate permutes it only where its plan reads
+    another frame, and ``held`` puts it back in actor order where it
+    leaves the evaluator. S is Σ K ρ K† of a validated state, so it is
+    held bare, not as a DensityMatrix. One is made per gate, so it is
+    slotted, not frozen."""
 
     wires: tuple[int, ...]
     dims: tuple[int, ...]
     factor: np.ndarray | None
     dense: np.ndarray | None
+    frame: tuple[int, ...] | None
     trace: float
     exponent: int
-    peak: float | None
+
+    def held(self) -> np.ndarray:
+        """S in actor order: L L† on the factor."""
+        if self.factor is not None:
+            return self.factor @ self.factor.conj().T
+        return _reframed(self.dense, self.frame, None, self.dims)
 
 
 def _likelihood(blocks: Sequence[Block]) -> float:
@@ -799,10 +920,7 @@ class WorldState:
     def joint(self) -> DensityMatrix:
         """The joint density matrix over all actors, in actor order, built
         on first access from the Kronecker product of the blocks' states."""
-        states = [
-            block.dense if block.factor is None else block.factor @ block.factor.conj().T
-            for block in self.blocks
-        ]
+        states = [block.held() for block in self.blocks]
         matrix = states[0] if len(states) == 1 else linalg.kron_all(states)
         if self.renormalized:
             matrix = matrix / math.prod(block.trace for block in self.blocks)
@@ -876,65 +994,81 @@ def _roundoff(plan: Plan, peak, diag: np.ndarray, dims: Sequence[int]):
     return noise if peak * linalg.ATOL < noise else None
 
 
-def _apply_gate(joint: np.ndarray, top, gate: Gate, dims: Sequence[int]):
-    """2^-shift·Σ A_k ρ A_k† (``Plan.shift``) on the gate's wires only:
-    O(D²·d), not O(D³), for ρ of largest diagonal entry ``top``; with the
-    result's largest diagonal entry and its trace, both read from one view
-    of its diagonal. For ρ of trace below 2 no product overflows.
+def _paired(x: np.ndarray, plan: Plan) -> np.ndarray:
+    """``Plan.doubled``'s products, in turn, on the wires' (row, column)
+    index pair of x, held in the paired frame and read as (lead, d², trail):
+    on the left where nothing leads, on the right where nothing trails,
+    else batched over the leading index."""
+    lead, trail = plan.around
+    for op in plan.doubled:
+        if lead == 1:
+            x = op @ (x.reshape(-1) if trail == 1 else x.reshape(-1, trail))
+        elif trail == 1:
+            x = x.reshape(lead, -1) @ op.T
+        else:
+            x = np.matmul(op, x.reshape(lead, -1, trail))
+    return x
 
-    On adjacent wires the joint is read in place: its row index as
-    (a, d, b·D), so one batched product applies an operator to the
-    wires' row index; ρ is Hermitian, so the column side is the adjoint
-    of the row side (``_sandwich``). Other wires are permuted to lead the
-    row index and trail the column index, and back after (``Plan``). The
-    Kraus route applies each K. The thin route applies the gate's canonical
-    vectors, A_k = W_k W_k†: C = W† ρ W, then only C's same-factor
-    blocks expanded as W C W†, 2R + 2R²/d products per D² instead of
-    2m·d for m operators. The doubled route applies Φ = Σ_k K_k ⊗ K̄_k
-    to the wires' (row, column) index pair in one product, d² per entry:
-    in place where the wires are the whole block, else on the frame that
-    ``Plan.doubled_axes`` permutes the joint to, and back.
+
+def _apply_gate(x: np.ndarray, frame, gate: Gate, dims: Sequence[int], trace: float):
+    """2^-shift·Σ A_k ρ A_k† (``Plan.shift``) on the gate's wires only:
+    O(D²·d), not O(D³), for ρ held in ``frame`` (``Block``) of trace
+    ``trace``; with the frame it is left in and its trace. For ρ of trace
+    below 2 no product overflows.
+
+    ρ is first permuted to the plan's frame (``Plan``), where it is not
+    there already. On adjacent wires that is the actor order, its row
+    index read as (a, d, b·D), so one batched product applies an operator
+    to the wires' row index; ρ is Hermitian, so the column side is the
+    adjoint of the row side (``_sandwich``). Other wires are permuted to
+    lead the row index and trail the column index. The Kraus route applies
+    each K. The thin route applies the gate's canonical vectors, A_k = W_k
+    W_k†: C = W† ρ W, then only C's same-factor blocks expanded as W C W†,
+    2R + 2R²/d products per D² instead of 2m·d for m operators. The
+    doubled route applies Φ = Σ_k K_k ⊗ K̄_k, d² products per entry, and
+    the factored one V† and then V, 2s, to the wires' (row, column) index
+    pair in the paired frame (``_paired``).
     The result is Hermitian up to roundoff; its Hermitian part is taken
     where states leave the evaluator. Since |ρ_ab| ≤ √(ρ_aa ρ_bb), each
     entry's roundoff is below ``noise`` (``_noise``); a result within
     1/ATOL of it keeps only eigenvalues above D·noise, so what roundoff
-    leaves of an annihilated state is exactly 0. The cheap bound comes
-    first, from ``top``; ρ's diagonal is read only for the exact one, for a
-    result within 1/ATOL of the cheap one (``Plan.clears``, ``_roundoff``).
+    leaves of an annihilated state is exactly 0, in actor order. The
+    cheap bound comes first, from the trace alone: the result's largest
+    diagonal entry is at least its trace over D, and the input's at most
+    twice ``trace`` (``Plan.clears``). Only where that does not clear are
+    both diagonals read, for the same test on their largest entries, and
+    then for the exact bound (``_roundoff``).
     """
     plan = gate.plan
-    axes = plan.axes if plan.doubled is None else plan.doubled_axes
-    frame = joint
-    if axes is not None:
-        frame = np.ascontiguousarray(joint.reshape(list(dims) * 2).transpose(axes))
-    if plan.doubled is not None:
-        out = plan.doubled @ frame.reshape(plan.doubled.shape[1], -1)
+    if frame != plan.frame:
+        x = _reframed(x, frame, plan.frame, dims)
+    if plan.doubled:
+        out = _paired(x, plan)
     elif not plan.steps:  # no operator: the gate annihilates every state
-        out = np.zeros(joint.size, dtype=np.complex128)
+        out = np.zeros(x.shape, dtype=np.complex128)
     elif plan.mask is None:
         (row, *rows), (adjoint, *adjoints) = plan.steps, plan.adjoints
-        out = _sandwich(frame, row, adjoint, plan)
+        out = _sandwich(x, row, adjoint, plan)
         for row, adjoint in zip(rows, adjoints):
-            out += _sandwich(frame, row, adjoint, plan)
+            out += _sandwich(x, row, adjoint, plan)
     else:
         (wh, w), (wh_adjoint, w_adjoint) = plan.steps, plan.adjoints
-        out = _sandwich(_masked(_sandwich(frame, wh, wh_adjoint, plan), plan), w, w_adjoint, plan)
-    if axes is not None:
-        shape = frame.shape
-        del frame  # so that the permuted copy is gone before the one back
-        out = out.reshape(shape).transpose(_inverse(axes))
-    back = out.reshape(joint.shape)
-    diag = back.diagonal()
-    peak = np.maximum.reduce(np.abs(diag))  # ndarray.max's wrapper costs 0.8 µs a gate
-    clear = plan.clears(peak, top)
-    noise = None if clear else _roundoff(plan, peak, np.abs(joint.diagonal()), dims)
-    if noise is not None:
-        evals, evecs = np.linalg.eigh(linalg.hermitize(back))
-        keep = evals > joint.shape[0] * noise
-        back = (evecs[:, keep] * evals[keep]) @ evecs[:, keep].conj().T
-        diag = back.diagonal()
-        peak = np.abs(diag).max()
-    return back, peak, float(np.add.reduce(diag).real)  # as diag.sum(), less its wrapper
+        out = _sandwich(_masked(_sandwich(x, wh, wh_adjoint, plan), plan), w, w_adjoint, plan)
+    out = out.reshape(x.shape)
+    diag = out.take(plan.diagonal)
+    tr = sum(diag.tolist()).real  # at small D, one call fewer than np.add.reduce
+    size = x.shape[0]
+    if plan.clears(tr / size, 2.0 * trace):
+        return out, plan.frame, tr
+    before = np.abs(x.take(plan.diagonal))
+    peak = float(np.abs(diag).max())
+    noise = None if plan.clears(peak, float(before.max())) else _roundoff(plan, peak, before, dims)
+    if noise is None:
+        return out, plan.frame, tr
+    evals, evecs = np.linalg.eigh(linalg.hermitize(_reframed(out, plan.frame, None, dims)))
+    keep = evals > size * noise
+    out = (evecs[:, keep] * evals[keep]) @ evecs[:, keep].conj().T
+    return out, None, float(np.add.reduce(out.diagonal()).real)
 
 
 def _weights(factor: np.ndarray) -> np.ndarray:
@@ -1055,7 +1189,7 @@ def _factor_block(wires, dims, exponent: int, factor: np.ndarray, owed):
     if owed is not None:
         owed *= math.ldexp(1.0, -k)
     factor.setflags(write=False)
-    return Block(wires, dims, factor, None, math.ldexp(tr, -k), exponent + k, None), owed
+    return Block(wires, dims, factor, None, None, math.ldexp(tr, -k), exponent + k), owed
 
 
 def _step(block: Block, owed, fresh: int | None, gate: Gate, priors: Sequence[np.ndarray]):
@@ -1065,7 +1199,7 @@ def _step(block: Block, owed, fresh: int | None, gate: Gate, priors: Sequence[np
     Else, once and for all, the block's dense joint, not yet gated, and
     None: before its first gate, the Kronecker product of its scaled
     ``priors``, whose exponent is ``fresh``, to the block's exponent; after
-    it, L L†. Its diagonal is read for its peak here, where it is built."""
+    it, L L†; in actor order."""
     plan, factor = gate.plan, block.factor
     if owed is not None:
         factor = _compress(factor, owed)
@@ -1077,8 +1211,7 @@ def _step(block: Block, owed, fresh: int | None, gate: Gate, priors: Sequence[np
         joint *= math.ldexp(1.0, fresh - block.exponent)
     else:
         joint = factor @ factor.conj().T
-    peak = float(np.abs(joint.diagonal()).max())
-    return Block(block.wires, block.dims, None, joint, block.trace, block.exponent, peak), None
+    return Block(block.wires, block.dims, None, joint, None, block.trace, block.exponent), None
 
 
 def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[tuple[Block, ...]]:
@@ -1126,14 +1259,13 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[tuple
             block, owed[b] = _step(block, owed[b], fresh[b], gate, priors)
             fresh[b] = None
         if block.factor is None:
-            matrix, peak, tr = _apply_gate(block.dense, block.peak, gate, block.dims)
+            matrix, frame, tr = _apply_gate(block.dense, block.frame, gate, block.dims, block.trace)
             k = _exponent(tr)
             if k:
                 matrix *= math.ldexp(1.0, -k)
             matrix.setflags(write=False)
             exponent = block.exponent + gate.plan.shift + k
-            block = Block(block.wires, block.dims, None, matrix, math.ldexp(tr, -k), exponent,
-                          math.ldexp(peak, -k))
+            block = Block(block.wires, block.dims, None, matrix, frame, math.ldexp(tr, -k), exponent)
         blocks[b] = block
         if renormalize_each_step:
             nonzero_trace(block.trace)
@@ -1174,7 +1306,7 @@ def reduced_state(world: WorldState, actor: str) -> DensityMatrix:
     (block,) = (block for block in world.blocks if w in block.wires)
     local = block.wires.index(w)
     if block.factor is None:
-        out = linalg.partial_trace(block.dense, block.dims, [local])
+        out = linalg.partial_trace(block.held(), block.dims, [local])
     else:
         x = block.factor.reshape(math.prod(block.dims[:local]), block.dims[local], -1)
         out = np.matmul(x, x.conj().swapaxes(1, 2)).sum(axis=0)

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzphaser import linalg, textcirc
 from fuzzphaser.cli import main
@@ -1009,3 +1014,119 @@ class TestConsoleScript:
         a = subprocess.run(cmd, capture_output=True).stdout
         b = subprocess.run(cmd, capture_output=True).stdout
         assert a == b and a
+
+
+#: Values that a mutated lexicon puts in place of one number: zero, a sign
+#: flip, the ends of the float range, a subnormal, and what JSON readers
+#: accept beyond the standard.
+MUTANT_NUMBERS = [0.0, -0.5, 2.0, 1e-300, 5e-324, 1e300, 1.7e308, -1e308, math.nan, math.inf]
+#: Values that a mutated lexicon puts in place of one string, or of a space
+#: label or dimension, valid and not.
+MUTANT_STRINGS = ["pure", "density", "ddm", "projector", "fuzz", "phaser", "concepts", "",
+                  ["concepts", "concepts"], 3, None]
+MUTANT_DIMS = [0, 1, 2, 3, 5, -1, "4", 4.5, 10_000]
+
+
+def _places(doc, kind):
+    """Every (container, key) in a JSON document that holds a number, or a
+    non-empty list."""
+    found = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and kind == "number":
+            found.append((doc, key))
+        if isinstance(value, list) and value and kind == "list":
+            found.append((doc, key))
+        if isinstance(value, (dict, list)):
+            found += _places(value, kind)
+    return found
+
+
+def _mutated_lexicon(doc, data):
+    """One change to a demo lexicon document, drawn by hypothesis."""
+    how = data.draw(st.sampled_from(["number", "list", "string", "key", "space", "copy"]))
+    entries = doc["entries"]
+    if how in ("number", "list"):
+        places = _places(entries, how)
+        holder, key = places[data.draw(st.integers(0, len(places) - 1))]
+        if how == "number":
+            holder[key] = data.draw(st.sampled_from(MUTANT_NUMBERS))
+        else:
+            holder[key] = holder[key][:-1]
+    elif how == "space":
+        doc["spaces"]["concepts"] = data.draw(st.sampled_from(MUTANT_DIMS))
+    else:
+        entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+        if how == "string":
+            key = data.draw(st.sampled_from(["name", "space", "kind", "mechanism"]))
+            entry[key] = data.draw(st.sampled_from(MUTANT_STRINGS))
+        elif how == "key":
+            del entry[data.draw(st.sampled_from(sorted(entry)))]
+        else:
+            entries.append(json.loads(json.dumps(entry)))
+    return doc
+
+
+def _mutated_text(text, names, data):
+    """One change to a demo text, drawn by hypothesis: a token dropped or
+    replaced by a lexicon name or a grammar word, the last '.' dropped, or
+    a sentence added."""
+    tokens = text.replace(".", " . ").split()
+    how = data.draw(st.sampled_from(["drop", "replace", "unterminated", "add"]))
+    if how == "unterminated":
+        return text.rstrip().rstrip(".")
+    if how == "add":
+        words = [*names, "Once", "there", "was", "is", "a", "turns", "X"]
+        added = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=4))
+        return text + " " + " ".join(added) + "."
+    i = data.draw(st.integers(0, len(tokens) - 1))
+    if how == "drop":
+        del tokens[i]
+    else:
+        tokens[i] = data.draw(st.sampled_from([*names, "is", "turns", "an", "Once", "Z"]))
+    return " ".join(tokens)
+
+
+class TestBoundary:
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_mutated_demo_inputs_exit_with_a_documented_code(self, data):
+        """A demo lexicon and text, each changed up to twice, through
+        ``run`` (text or JSON, with or without --renormalize) or ``export``,
+        with or without --mechanism, RuntimeWarning raised as an error:
+        every case exits 0, 2, or 3 for an annihilation under
+        --renormalize, with one error line and no output where it fails,
+        and never with a traceback."""
+        lexicon = data.draw(st.sampled_from(sorted(DEMO_DIR.glob("*.json"))))
+        text = data.draw(st.sampled_from(sorted(DEMO_DIR.glob("*.txt")))).read_text()
+        doc = json.loads(lexicon.read_text())
+        names = [e["name"] for e in doc["entries"]]
+        for _ in range(data.draw(st.integers(0, 2))):
+            doc = _mutated_lexicon(doc, data)
+        for _ in range(data.draw(st.integers(0, 2))):
+            text = _mutated_text(text, names, data)
+        command = data.draw(st.sampled_from(["run", "export"]))
+        flags = []
+        if command == "run":
+            flags = ["--format", data.draw(st.sampled_from(["text", "json"]))]
+            flags += ["--renormalize"] * data.draw(st.booleans())
+        mechanism = data.draw(st.sampled_from([None, *textcirc.MECHANISMS]))
+        flags += [] if mechanism is None else ["--mechanism", mechanism]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            text_path, lex_path = Path(tmp) / "text.txt", Path(tmp) / "lexicon.json"
+            text_path.write_text(text, encoding="utf-8")
+            lex_path.write_text(json.dumps(doc), encoding="utf-8")
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([command, str(text_path), "--lexicon", str(lex_path), *flags])
+        assert code in ({0, 2, 3} if "--renormalize" in flags else {0, 2})
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert err.getvalue() == "" and out.getvalue()
+        else:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+        if code == 3:
+            assert "annihilated" in err.getvalue()

@@ -53,6 +53,17 @@ class TestCoercion:
         assert linalg.is_hermitian(h)
         assert not linalg.is_hermitian(m)
 
+    def test_hermitian_check_at_the_ends_of_the_float_range(self):
+        """An asymmetry of one subnormal ulp is caught, as is one near the
+        float maximum, where M − M† is formed without overflow."""
+        tiny = np.array([[0.0, 5e-324], [0.0, 0.0]])
+        assert not linalg.is_hermitian(tiny)
+        assert linalg.is_hermitian(tiny + tiny.T)
+        big = np.array([[1e308, 1.7e308], [-1.7e308, 1e308]])
+        with np.errstate(over="raise"):
+            assert not linalg.is_hermitian(big)
+            assert linalg.is_hermitian(np.array([[1e308, 1.7e308], [1.7e308, 1e308]]))
+
 
 class TestGroupedEigh:
     def test_exact_degeneracy_merges(self):
