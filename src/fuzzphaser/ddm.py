@@ -40,6 +40,15 @@ class DdmBranch:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "phi", phi.normalized())
 
+    @classmethod
+    def _unchecked(cls, x: float, phi: PureState) -> "DdmBranch":
+        """A branch of a finite x ≥ 0 on a unit ket normalized as the
+        constructor does (``linalg.unit_columns``), unchecked."""
+        branch = object.__new__(cls)
+        object.__setattr__(branch, "x", x)
+        object.__setattr__(branch, "phi", phi)
+        return branch
+
     @property
     def dim(self) -> int:
         return self.phi.dim
@@ -96,6 +105,14 @@ class DoubleDensityMatrix:
         object.__setattr__(self, "dim", dim)
 
 
+def _weighted_sum(units: np.ndarray, weights) -> np.ndarray:
+    """Σᵢ wᵢ |uᵢ⟩⟨uᵢ| over the columns uᵢ of ``units``, in one product of a
+    contiguous copy, so that the same columns and weights give the same bits
+    however they are held: the one arithmetic of every A_k made here."""
+    units = np.ascontiguousarray(units)
+    return (units * weights) @ units.conj().T
+
+
 def _kraus_factor(factor: DdmFactor) -> np.ndarray:
     """√y Σᵢ xᵢ |φᵢ⟩⟨φᵢ|. Its entries are at most √y Σᵢ xᵢ in modulus; where
     that could pass the float range, the sum is taken on xᵢ·2^-k, k the
@@ -105,11 +122,8 @@ def _kraus_factor(factor: DdmFactor) -> np.ndarray:
     root, weights = math.sqrt(factor.y), [b.x for b in factor.branches]
     big = np.finfo(np.float64).max
     k = 0 if root * sum(weights) < big / 2 else math.frexp(max(weights))[1]
-    acc = np.zeros((factor.dim, factor.dim), dtype=np.complex128)
-    for x, b in zip(weights, factor.branches):
-        v = b.phi.amplitudes
-        acc += math.ldexp(x, -k) * np.outer(v, v.conj())
-    acc = root * acc
+    units = np.array([b.phi.amplitudes for b in factor.branches]).T
+    acc = root * _weighted_sum(units, np.ldexp(weights, -k))
     if k == 0:
         return acc
     if max(linalg.max_abs(acc.real), linalg.max_abs(acc.imag)) > math.ldexp(big, -k):
@@ -132,34 +146,33 @@ def canonical_vectors(d: DoubleDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     Zero-weight branches are dropped. Each factor's columns are contiguous
     and in factor order, so A_k = W_k W_k† over the columns W_k of factor k.
     """
-    pairs = [
-        (k, f.y**0.25 * np.sqrt(b.x) * b.phi.amplitudes)
-        for k, f in enumerate(d.factors)
-        for b in f.branches
-        if b.x > 0.0
-    ]
-    w = np.array([v for _, v in pairs], dtype=np.complex128).T
-    return w, np.array([k for k, _ in pairs])
+    columns, owner = [], []
+    for k, f in enumerate(d.factors):
+        kept = [b for b in f.branches if b.x > 0.0]
+        units = np.array([b.phi.amplitudes for b in kept]).T
+        columns.append(units * (f.y**0.25 * np.sqrt([b.x for b in kept])))
+        owner += [k] * len(kept)
+    return np.concatenate(columns, axis=1), np.array(owner)
 
 
 def fuzz_parts(sigma: DensityMatrix):
     """``ddm_kraus`` and ``canonical_vectors`` of ``ddm_from_fuzz(σ)``, the
-    same bits, from σ's one ``grouped_eigh`` and no DDM: ((), None) where σ
-    has no positive eigenvalue, so that the fuzz annihilates every state."""
-    kraus, columns, owner = [], [], []
-    for value, block in linalg.grouped_eigh(sigma.matrix):
-        if value <= 0.0:
-            continue
-        units = [PureState._unchecked(col).normalized().amplitudes for col in block.T]
-        acc = np.zeros((sigma.dim, sigma.dim), dtype=np.complex128)
-        for v in units:
-            acc += np.outer(v, v.conj())
-        kraus.append(linalg.frozen(np.sqrt(value) * acc))
-        columns += [value**0.25 * v for v in units]
-        owner += [len(kraus) - 1] * len(units)
-    if not kraus:
+    same bits, from σ's one ``grouped_eigh`` and no DDM, the bases of its
+    positive eigenspaces normalized in one pass (``linalg.unit_columns``):
+    ((), None) where σ has no positive eigenvalue, so that the fuzz
+    annihilates every state."""
+    groups = [(value, block) for value, block in linalg.grouped_eigh(sigma.matrix) if value > 0.0]
+    if not groups:
         return (), None
-    return tuple(kraus), (np.array(columns, dtype=np.complex128).T, np.array(owner))
+    units = linalg.unit_columns(np.concatenate([block for _, block in groups], axis=1))
+    sizes = [block.shape[1] for _, block in groups]
+    starts = np.cumsum([0] + sizes).tolist()
+    kraus = tuple(
+        linalg.frozen(math.sqrt(value) * _weighted_sum(units[:, a:b], np.ones(b - a)))
+        for (value, _), a, b in zip(groups, starts, starts[1:])
+    )
+    scales = np.repeat([value**0.25 for value, _ in groups], sizes)
+    return kraus, (units * scales, np.repeat(np.arange(len(groups)), sizes))
 
 
 def phaser_parts(sigma: DensityMatrix):
@@ -172,14 +185,11 @@ def phaser_parts(sigma: DensityMatrix):
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
     roots = linalg.psd_roots(evals)
     kraus = (linalg.frozen(linalg.hermitize((evecs * roots) @ evecs.conj().T)),)
-    kept = [i for i in range(evals.size - 1, -1, -1) if roots[i] > 0.0]
-    if not kept:
+    kept = np.flatnonzero(roots > 0.0)[::-1]  # descending, as ddm_from_phaser's branches
+    if not kept.size:
         return kraus, None
-    columns = [
-        np.sqrt(float(roots[i])) * PureState._unchecked(evecs[:, i]).normalized().amplitudes
-        for i in kept
-    ]
-    return kraus, (np.array(columns, dtype=np.complex128).T, np.zeros(len(kept), dtype=int))
+    vectors = linalg.unit_columns(evecs[:, kept]) * np.sqrt(roots[kept])
+    return kraus, (vectors, np.zeros(kept.size, dtype=int))
 
 
 def ddm_update(rho: DensityMatrix, d: DoubleDensityMatrix) -> DensityMatrix:

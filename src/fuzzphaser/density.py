@@ -61,9 +61,8 @@ class PureState:
             return math.inf
 
     def normalized(self) -> "PureState":
-        """ψ/‖ψ‖, from ψ·2^-e (``_scaled``), so finite where ‖ψ‖ is not."""
-        u, _ = self._scaled()
-        return PureState._unchecked(u / float(np.linalg.norm(u)))
+        """ψ/‖ψ‖ by ``linalg.unit_columns``, so finite where ‖ψ‖ is not."""
+        return PureState._unchecked(linalg.unit_columns(self.amplitudes[:, None])[:, 0])
 
     @classmethod
     def _unchecked(cls, amplitudes: np.ndarray) -> "PureState":

@@ -20,6 +20,7 @@ import json
 
 import numpy as np
 
+from . import linalg
 from .ddm import DdmBranch, DdmFactor, DoubleDensityMatrix
 from .density import DensityMatrix, PureState
 from .errors import FuzzPhaserError, LexiconError
@@ -84,6 +85,41 @@ def _matrix_in(data, where: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
+def _branches_in(docs: list) -> list[DdmBranch] | None:
+    """A factor's branches read, checked and normalized as one array, as
+    the per-branch constructors would make them (``linalg.unit_columns``),
+    or None where any branch is not an {x, phi} of a finite x ≥ 0 and a
+    finite nonzero ket, or the kets differ in length or form: the
+    per-branch reader then names the fault."""
+    if not docs or not all(isinstance(doc, dict) for doc in docs):
+        return None
+    xs, phis = [doc.get("x") for doc in docs], [doc.get("phi") for doc in docs]
+    if not all(type(x) in (int, float) for x in xs) or not all(
+        isinstance(phi, list) and phi for phi in phis
+    ):
+        return None
+    kets = _array_in(phis, 2)
+    try:
+        weights = np.array(xs, dtype=np.float64)
+    except OverflowError:  # an integer literal past the float range
+        return None
+    if kets is None or not np.all(weights >= 0.0) or not np.isfinite(weights).all():
+        return None
+    if not np.isfinite(kets.view(np.float64)).all() or not kets.any(axis=1).all():
+        return None
+    units = linalg.unit_columns(kets.T).T
+    return [DdmBranch._unchecked(x, PureState._unchecked(u)) for x, u in zip(weights.tolist(), units)]
+
+
+def _branch_in(bdoc, where: str) -> DdmBranch:
+    if not isinstance(bdoc, dict):
+        raise LexiconError(f"{where}: expected x and phi")
+    return DdmBranch(
+        _real_in(bdoc.get("x"), f"{where}.x"),
+        PureState(_vector_in(bdoc.get("phi"), f"{where}.phi")),
+    )
+
+
 def _ddm_in(data, where: str) -> DoubleDensityMatrix:
     if not isinstance(data, dict) or not isinstance(data.get("factors"), list):
         raise LexiconError(f'{where}: ddm data must be {{"factors": [...]}}')
@@ -92,17 +128,10 @@ def _ddm_in(data, where: str) -> DoubleDensityMatrix:
         fwhere = f"{where}.factors[{k}]"
         if not isinstance(fdoc, dict) or not isinstance(fdoc.get("branches"), list):
             raise LexiconError(f"{fwhere}: expected y and a branch list")
-        branches = []
-        for i, bdoc in enumerate(fdoc["branches"]):
-            bwhere = f"{fwhere}.branches[{i}]"
-            if not isinstance(bdoc, dict):
-                raise LexiconError(f"{bwhere}: expected x and phi")
-            branches.append(
-                DdmBranch(
-                    _real_in(bdoc.get("x"), f"{bwhere}.x"),
-                    PureState(_vector_in(bdoc.get("phi"), f"{bwhere}.phi")),
-                )
-            )
+        branches = _branches_in(fdoc["branches"])
+        if branches is None:
+            branches = [_branch_in(bdoc, f"{fwhere}.branches[{i}]")
+                        for i, bdoc in enumerate(fdoc["branches"])]
         factors.append(DdmFactor(_real_in(fdoc.get("y"), f"{fwhere}.y"), branches))
     return DoubleDensityMatrix(factors)
 

@@ -62,6 +62,22 @@ def max_abs(a) -> float:
     return float(np.maximum.reduce(np.abs(a), axis=None)) if a.size else 0.0
 
 
+def unit_columns(a) -> np.ndarray:
+    """Each column of the complex matrix ``a`` over its norm, new. A column
+    whose largest real or imaginary part m leaves [2^-480, 2^480] is first
+    scaled by 2^-e, m·2^-e in [1/2, 1), which is exact, for a subnormal m
+    too, so that no square under- or overflows. The columns are read as
+    the contiguous rows of aᵀ, so each column's squares are summed in one
+    order whatever the number of columns: a column gets the same bits
+    alone as among others."""
+    parts = np.ascontiguousarray(np.asarray(a, dtype=np.complex128).T).view(np.float64)
+    m = np.maximum.reduce(np.abs(parts), axis=1)
+    e = np.where((m >= 2.0**-480) & (m <= 2.0**480), 0, np.frexp(m)[1])
+    parts = np.ldexp(parts, -e[:, None])
+    norms = np.sqrt(np.add.reduce(parts * parts, axis=1))
+    return (parts * (1.0 / norms)[:, None]).view(np.complex128).T
+
+
 def hermitize(matrix: np.ndarray) -> np.ndarray:
     """Return the Hermitian part M/2 + M†/2, which does not overflow where M does not."""
     return matrix / 2 + matrix.conj().T / 2
@@ -176,6 +192,8 @@ def _mean(values: np.ndarray) -> float:
     range, it is taken on values·2^-j, 2^j above their count, and scaled
     back: exact there, as the kernel then holds every subnormal eigenvalue.
     Every other group keeps its bits."""
+    if values.size == 1:  # np.mean's bits, without its calls
+        return float(values[0])
     if max(-values[0], values[-1]) < np.finfo(np.float64).max / (2 * values.size):
         return float(np.mean(values))
     j = values.size.bit_length()

@@ -365,11 +365,19 @@ class Plan:
     dense_cost: float
     frame: tuple[int, ...] | None = field(init=False)
     diagonal: np.ndarray = field(init=False)
+    kernel: object = field(init=False)
+    products: tuple = field(init=False)
 
     def __post_init__(self):
         frame = self.paired if self.doubled else self.axes
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "diagonal", _diagonal_at(frame, self.dims))
+        if self.doubled:
+            kernel = _paired
+        else:
+            kernel = _kraus if self.mask is None else _thin
+        object.__setattr__(self, "kernel", kernel if self.steps else _zeros)
+        object.__setattr__(self, "products", _products(self.doubled, *self.around))
 
     @property
     def thin(self) -> bool:
@@ -393,7 +401,9 @@ class Gate:
     """One update ρ ↦ Σ K ρ K†, with the Kraus operators K on the slots.
 
     ``kraus`` is in sentence order; ``plan`` is shared by every gate of the
-    circuit with the same word on the same slots, the gate by its ``label``.
+    circuit with the same word on the same slots, the gate by its ``label``;
+    ``block`` is the index of the interaction component of its slots
+    (``Circuit.components``).
     """
 
     slots: tuple[int, ...]
@@ -402,6 +412,7 @@ class Gate:
     label: str
     kraus: tuple[np.ndarray, ...]
     plan: Plan
+    block: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,8 +445,8 @@ def _gate_parts(entry: LexiconEntry, mechanism: str):
             f"entry {entry.name!r}"
         )
     if mechanism == "projector":
-        p = Projector.onto_pure(entry.operand)
         v = entry.operand.normalized().amplitudes
+        p = Projector(np.outer(v, v.conj()))  # Projector.onto_pure, normalized once
         return p, (p.matrix,), (v[:, None], np.zeros(1, dtype=int))
     if mechanism == "ddm":
         try:
@@ -573,7 +584,7 @@ def _step_cost(q_out: int, q_in: int, rows: int, cols: int, a: int, b: int):
     return cost, rows, cols
 
 
-def _route_costs(frame, d: int, size: int, m: int, ranks) -> dict[str, float]:
+def _route_costs(frame, d: int, size: int, m: int, ranks, uses: int = 1) -> dict[str, float]:
     """The dense step of each route on a size × size joint in ``frame``
     (``_frame``), whole: "kraus" with m operators, "thin" with canonical
     vectors of ``ranks`` per factor (absent when ranks is None), "doubled",
@@ -584,12 +595,14 @@ def _route_costs(frame, d: int, size: int, m: int, ranks) -> dict[str, float]:
     route where they are not its whole block (the factored route's always
     are). Ties go to the first. The doubled route is offered only where
     writing Φ's d⁴ entries costs no more than one pass over the joint and
-    one call, and the factored one only on a gate whose wires are its
-    whole block, where V†'s product reads the state as one vector, and
-    where writing V's d²·s entries costs no more than one pass over the
-    joint and the Kraus operators and one call: so that no word's Φ or V
-    holds more than the joint's entries, its own Kraus operators' and
-    CALL_COST / PASS_COST (400) more."""
+    one call, so that no word's Φ holds more than the joint's entries and
+    CALL_COST / PASS_COST (400) more. The factored one is offered only on a
+    gate whose wires are its whole block, where V†'s product reads the
+    state as one vector, and where writing V's d²·s entries, once per
+    plan, costs no more than the results that the plan's ``uses`` gates
+    of the circuit write (D² each), a pass over its m Kraus operators and
+    one call: V then holds at most uses·D² + m·d² + 400 entries, and
+    forming it at most doubles what the plan's dense steps write."""
     axes, a, b, *_ = frame
     entries = size * size
     moved = 0 if axes is None else 2 * PASS_COST * entries
@@ -607,7 +620,7 @@ def _route_costs(frame, d: int, size: int, m: int, ranks) -> dict[str, float]:
         costs["doubled"] = moved + d * d * entries + CALL_COST + PASS_COST * entries
     if ranks is not None and d == size:
         s = sum(r * r for r in ranks)
-        if PASS_COST * d * d * s <= PASS_COST * (entries + m * d * d) + CALL_COST:
+        if PASS_COST * d * d * s <= PASS_COST * (uses * entries + m * d * d) + CALL_COST:
             costs["factored"] = 2 * s * entries + 2 * CALL_COST + PASS_COST * (s + entries)
     return costs
 
@@ -631,14 +644,16 @@ def _route(kraus, vectors, sizes: list[int], order: list[int], route: str) -> tu
     V from W, each by one product and no temporary larger than itself."""
     d, doubled, ascending = math.prod(sizes), (), [sizes[i] for i in order]
     if route in ("kraus", "doubled"):
-        e = _binade(np.array(kraus))
-        # K's rows, then its columns, in ascending wire order
-        steps = tuple(_ascending(_ascending(k, sizes, order).T, sizes, order).T for k in kraus)
-        steps = tuple(_ldexp(np.ascontiguousarray(step), -e) for step in steps)
-        stacked = np.array(steps, dtype=np.complex128).reshape(-1, d, d)
+        n, stacked = len(sizes), np.array(kraus, dtype=np.complex128).reshape(-1, d, d)
+        if order != sorted(order):  # each K's rows and columns in ascending wire order
+            axes = [0, *(1 + i for i in order), *(1 + n + i for i in order)]
+            stacked = stacked.reshape(-1, *sizes, *sizes).transpose(axes).reshape(-1, d, d)
+        e = _binade(stacked)
+        stacked = _ldexp(np.ascontiguousarray(stacked), -e)
+        steps, adjoints = tuple(stacked), tuple(k.T for k in stacked.conj())
         terms = d  # per result entry: d products, or Φ's m and then d² of Φ's
         if route == "doubled":  # Φ[(i, j), (a, b)] = Σ_k S_k[i, a] S̄_k[j, b]
-            terms, n = d * d + len(steps), len(sizes)
+            terms = d * d + len(steps)
             pairs = stacked.reshape(-1, d * d).T  # column k: S_k's (i, a) entries
             # its axes are i, a, j and b, one per wire each; (i, j) and (a, b) in paired order
             axes = [k * n + w for pair in ((0, 2), (1, 3)) for w in range(n) for k in pair]
@@ -669,8 +684,8 @@ def _route(kraus, vectors, sizes: list[int], order: list[int], route: str) -> tu
         bounds = (magnitudes * factor) @ magnitudes.T * math.sqrt(terms * _EPS)
         groups = tuple(slice(i, j) for i, j in zip(starts, starts[1:]))  # contiguous
         steps, mask = (w.conj().T, w), same.astype(np.float64).reshape(r, 1, r, 1)
+        adjoints = tuple(step.conj().T for step in steps)
     gain = float(np.square(bounds.sum(axis=2).max(axis=1, initial=0.0)).sum())
-    adjoints = tuple(step.conj().T for step in steps)
     return route, steps, adjoints, shift, mask, groups, doubled, bounds, gain
 
 
@@ -744,9 +759,10 @@ def compile_sentences(
     if mechanism is not None and mechanism not in MECHANISMS:
         raise LexiconError(f"unknown mechanism {mechanism!r}")
     table = _ActorTable()
-    pending = {}  # each distinct gate sentence: its actors, entry and label
+    pending = {}  # each distinct gate sentence: its actors, entry, label and index
     objects = {id(s): s for s in sentences}  # each object once, in first-occurrence order
-    for s in dict.fromkeys(objects.values()):
+    distinct = {s: i for i, s in enumerate(dict.fromkeys(objects.values()))}  # equal ones once
+    for s, i in distinct.items():
         if isinstance(s, Introduce):
             table.touch(s.actor)
             continue
@@ -756,7 +772,7 @@ def compile_sentences(
                 raise LexiconError(f"noun {s.noun!r} must live on a single space")
             table.touch(s.actor, entry.space[0])
             verb = "is" if isinstance(s, IsA) else "turns"
-            pending[s] = (s.actor,), entry, f"{s.actor} {verb} {s.noun}"
+            pending[s] = (s.actor,), entry, f"{s.actor} {verb} {s.noun}", i
             continue
         entry = lexicon.entry(s.verb)
         if len(entry.space) != 2:
@@ -767,7 +783,7 @@ def compile_sentences(
             )
         table.touch(s.subject, entry.space[0])
         table.touch(s.object, entry.space[1])
-        pending[s] = (s.subject, s.object), entry, f"{s.subject} {s.verb} {s.object}"
+        pending[s] = (s.subject, s.object), entry, f"{s.subject} {s.verb} {s.object}", i
 
     priors = [lexicon.entries.get(name) for name in table.order]  # each actor's own entry
     for name, entry in zip(table.order, priors):
@@ -783,10 +799,10 @@ def compile_sentences(
     index = {name: i for i, name in enumerate(table.order)}
     spaces = [table.space[name] for name in table.order]
     dims = [lexicon.space_dim(space) for space in spaces]
-    gate_slots = [tuple(index[n] for n in names) for names, _, _ in pending.values()]
+    gate_slots = [tuple(index[n] for n in names) for names, *_ in pending.values()]
     components = _components(len(dims), gate_slots)
-    block, local = {}, {}  # each wire's (block dims, block size), its place in its block
-    for wires in components:
+    block, local = {}, {}  # each wire's (block index, dims, size), its place in its block
+    for b, wires in enumerate(components):
         block_dims = tuple(dims[w] for w in wires)
         size = math.prod(block_dims)
         if size > linalg.DIM_CAP:
@@ -794,7 +810,7 @@ def compile_sentences(
                 f"interaction component dimension {size} exceeds cap {linalg.DIM_CAP}"
             )
         for i, w in enumerate(wires):
-            block[w], local[w] = (block_dims, size), i
+            block[w], local[w] = (b, block_dims, size), i
 
     actors = []
     for name, space, dim, entry in zip(table.order, spaces, dims, priors):
@@ -810,8 +826,15 @@ def compile_sentences(
             root = _ldexp(_compress(root, np.diagonal(scaled).real), j)
         actors.append(Actor(name=name, space=space, dim=dim, prior=prior, root=root))
 
+    # each sentence's distinct index, and the gates of each plan
+    which = list(map({key: distinct[s] for key, s in objects.items()}.__getitem__, map(id, sentences)))
+    occurrences = np.bincount(np.array(which, dtype=np.intp), minlength=len(distinct)).tolist()
+    uses = Counter()
+    for (_, entry, _, i), slots in zip(pending.values(), gate_slots):
+        uses[entry.name, slots] += occurrences[i]
+
     parts, priced, routes, plans, made, gate_of = {}, {}, {}, {}, {}, {}  # made: each label's gate
-    for (s, (_, entry, label)), slots in zip(pending.items(), gate_slots):
+    for (s, (_, entry, label, _)), slots in zip(pending.items(), gate_slots):
         if label in made:
             gate_of[s] = made[label]
             continue
@@ -820,10 +843,10 @@ def compile_sentences(
             operand, kraus, vectors = _gate_parts(entry, effective)
             parts[entry.name] = operand, kraus, vectors, _ranks(vectors)
         operand, kraus, vectors, ranks = parts[entry.name]
+        b, block_dims, size = block[slots[0]]
         if (entry.name, slots) not in plans:
-            block_dims, size = block[slots[0]]
             frame = _frame(tuple(local[w] for w in slots), block_dims)
-            shape = frame, entry.dim, size, len(kraus), ranks
+            shape = frame, entry.dim, size, len(kraus), ranks, uses[entry.name, slots]
             if shape not in priced:
                 priced[shape] = _route_costs(*shape)
             costs = priced[shape]
@@ -840,9 +863,10 @@ def compile_sentences(
             label=label,
             kraus=kraus,
             plan=plans[entry.name, slots],
+            block=b,
         )
-    by_id = {key: gate_of.get(s) for key, s in objects.items()}  # an Introduce has no gate
-    gates = tuple(filter(None, map(by_id.__getitem__, map(id, sentences))))
+    by_index = [gate_of.get(s) for s in distinct]  # an Introduce has no gate
+    gates = tuple(filter(None, map(by_index.__getitem__, which)))
     return Circuit(actors=tuple(actors), gates=gates, components=components)
 
 
@@ -994,20 +1018,45 @@ def _roundoff(plan: Plan, peak, diag: np.ndarray, dims: Sequence[int]):
     return noise if peak * linalg.ATOL < noise else None
 
 
+def _products(doubled, lead: int, trail: int) -> tuple:
+    """Each of ``doubled``'s products on the wires' (row, column) index pair,
+    read as (lead, d², trail), as (operator, whether it multiplies from the
+    left, the shape x is read in): on the left where nothing leads, on the
+    right (by the operator's transpose) where nothing trails, else batched
+    over the leading index."""
+    if lead == 1:
+        return tuple((op, True, (-1,) if trail == 1 else (-1, trail)) for op in doubled)
+    if trail == 1:
+        return tuple((op.T, False, (lead, -1)) for op in doubled)
+    return tuple((op, True, (lead, -1, trail)) for op in doubled)
+
+
 def _paired(x: np.ndarray, plan: Plan) -> np.ndarray:
-    """``Plan.doubled``'s products, in turn, on the wires' (row, column)
-    index pair of x, held in the paired frame and read as (lead, d², trail):
-    on the left where nothing leads, on the right where nothing trails,
-    else batched over the leading index."""
-    lead, trail = plan.around
-    for op in plan.doubled:
-        if lead == 1:
-            x = op @ (x.reshape(-1) if trail == 1 else x.reshape(-1, trail))
-        elif trail == 1:
-            x = x.reshape(lead, -1) @ op.T
-        else:
-            x = np.matmul(op, x.reshape(lead, -1, trail))
+    """The doubled and factored routes: ``Plan.products``, in turn, on x
+    held in the paired frame."""
+    for op, left, shape in plan.products:
+        x = op @ x.reshape(shape) if left else x.reshape(shape) @ op
     return x
+
+
+def _kraus(x: np.ndarray, plan: Plan) -> np.ndarray:
+    """The Kraus route: each step, summed into the first one's result in place."""
+    (row, *rows), (adjoint, *adjoints) = plan.steps, plan.adjoints
+    out = _sandwich(x, row, adjoint, plan)
+    for row, adjoint in zip(rows, adjoints):
+        out += _sandwich(x, row, adjoint, plan)
+    return out
+
+
+def _thin(x: np.ndarray, plan: Plan) -> np.ndarray:
+    """The thin route: W (C masked) W†, C = W† x W."""
+    (wh, w), (wh_adjoint, w_adjoint) = plan.steps, plan.adjoints
+    return _sandwich(_masked(_sandwich(x, wh, wh_adjoint, plan), plan), w, w_adjoint, plan)
+
+
+def _zeros(x: np.ndarray, plan: Plan) -> np.ndarray:
+    """No operator: the gate annihilates every state."""
+    return np.zeros(x.shape, dtype=np.complex128)
 
 
 def _apply_gate(x: np.ndarray, frame, gate: Gate, dims: Sequence[int], trace: float):
@@ -1042,19 +1091,7 @@ def _apply_gate(x: np.ndarray, frame, gate: Gate, dims: Sequence[int], trace: fl
     plan = gate.plan
     if frame != plan.frame:
         x = _reframed(x, frame, plan.frame, dims)
-    if plan.doubled:
-        out = _paired(x, plan)
-    elif not plan.steps:  # no operator: the gate annihilates every state
-        out = np.zeros(x.shape, dtype=np.complex128)
-    elif plan.mask is None:
-        (row, *rows), (adjoint, *adjoints) = plan.steps, plan.adjoints
-        out = _sandwich(x, row, adjoint, plan)
-        for row, adjoint in zip(rows, adjoints):
-            out += _sandwich(x, row, adjoint, plan)
-    else:
-        (wh, w), (wh_adjoint, w_adjoint) = plan.steps, plan.adjoints
-        out = _sandwich(_masked(_sandwich(x, wh, wh_adjoint, plan), plan), w, w_adjoint, plan)
-    out = out.reshape(x.shape)
+    out = plan.kernel(x, plan).reshape(x.shape)
     diag = out.take(plan.diagonal)
     tr = sum(diag.tolist()).real  # at small D, one call fewer than np.add.reduce
     size = x.shape[0]
@@ -1243,7 +1280,6 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[tuple
         fresh.append(2 * sum(scales[w] for w in wires))
         wire_dims = tuple(dims[w] for w in wires)
         blocks.append(_factor_block(wires, wire_dims, fresh[-1], factor, None)[0])
-    where = {w: b for b, wires in enumerate(circuit.components) for w in wires}
 
     if renormalize_each_step:
         for block in blocks:
@@ -1253,7 +1289,7 @@ def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[tuple
     yield tuple(blocks)
     owed = [None] * len(blocks)  # diag ρ of a factor whose compression is owed
     for gate in circuit.gates:
-        b = where[gate.slots[0]]
+        b = gate.block
         block = blocks[b]
         if block.factor is not None:
             block, owed[b] = _step(block, owed[b], fresh[b], gate, priors)

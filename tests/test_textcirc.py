@@ -311,9 +311,9 @@ class TestCompile:
         sizes = []
         route_costs = textcirc._route_costs
 
-        def spy(frame, d, size, m, ranks):
+        def spy(frame, d, size, m, ranks, uses):
             sizes.append(size)
-            return route_costs(frame, d, size, m, ranks)
+            return route_costs(frame, d, size, m, ranks, uses)
 
         monkeypatch.setattr(textcirc, "_route_costs", spy)
         circuit = compile_sentences(sentences, Lexicon({"s": 4}, entries))
@@ -1636,8 +1636,8 @@ def _pinned_route(route: str):
     vectors, the factored one also on a part of its block."""
     costs = textcirc._route_costs
 
-    def pinned(frame, d, size, m, ranks):
-        by = costs(frame, d, size, m, ranks)
+    def pinned(frame, d, size, m, ranks, uses):
+        by = costs(frame, d, size, m, ranks, uses)
         if route in by or route == "doubled" or route == "factored" and ranks is not None:
             by[route] = min(by.values()) - 1
         return by
