@@ -110,7 +110,7 @@ def _weighted_sum(units: np.ndarray, weights) -> np.ndarray:
     contiguous copy, so that the same columns and weights give the same bits
     however they are held: the one arithmetic of every A_k made here."""
     units = np.ascontiguousarray(units)
-    return (units * weights) @ units.conj().T
+    return (units * weights).dot(units.conj().T)
 
 
 def _kraus_factor(factor: DdmFactor) -> np.ndarray:

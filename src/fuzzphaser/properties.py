@@ -11,6 +11,7 @@ predicts, such as non-additivity).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -275,20 +276,22 @@ def check_phaser_trace_witness(seed, trials, dims) -> PropertyResult:
     )
 
 
-def check_ddm_reduces_to_fuzz(seed, trials, dims) -> PropertyResult:
-    worst = _worst_gap(seed, trials, dims, lambda r, s: ddm_update(r, ddm_from_fuzz(s)), fuzz)
+def _reduction(seed, trials, dims, to_ddm, mechanism, kept: str) -> PropertyResult:
+    """The DDM of σ that keeps only its ``kept`` mixture updates as ``mechanism``."""
+    worst = _worst_gap(seed, trials, dims, lambda r, s: ddm_update(r, to_ddm(s)), mechanism)
+    name = mechanism.__name__
     return _below(
-        "ddm-reduces-to-fuzz", worst, IDENT_TOL, trials,
-        "keeping only the outer mixture reproduces the fuzz",
+        f"ddm-reduces-to-{name}", worst, IDENT_TOL, trials,
+        f"keeping only the {kept} mixture reproduces the {name}",
     )
+
+
+def check_ddm_reduces_to_fuzz(seed, trials, dims) -> PropertyResult:
+    return _reduction(seed, trials, dims, ddm_from_fuzz, fuzz, "outer")
 
 
 def check_ddm_reduces_to_phaser(seed, trials, dims) -> PropertyResult:
-    worst = _worst_gap(seed, trials, dims, lambda r, s: ddm_update(r, ddm_from_phaser(s)), phaser)
-    return _below(
-        "ddm-reduces-to-phaser", worst, IDENT_TOL, trials,
-        "keeping only the inner mixture reproduces the phaser",
-    )
+    return _reduction(seed, trials, dims, ddm_from_phaser, phaser, "inner")
 
 
 def check_ddm_choi_psd(seed, trials, dims) -> PropertyResult:
@@ -421,52 +424,24 @@ def _commutativity_gap(mech, rho, s1, s2) -> float:
     )
 
 
-def check_fuzz_nonadditivity(seed, trials, dims) -> PropertyResult:
-    m = _witness(fuzz, _additivity_gap, seed, dims)
-    return _above(
-        "fuzz-nonadditivity", m, MARGIN_TOL, 10,
-        "fuzz is not additive in its operand, so it is no CP map on ρ⊗σ",
+def _gap_witness(mechanism, prop: str, gap, detail: str, seed, trials, dims) -> PropertyResult:
+    name = mechanism.__name__
+    m = _witness(mechanism, gap, seed, dims)
+    return _above(f"{name}-{prop}", m, MARGIN_TOL, 10, detail.format(name))
+
+
+#: The witnesses that fuzz and phaser are neither CP maps on ρ⊗σ nor
+#: well-behaved connectives, one check per (gap, mechanism), in this order.
+_GAP_WITNESSES = tuple(
+    partial(_gap_witness, mechanism, prop, gap, detail)
+    for prop, gap, detail in (
+        ("nonadditivity", _additivity_gap,
+         "{} is not additive in its operand, so it is no CP map on ρ⊗σ"),
+        ("nonassociativity", _associativity_gap, "{} fails associativity as a binary connective"),
+        ("noncommutativity", _commutativity_gap, "{} updates depend on their order"),
     )
-
-
-def check_phaser_nonadditivity(seed, trials, dims) -> PropertyResult:
-    m = _witness(phaser, _additivity_gap, seed, dims)
-    return _above(
-        "phaser-nonadditivity", m, MARGIN_TOL, 10,
-        "phaser is not additive in its operand, so it is no CP map on ρ⊗σ",
-    )
-
-
-def check_fuzz_nonassociativity(seed, trials, dims) -> PropertyResult:
-    m = _witness(fuzz, _associativity_gap, seed, dims)
-    return _above(
-        "fuzz-nonassociativity", m, MARGIN_TOL, 10,
-        "fuzz fails associativity as a binary connective",
-    )
-
-
-def check_phaser_nonassociativity(seed, trials, dims) -> PropertyResult:
-    m = _witness(phaser, _associativity_gap, seed, dims)
-    return _above(
-        "phaser-nonassociativity", m, MARGIN_TOL, 10,
-        "phaser fails associativity as a binary connective",
-    )
-
-
-def check_fuzz_noncommutativity(seed, trials, dims) -> PropertyResult:
-    m = _witness(fuzz, _commutativity_gap, seed, dims)
-    return _above(
-        "fuzz-noncommutativity", m, MARGIN_TOL, 10,
-        "fuzz updates depend on their order",
-    )
-
-
-def check_phaser_noncommutativity(seed, trials, dims) -> PropertyResult:
-    m = _witness(phaser, _commutativity_gap, seed, dims)
-    return _above(
-        "phaser-noncommutativity", m, MARGIN_TOL, 10,
-        "phaser updates depend on their order",
-    )
+    for mechanism in (fuzz, phaser)
+)
 
 
 def check_commuting_operands(seed, trials, dims) -> PropertyResult:
@@ -760,12 +735,7 @@ ALL_CHECKS = (
     check_ddm_rescaling,
     check_ddm_state_encoding,
     check_ddm_linearity,
-    check_fuzz_nonadditivity,
-    check_phaser_nonadditivity,
-    check_fuzz_nonassociativity,
-    check_phaser_nonassociativity,
-    check_fuzz_noncommutativity,
-    check_phaser_noncommutativity,
+    *_GAP_WITNESSES,
     check_commuting_operands,
     check_spider_fusion,
     check_spider_basis_dependence,

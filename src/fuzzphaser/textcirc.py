@@ -584,7 +584,7 @@ def _step_cost(q_out: int, q_in: int, rows: int, cols: int, a: int, b: int):
     return cost, rows, cols
 
 
-def _route_costs(frame, d: int, size: int, m: int, ranks, uses: int = 1) -> dict[str, float]:
+def _route_costs(frame, d: int, size: int, m: int, ranks, gates: int = 1) -> dict[str, float]:
     """The dense step of each route on a size × size joint in ``frame``
     (``_frame``), whole: "kraus" with m operators, "thin" with canonical
     vectors of ``ranks`` per factor (absent when ranks is None), "doubled",
@@ -599,10 +599,12 @@ def _route_costs(frame, d: int, size: int, m: int, ranks, uses: int = 1) -> dict
     CALL_COST / PASS_COST (400) more. The factored one is offered only on a
     gate whose wires are its whole block, where V†'s product reads the
     state as one vector, and where writing V's d²·s entries, once per
-    plan, costs no more than the results that the plan's ``uses`` gates
-    of the circuit write (D² each), a pass over its m Kraus operators and
-    one call: V then holds at most uses·D² + m·d² + 400 entries, and
-    forming it at most doubles what the plan's dense steps write."""
+    plan, costs no more than the results of the ``gates`` that its block
+    runs in the circuit (D² each), a pass over its m Kraus operators and
+    one call: V holds at most gates·D² + m·d² + 400 entries, what a kept
+    trajectory of the block holds, and the word's operators. (The cost
+    picks V at D ≥ 256 only where each factor has rank 1, so that V holds
+    no more than the Kraus operators there.)"""
     axes, a, b, *_ = frame
     entries = size * size
     moved = 0 if axes is None else 2 * PASS_COST * entries
@@ -620,7 +622,7 @@ def _route_costs(frame, d: int, size: int, m: int, ranks, uses: int = 1) -> dict
         costs["doubled"] = moved + d * d * entries + CALL_COST + PASS_COST * entries
     if ranks is not None and d == size:
         s = sum(r * r for r in ranks)
-        if PASS_COST * d * d * s <= PASS_COST * (uses * entries + m * d * d) + CALL_COST:
+        if PASS_COST * d * d * s <= PASS_COST * (gates * entries + m * d * d) + CALL_COST:
             costs["factored"] = 2 * s * entries + 2 * CALL_COST + PASS_COST * (s + entries)
     return costs
 
@@ -761,7 +763,8 @@ def compile_sentences(
     table = _ActorTable()
     pending = {}  # each distinct gate sentence: its actors, entry, label and index
     objects = {id(s): s for s in sentences}  # each object once, in first-occurrence order
-    distinct = {s: i for i, s in enumerate(dict.fromkeys(objects.values()))}  # equal ones once
+    distinct = {}  # equal objects once: each one's place in first-occurrence order
+    places = [distinct.setdefault(s, len(distinct)) for s in objects.values()]
     for s, i in distinct.items():
         if isinstance(s, Introduce):
             table.touch(s.actor)
@@ -826,12 +829,12 @@ def compile_sentences(
             root = _ldexp(_compress(root, np.diagonal(scaled).real), j)
         actors.append(Actor(name=name, space=space, dim=dim, prior=prior, root=root))
 
-    # each sentence's distinct index, and the gates of each plan
-    which = list(map({key: distinct[s] for key, s in objects.items()}.__getitem__, map(id, sentences)))
+    # each sentence's place among the distinct ones, and the gates of each block
+    which = list(map(dict(zip(objects, places)).__getitem__, map(id, sentences)))
     occurrences = np.bincount(np.array(which, dtype=np.intp), minlength=len(distinct)).tolist()
-    uses = Counter()
-    for (_, entry, _, i), slots in zip(pending.values(), gate_slots):
-        uses[entry.name, slots] += occurrences[i]
+    gates_on = [0] * len(components)
+    for (*_, i), slots in zip(pending.values(), gate_slots):
+        gates_on[block[slots[0]][0]] += occurrences[i]
 
     parts, priced, routes, plans, made, gate_of = {}, {}, {}, {}, {}, {}  # made: each label's gate
     for (s, (_, entry, label, _)), slots in zip(pending.items(), gate_slots):
@@ -846,7 +849,7 @@ def compile_sentences(
         b, block_dims, size = block[slots[0]]
         if (entry.name, slots) not in plans:
             frame = _frame(tuple(local[w] for w in slots), block_dims)
-            shape = frame, entry.dim, size, len(kraus), ranks, uses[entry.name, slots]
+            shape = frame, entry.dim, size, len(kraus), ranks, gates_on[b]
             if shape not in priced:
                 priced[shape] = _route_costs(*shape)
             costs = priced[shape]
@@ -981,13 +984,21 @@ def _sandwich(x: np.ndarray, row: np.ndarray, adjoint: np.ndarray, plan: Plan) -
     row† from ``Plan.adjoints``; else it is row (row x)†, ``row`` again on
     the half result's conjugate transpose."""
     d = row.shape[1]
-    half = row @ x.reshape(plan.a, d, -1)
+    half = _rows(row, x, plan.a)
     del x  # the thin route passes C unnamed, so it is freed here, before the result
     if plan.b == 1:
-        return half.reshape(-1, d) @ adjoint
+        return half.reshape(-1, d).dot(adjoint)
     flipped = np.conjugate(half.reshape(plan.a * row.shape[0] * plan.b, -1).T, order="C")
     del half  # so that the half result is gone before the result is made
-    return row @ flipped.reshape(plan.a, d, -1)
+    return _rows(row, flipped, plan.a)
+
+
+def _rows(row: np.ndarray, x: np.ndarray, a: int) -> np.ndarray:
+    """``row`` on x's row index read as (a, d, ·): by ndarray.dot where
+    nothing leads (``_products``), else batched."""
+    if a == 1:
+        return row.dot(x.reshape(row.shape[1], -1))
+    return np.matmul(row, x.reshape(a, row.shape[1], -1))
 
 
 def _masked(c: np.ndarray, plan: Plan) -> np.ndarray:
@@ -1020,22 +1031,24 @@ def _roundoff(plan: Plan, peak, diag: np.ndarray, dims: Sequence[int]):
 
 def _products(doubled, lead: int, trail: int) -> tuple:
     """Each of ``doubled``'s products on the wires' (row, column) index pair,
-    read as (lead, d², trail), as (operator, whether it multiplies from the
-    left, the shape x is read in): on the left where nothing leads, on the
-    right (by the operator's transpose) where nothing trails, else batched
-    over the leading index."""
+    read as (lead, d², trail), as (operator, side, the shape x is read in):
+    side 1 multiplies from the left where nothing leads, -1 from the right,
+    by the operator's transpose, where nothing trails, and 0 is batched over
+    the leading index. The first two take ndarray.dot, which gives
+    np.matmul's bits at less cost per call on small operands."""
     if lead == 1:
-        return tuple((op, True, (-1,) if trail == 1 else (-1, trail)) for op in doubled)
+        return tuple((op, 1, (-1,) if trail == 1 else (-1, trail)) for op in doubled)
     if trail == 1:
-        return tuple((op.T, False, (lead, -1)) for op in doubled)
-    return tuple((op, True, (lead, -1, trail)) for op in doubled)
+        return tuple((op.T, -1, (lead, -1)) for op in doubled)
+    return tuple((op, 0, (lead, -1, trail)) for op in doubled)
 
 
 def _paired(x: np.ndarray, plan: Plan) -> np.ndarray:
     """The doubled and factored routes: ``Plan.products``, in turn, on x
     held in the paired frame."""
-    for op, left, shape in plan.products:
-        x = op @ x.reshape(shape) if left else x.reshape(shape) @ op
+    for op, side, shape in plan.products:
+        x = x.reshape(shape)
+        x = op.dot(x) if side > 0 else x.dot(op) if side else np.matmul(op, x)
     return x
 
 

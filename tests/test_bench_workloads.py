@@ -1,4 +1,5 @@
-"""CLI output on the benchmark's gated workloads, recorded in ``golden_bench.json``.
+"""The benchmark's gated workloads: CLI output recorded in ``golden_bench.json``,
+and the routes their words take.
 
 ``bench/gen.py`` (imported read-only, as ``test_bench_worker.py`` reads
 ``bench/worker.py``) writes ``long-text`` and ``joint-1024`` for one seed;
@@ -9,7 +10,7 @@ stay byte-identical; ``joint-1024`` output (JSON) may move by
 ``test_golden.JSON_RTOL`` of each field's scale, as the demos' JSON may.
 
 After a change meant to alter this output, rewrite the file with
-``PYTHONPATH=src python tests/test_bench_golden.py`` and say why in the change.
+``PYTHONPATH=src python tests/test_bench_workloads.py`` and say why in the change.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_bench.json"
 SEED = 7
 WORKLOADS = ("long-text", "joint-1024")
+#: The seeds of the long-text campaign recorded in BENCH_21.json.
+CAMPAIGN_SEEDS = range(2511, 2521)
 
 
 def _gen():
@@ -79,6 +82,27 @@ def test_bench_workloads_match_the_recording(tmp_path):
     changed = [f"{want['workload']} {want['text']}"
                for have, want in zip(got, recorded) if not _matches(have, want)]
     assert not changed, f"{len(changed)} of {len(recorded)} outputs changed: {changed}"
+
+
+def test_long_text_ddm_verbs_take_v_in_both_slot_orders(tmp_path):
+    """Every text of the campaign's seeds has both of long-text's ddm verbs
+    (2 factors of 2 branches, s = 8, and 3 of 3, s = 27) on its 16-dim
+    block in both slot orders, and each such plan takes the factored route:
+    V's 2,048 and 6,912 entries lie below what the block's gates write."""
+    from fuzzphaser.lexicon import load_lexicon
+    from fuzzphaser.textcirc import compile_text
+
+    gen = _gen()
+    for seed in CAMPAIGN_SEEDS:
+        manifest = gen.generate("long-text", seed, tmp_path / str(seed))
+        lexicon = load_lexicon(manifest["lexicon"])
+        for case in manifest["texts"]:
+            circuit = compile_text(Path(case["path"]).read_text(encoding="utf-8"), lexicon)
+            plans = {(g.label.split()[1], g.slots): g.plan for g in circuit.gates
+                     if g.mechanism == "ddm" and len(g.slots) == 2}
+            assert len(plans) == 4, (seed, case["id"], sorted(plans))
+            assert {plan.doubled[1].shape for plan in plans.values()} == {(256, 8), (256, 27)}
+            assert {plan.route for plan in plans.values()} == {"factored"}, (seed, case["id"])
 
 
 if __name__ == "__main__":

@@ -243,3 +243,87 @@ class TestFiles:
         save_lexicon(lexicon_from_document(_doc()), path)
         doc = json.loads(path.read_text())
         assert doc == _doc()
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+#: One part of an amplitude: an ordinary float, an int (some past 2^53), or
+#: a number at the ends of the range that the readers scale exactly: near
+#: 2^±480, where a ket's norm leaves what its squares can hold, subnormal,
+#: and near the float maximum.
+_PARTS = st.one_of(
+    st.floats(-2.0, 2.0, allow_nan=False),
+    st.integers(-(2**60), 2**60),
+    st.sampled_from([2.0**480, -(2.0**481), 2.0**-480, 3.0 * 2.0**-482, 5e-324, -1e-310, 1e308]),
+)
+
+
+def _ket_doc(draw, dim: int, pairs: bool) -> list:
+    if pairs:
+        return [[draw(_PARTS), draw(_PARTS)] for _ in range(dim)]
+    return [draw(_PARTS) for _ in range(dim)]
+
+
+def _per_item_vector(data) -> np.ndarray:
+    return np.array([lexicon._complex_in(v, "x") for v in data], dtype=np.complex128)
+
+
+class TestArrayReaders:
+    @settings(max_examples=200)
+    @given(data=st.data(), dim=st.integers(1, 6), branches=st.integers(1, 5), pairs=st.booleans())
+    def test_array_passes_match_the_per_item_constructors(self, data, dim, branches, pairs):
+        """A ket, a matrix and a ddm factor's branches, read in one array pass
+        each, equal the per-number readers and the per-branch constructors
+        bit for bit, at every scale the readers take: a ket normalized
+        among others is the ket normalized alone."""
+        draw = data.draw
+        ket = _ket_doc(draw, dim, pairs)
+        assert _same_bits(lexicon._vector_in(ket, "x"), _per_item_vector(ket))
+        rows = [_ket_doc(draw, dim, pairs) for _ in range(dim)]
+        per_row = np.array([_per_item_vector(row) for row in rows])
+        assert _same_bits(lexicon._matrix_in(rows, "x"), per_row)
+
+        docs = [{"x": draw(st.one_of(st.floats(0.0, 2.0), st.sampled_from([0, 3, 1e308, 5e-324]))),
+                 "phi": _ket_doc(draw, dim, pairs)} for _ in range(branches)]
+        kets = [_per_item_vector(doc["phi"]) for doc in docs]
+        if not all(np.any(k) for k in kets):  # a zero ket: the per-branch reader names it
+            assert lexicon._branches_in(docs) is None
+            return
+        read = lexicon._branches_in(docs)
+        made = [lexicon._branch_in(doc, "x") for doc in docs]
+        assert [b.x for b in read] == [b.x for b in made]
+        assert all(_same_bits(a.phi.amplitudes, b.phi.amplitudes) for a, b in zip(read, made))
+        assert all(_same_bits(a.phi.amplitudes, PureState(k).normalized().amplitudes)
+                   for a, k in zip(read, kets))
+
+    @pytest.mark.parametrize("branch, fault", [
+        ({"x": -1.0, "phi": [1.0, 0.0]}, "branch weight must be a finite real >= 0"),
+        ({"x": True, "phi": [1.0, 0.0]}, "branches[1].x: expected a real number"),
+        ({"x": 10**400, "phi": [1.0, 0.0]}, "branches[1].x: integer too large for a float"),
+        ({"x": 1.0, "phi": [0.0, 0.0]}, "state must have nonzero norm"),
+        ({"x": 1.0, "phi": [1.0]}, "branch vectors must share one dimension"),
+        ({"x": 1.0, "phi": ["1", 0.0]}, "branches[1].phi: expected a number or an [re, im] pair"),
+        ({"x": 1.0, "phi": []}, "branches[1].phi: expected a non-empty vector"),
+        ({"phi": [1.0, 0.0]}, "branches[1].x: expected a real number"),
+        ([1.0, 0.0], "branches[1]: expected x and phi"),
+        ({"x": 1.0, "phi": [[1.0, 0.0], 0.5]}, None),
+    ])
+    def test_the_array_pass_leaves_the_rest_to_the_per_branch_reader(self, branch, fault):
+        """Where a branch of a factor is not an {x, phi} of a finite x >= 0
+        and a finite nonzero ket of the factor's length and form, the array
+        pass reads none of the factor's branches: the per-branch reader
+        names the fault, or reads a ket that mixes [re, im] pairs with bare
+        reals."""
+        good = {"x": 0.5, "phi": [0.6, 0.8]}
+        assert lexicon._branches_in([good, branch]) is None
+        doc = {**DDM_DOC, "data": {"factors": [{"y": 1.0, "branches": [good, branch]}]}}
+        if fault is None:
+            (factor,) = entry_from_document(doc).operand.factors
+            unit = PureState([1.0, 0.5]).normalized().amplitudes
+            assert _same_bits(factor.branches[1].phi.amplitudes, unit)
+            return
+        with pytest.raises(LexiconError, match=re.escape(fault)):
+            entry_from_document(doc)

@@ -311,9 +311,9 @@ class TestCompile:
         sizes = []
         route_costs = textcirc._route_costs
 
-        def spy(frame, d, size, m, ranks, uses):
+        def spy(frame, d, size, m, ranks, gates):
             sizes.append(size)
-            return route_costs(frame, d, size, m, ranks, uses)
+            return route_costs(frame, d, size, m, ranks, gates)
 
         monkeypatch.setattr(textcirc, "_route_costs", spy)
         circuit = compile_sentences(sentences, Lexicon({"s": 4}, entries))
@@ -662,10 +662,12 @@ class TestRoutes:
 
     def test_factored_route_holds_no_more_than_the_joint(self):
         """A ddm of 3 factors of 16 branches each on one wire of dimension
-        16, alone in its block (D = 16): V would hold 16² × 768 entries, so
-        the gate takes another route, while a projector and a fuzz of three
-        levels take V; no compiled V holds more than the joint's D², the
-        word's m Kraus operators' m·d² and 400 more entries."""
+        16, alone in its block (D = 16) of three gates: V would hold 16² ×
+        768 entries, so the gate takes another route, while a projector and
+        a fuzz of three levels take V; no compiled V holds more than the
+        joint's D² for each gate of the block, the word's m Kraus operators'
+        m·d² and 400 more entries (a bound that each gate's D² alone meets
+        here)."""
         d, rng = 16, np.random.default_rng(23)
         factors = []
         for _ in range(3):
@@ -686,6 +688,32 @@ class TestRoutes:
         spare = textcirc.CALL_COST // textcirc.PASS_COST
         for gate in circuit.gates[1:]:
             assert gate.plan.doubled[1].size <= d * d + len(gate.kraus) * d * d + spare
+
+    @pytest.mark.parametrize("size, largest", [
+        (16, {1: 3, 2000: 2002}), (64, {1: 2, 2000: 2001}), (4096, {1: 2, 2000: 2001}),
+    ])
+    def test_largest_v_offered(self, size, largest):
+        """The largest V offered to a word of one operator on the whole of a
+        block that runs n gates: d²·s ≤ n·D² + d² + 400, d = D, so s ≤ n + 2
+        at D = 16 (V of 768 and 512,512 entries for n = 1 and 2,000) and
+        s ≤ n + 1 at D = 64 (8,192 and 8,196,096) and D = 4,096 (two joints
+        and 2,001)."""
+        frame = textcirc._frame((0,), (size,))
+        for gates, s in largest.items():
+            def offered(s):
+                return "factored" in textcirc._route_costs(frame, size, size, 1, (1,) * s, gates)
+            assert offered(s) and not offered(s + 1)
+
+    @pytest.mark.parametrize("size", [256, 1024, 4096])
+    def test_large_v_is_not_picked_at_large_sizes(self, size):
+        """From D = 256 up the cost picks V on the whole block only where each
+        factor has rank 1 (s = r), so that V holds no more entries than the
+        word's Kraus operators, however many gates the block runs."""
+        frame = textcirc._frame((0,), (size,))
+        for ranks in [(1,), (2,), (1, 2), (2, 2), (3, 3, 3), (4,), (1,) * 8, (8,), (16,)]:
+            costs = textcirc._route_costs(frame, size, size, len(ranks), ranks, 10**9)
+            picked = min(costs, key=costs.get)
+            assert picked != "factored" or set(ranks) == {1}, ranks
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("slots", [(0,), (1,), (3,), (0, 1), (2, 1), (2, 3)])
@@ -1636,8 +1664,8 @@ def _pinned_route(route: str):
     vectors, the factored one also on a part of its block."""
     costs = textcirc._route_costs
 
-    def pinned(frame, d, size, m, ranks, uses):
-        by = costs(frame, d, size, m, ranks, uses)
+    def pinned(frame, d, size, m, ranks, gates):
+        by = costs(frame, d, size, m, ranks, gates)
         if route in by or route == "doubled" or route == "factored" and ranks is not None:
             by[route] = min(by.values()) - 1
         return by
