@@ -303,9 +303,14 @@ class Plan:
     product is Φ = Σ_k K_k ⊗ K̄_k (d² × d²), and it keeps the Kraus steps
     for the factor. The factored route's two are V† and V, Φ = V·V†, V (d²
     × s, s = Σ_k r_k²) holding the same-factor products w_p ⊗ w̄_q of the
-    thin route's W, whose steps it keeps for the factor. ``frame`` is
-    where the route's dense step reads and leaves the state, and
-    ``diagonal`` where S_ii lies in it, i in actor order.
+    thin route's W, whose steps it keeps for the factor; V is offered only
+    on a gate that covers its block, where it holds no more entries than
+    the block's gates write in the circuit, the word's Kraus operators and
+    400 (``_route_costs``). ``frame`` is where the route's dense step reads
+    and leaves the state, ``diagonal`` where S_ii lies in it, i in actor
+    order, ``kernel`` the route's dense step, fixed here, and ``products``
+    the doubled and factored routes' products with the side and shape each
+    reads the state in (``_products``).
 
     The steps are the operators times 2^-e, e the binade of their entries
     (``_binade``), so that each entry is below √2 and no product with a
@@ -1083,8 +1088,9 @@ def _apply_gate(x: np.ndarray, frame, gate: Gate, dims: Sequence[int], trace: fl
     index read as (a, d, b·D), so one batched product applies an operator
     to the wires' row index; ρ is Hermitian, so the column side is the
     adjoint of the row side (``_sandwich``). Other wires are permuted to
-    lead the row index and trail the column index. The Kraus route applies
-    each K. The thin route applies the gate's canonical vectors, A_k = W_k
+    lead the row index and trail the column index. The plan's ``kernel``
+    then takes its route. The Kraus route (``_kraus``) applies each K. The
+    thin route (``_thin``) applies the gate's canonical vectors, A_k = W_k
     W_k†: C = W† ρ W, then only C's same-factor blocks expanded as W C W†,
     2R + 2R²/d products per D² instead of 2m·d for m operators. The
     doubled route applies Φ = Σ_k K_k ⊗ K̄_k, d² products per entry, and
