@@ -173,12 +173,8 @@ def grouped_eigh(matrix) -> list[tuple[float, np.ndarray]]:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
     scale = max_abs(evals)
     kernel = np.abs(evals) <= evals.size * np.finfo(np.float64).eps * scale
-    threshold = GROUP_TOL * scale
-    boundaries = [0]
-    for i in range(1, evals.size):
-        if evals[i] - evals[i - 1] > threshold or kernel[i] != kernel[i - 1]:
-            boundaries.append(i)
-    boundaries.append(evals.size)
+    breaks = (np.diff(evals) > GROUP_TOL * scale) | (kernel[1:] != kernel[:-1])
+    boundaries = [0, *(np.flatnonzero(breaks) + 1).tolist(), evals.size]
     groups = [
         (0.0 if kernel[a] else _mean(evals[a:b]), evecs[:, a:b])
         for a, b in zip(boundaries[:-1], boundaries[1:])
