@@ -99,13 +99,13 @@ def _branches_in(docs: list) -> list[DdmBranch] | None:
     ):
         return None
     kets = _array_in(phis, 2)
+    if kets is None or not np.isfinite(kets.view(np.float64)).all() or not kets.any(axis=1).all():
+        return None
     try:
         weights = np.array(xs, dtype=np.float64)
     except OverflowError:  # an integer literal past the float range
         return None
-    if kets is None or not np.all(weights >= 0.0) or not np.isfinite(weights).all():
-        return None
-    if not np.isfinite(kets.view(np.float64)).all() or not kets.any(axis=1).all():
+    if not np.isfinite(weights).all() or not np.all(weights >= 0.0):
         return None
     units = linalg.unit_columns(kets.T).T
     return [DdmBranch._unchecked(x, PureState._unchecked(u)) for x, u in zip(weights.tolist(), units)]

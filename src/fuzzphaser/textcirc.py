@@ -58,7 +58,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -370,8 +370,8 @@ class Plan:
     dense_cost: float
     frame: tuple[int, ...] | None = field(init=False)
     diagonal: np.ndarray = field(init=False)
-    kernel: object = field(init=False)
-    products: tuple = field(init=False)
+    kernel: Callable[[np.ndarray, "Plan"], np.ndarray] = field(init=False)
+    products: tuple[tuple[np.ndarray, int, tuple[int, ...]], ...] = field(init=False)
 
     def __post_init__(self):
         frame = self.paired if self.doubled else self.axes
