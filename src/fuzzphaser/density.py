@@ -40,23 +40,11 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def _scaled(self) -> tuple[np.ndarray, int]:
-        """(ψ, 0), or (ψ·2^-e, e) with the largest real or imaginary part m
-        of ψ's entries in [1/2, 1) at m·2^-e where m leaves [2^-480, 2^480]:
-        no square of the first under- or overflows, and the scaling is
-        exact, for a subnormal m too."""
-        a = self.amplitudes
-        m = max(np.maximum.reduce(np.abs(a.real)), np.maximum.reduce(np.abs(a.imag)))
-        if 2.0**-480 <= m <= 2.0**480:
-            return a, 0
-        e = math.frexp(m)[1]
-        return np.ldexp(np.ascontiguousarray(a).view(np.float64), -e).view(np.complex128), e
-
     def norm(self) -> float:
-        """‖ψ‖ = 2^e·‖ψ·2^-e‖ (``_scaled``); inf past the float maximum."""
-        u, e = self._scaled()
+        """‖ψ‖ = 2^e·‖ψ·2^-e‖ (``linalg.column_norms``); inf past the float maximum."""
+        _, (e,), (norm,) = linalg.column_norms(self.amplitudes[:, None])
         try:
-            return math.ldexp(float(np.linalg.norm(u)), e)
+            return math.ldexp(float(norm), int(e))
         except OverflowError:
             return math.inf
 

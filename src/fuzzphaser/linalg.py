@@ -62,19 +62,25 @@ def max_abs(a) -> float:
     return float(np.maximum.reduce(np.abs(a), axis=None)) if a.size else 0.0
 
 
-def unit_columns(a) -> np.ndarray:
-    """Each column of the complex matrix ``a`` over its norm, new. A column
-    whose largest real or imaginary part m leaves [2^-480, 2^480] is first
-    scaled by 2^-e, m·2^-e in [1/2, 1), which is exact, for a subnormal m
-    too, so that no square under- or overflows. The columns are read as
-    the contiguous rows of aᵀ, so each column's squares are summed in one
-    order whatever the number of columns: a column gets the same bits
-    alone as among others."""
+def column_norms(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of the complex matrix ``a`` as the rows of their real
+    and imaginary parts, each row scaled by 2^-e: e = 0 where its largest
+    part m lies in [2^-480, 2^480], else m·2^-e in [1/2, 1), which is
+    exact, for a subnormal m too, so that no square under- or overflows;
+    with e and the scaled rows' norms. Each row's squares are summed in one
+    order whatever the number of columns, so that a column gets the same
+    bits alone as among others."""
     parts = np.ascontiguousarray(np.asarray(a, dtype=np.complex128).T).view(np.float64)
     m = np.maximum.reduce(np.abs(parts), axis=1)
     e = np.where((m >= 2.0**-480) & (m <= 2.0**480), 0, np.frexp(m)[1])
     parts = np.ldexp(parts, -e[:, None])
-    norms = np.sqrt(np.add.reduce(parts * parts, axis=1))
+    return parts, e, np.sqrt(np.add.reduce(parts * parts, axis=1))
+
+
+def unit_columns(a) -> np.ndarray:
+    """Each column of the complex matrix ``a`` over its norm, new, from its
+    scaled parts (``column_norms``)."""
+    parts, _, norms = column_norms(a)
     return (parts * (1.0 / norms)[:, None]).view(np.complex128).T
 
 
