@@ -10,6 +10,7 @@ mixture recovers the fuzz; keeping only the inner one, the phaser.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -166,7 +167,7 @@ def fuzz_parts(sigma: DensityMatrix):
         return (), None
     units = linalg.unit_columns(np.concatenate([block for _, block in groups], axis=1))
     sizes = [block.shape[1] for _, block in groups]
-    starts = np.cumsum([0] + sizes).tolist()
+    starts = [0, *itertools.accumulate(sizes)]
     kraus = tuple(
         linalg.frozen(math.sqrt(value) * _weighted_sum(units[:, a:b], np.ones(b - a)))
         for (value, _), a, b in zip(groups, starts, starts[1:])
