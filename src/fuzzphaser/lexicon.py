@@ -86,11 +86,11 @@ def _matrix_in(data, where: str) -> np.ndarray:
 
 
 def _branches_in(docs: list) -> list[DdmBranch] | None:
-    """A factor's branches read, checked and normalized as one array, as
-    the per-branch constructors would make them (``linalg.unit_columns``),
-    or None where any branch is not an {x, phi} of a finite x ≥ 0 and a
-    finite nonzero ket, or the kets differ in length or form: the
-    per-branch reader then names the fault."""
+    """Branches read, checked and normalized as one array, as the
+    per-branch constructors would make them (``linalg.unit_columns``), or
+    None where any is not an {x, phi} of a finite x ≥ 0 and a finite
+    nonzero ket, or the kets differ in length or form: the per-branch
+    reader then names the fault."""
     if not docs or not all(isinstance(doc, dict) for doc in docs):
         return None
     xs, phis = [doc.get("x") for doc in docs], [doc.get("phi") for doc in docs]
@@ -121,17 +121,23 @@ def _branch_in(bdoc, where: str) -> DdmBranch:
 
 
 def _ddm_in(data, where: str) -> DoubleDensityMatrix:
+    """A ddm's factors, their branches read in one array pass (``_branches_in``)
+    where every factor has a nonempty branch list, else branch by branch."""
     if not isinstance(data, dict) or not isinstance(data.get("factors"), list):
         raise LexiconError(f'{where}: ddm data must be {{"factors": [...]}}')
-    factors = []
-    for k, fdoc in enumerate(data["factors"]):
+    docs = data["factors"]
+    listed = all(isinstance(f, dict) and isinstance(f.get("branches"), list) for f in docs)
+    read = _branches_in([b for f in docs for b in f["branches"]]) if listed else None
+    factors, start = [], 0
+    for k, fdoc in enumerate(docs):
         fwhere = f"{where}.factors[{k}]"
         if not isinstance(fdoc, dict) or not isinstance(fdoc.get("branches"), list):
             raise LexiconError(f"{fwhere}: expected y and a branch list")
-        branches = _branches_in(fdoc["branches"])
-        if branches is None:
+        if read is None or not fdoc["branches"]:
             branches = [_branch_in(bdoc, f"{fwhere}.branches[{i}]")
                         for i, bdoc in enumerate(fdoc["branches"])]
+        else:
+            branches, start = read[start : start + len(fdoc["branches"])], start + len(fdoc["branches"])
         factors.append(DdmFactor(_real_in(fdoc.get("y"), f"{fwhere}.y"), branches))
     return DoubleDensityMatrix(factors)
 

@@ -298,6 +298,13 @@ class TestArrayReaders:
         assert all(_same_bits(a.phi.amplitudes, b.phi.amplitudes) for a, b in zip(read, made))
         assert all(_same_bits(a.phi.amplitudes, PureState(k).normalized().amplitudes)
                    for a, k in zip(read, kets))
+        if any(doc["x"] > 0 for doc in docs[:1]) and any(doc["x"] > 0 for doc in docs[1:]):
+            # an entry of two factors, read in one pass, split back into its factors
+            factors = [{"y": 1.0, "branches": docs[:1]}, {"y": 2.0, "branches": docs[1:]}]
+            entry = entry_from_document({**DDM_DOC, "data": {"factors": factors}})
+            got = [b for f in entry.operand.factors for b in f.branches]
+            assert [len(f.branches) for f in entry.operand.factors] == [1, branches - 1]
+            assert all(_same_bits(a.phi.amplitudes, b.phi.amplitudes) for a, b in zip(got, made))
 
     @pytest.mark.parametrize("branch, fault", [
         ({"x": -1.0, "phi": [1.0, 0.0]}, "branch weight must be a finite real >= 0"),
