@@ -29,8 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_bench.json"
 SEED = 7
 WORKLOADS = ("long-text", "joint-1024")
-#: The seeds of the long-text campaign recorded in BENCH_21.json.
-CAMPAIGN_SEEDS = range(2511, 2521)
+#: The seeds of the campaigns recorded in BENCH_21.json.
+CAMPAIGN_SEEDS = (*range(2511, 2521), *range(2531, 2541))
 
 
 def _gen():
