@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .demos import DEMO_NAMES, run_black_fuzztones, run_paint_it_black
 from .density import DensityMatrix, purity
 from .errors import FuzzPhaserError, ParseError, ZeroTraceError
 from .lexicon import _matrix_out, load_lexicon
-from .properties import run_all
 from .sampling import DEFAULT_SEED
 from .textcirc import MECHANISMS, Circuit, compile_text, evaluate, reduced_state
+
+#: The shipped demos (``demos``), which ``run`` does not import.
+DEMO_NAMES = ("paint-it-black", "black-fuzztones")
 
 
 def _fmt_num(x: float) -> str:
@@ -113,6 +114,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .demos import run_black_fuzztones, run_paint_it_black
     runs = (run_paint_it_black(),) if args.name == DEMO_NAMES[0] else run_black_fuzztones()
     all_passed = True
     for run in runs:
@@ -133,6 +135,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .properties import run_all
     results = run_all(seed=args.seed, trials=args.trials, dims=args.dims)
     ok = all(r.passed for r in results)
     if args.format == "json":

@@ -25,8 +25,6 @@ DIM = 4
 SMALL = 0.05
 LARGE = 0.3
 
-DEMO_NAMES = ("paint-it-black", "black-fuzztones")
-
 
 def _ket(*amps) -> PureState:
     return PureState(np.array(amps, dtype=np.complex128))

@@ -38,18 +38,19 @@ factor's from the largest diagonal entries, then each exactly for a
 result within 1/ATOL of that; a result within 1/ATOL of the exact bound
 keeps only the eigen-directions above D times it, D the block's
 dimension, so an annihilated state is exactly 0.
-In both modes each result is rescaled by the power of four that brings
-its trace into [1/2, 2), which is exact, and its block keeps the
-exponent, as it keeps the power of two by which each plan scales the
-parts of its operators' entries below 1 (``Plan.shift``): no product of a
-gate can overflow, and the joint trace, the likelihood, is ldexp(∏ block
-traces, Σ exponents), which alone can pass the float range; that raises
-NumericalFailureError naming the sentence. Renormalizing divides each
-block by its trace where it is read. Every state the evaluator makes is
-Σ K ρ K† of a validated state, so none is re-validated, and is Hermitian
-up to roundoff, so none is hermitized: the states that leave the
-evaluator through ``reduced_state`` are validated, and their Hermitian
-part is taken there.
+In both modes a block is rescaled by the power of four that brings its
+trace into [1/2, 2), which is exact, after each factor step, where a dense
+trace leaves [2^-WINDOW, 2) and where it leaves the evaluator (``Block``).
+The block keeps the exponent, as it keeps the power of two by which each
+plan scales the parts of its operators' entries below 1 (``Plan.shift``):
+no product of a gate can overflow, and the joint trace, the likelihood, is
+ldexp(∏ block traces, Σ exponents), which alone can pass the float range;
+that raises NumericalFailureError naming the sentence. Renormalizing
+divides each block by its trace where it is read. Every state the
+evaluator makes is Σ K ρ K† of a validated state, so none is
+re-validated, and is Hermitian up to roundoff, so none is hermitized:
+the states that leave the evaluator through ``reduced_state`` are
+validated, and their Hermitian part is taken there.
 """
 
 from __future__ import annotations
@@ -182,7 +183,8 @@ class LexiconEntry:
     mechanism: str
     operand: object
 
-    def __init__(self, name: str, space, kind: str, mechanism: str, operand):
+    def __post_init__(self):
+        name, space, kind, mechanism = self.name, self.space, self.kind, self.mechanism
         if not name:
             raise LexiconError("entry name must be non-empty")
         spaces = (space,) if isinstance(space, str) else tuple(space)
@@ -200,15 +202,11 @@ class LexiconEntry:
             "density": DensityMatrix,
             "ddm": DoubleDensityMatrix,
         }[kind]
-        if not isinstance(operand, expected):
+        if not isinstance(self.operand, expected):
             raise LexiconError(
                 f"entry {name!r}: kind {kind!r} needs a {expected.__name__} operand"
             )
-        object.__setattr__(self, "name", name)
         object.__setattr__(self, "space", spaces)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "mechanism", mechanism)
-        object.__setattr__(self, "operand", operand)
 
     @property
     def dim(self) -> int:
@@ -308,8 +306,9 @@ class Plan:
     the block's gates write in the circuit, the word's Kraus operators and
     400 (``_route_costs``). ``frame`` is where the route's dense step reads
     and leaves the state, ``diagonal`` where S_ii lies in it, i in actor
-    order, ``kernel`` the route's dense step, fixed here, and ``products``
-    the doubled and factored routes' products with the side and shape each
+    order, ``selector`` 1 there and 0 elsewhere, or None (``_selector``),
+    ``kernel`` the route's dense step, fixed here, and ``products`` the
+    doubled and factored routes' products with the side and shape each
     reads the state in (``_products``).
 
     The steps are the operators times 2^-e, e the binade of their entries
@@ -317,7 +316,8 @@ class Plan:
     state of trace below 2 can overflow; ``shift`` is what that takes off
     the result's exponent, 2e on the Kraus and doubled routes and 4e on
     the thin and factored ones, which each step adds back to its block's
-    (``_step``, ``_trajectory``).
+    (``_trajectory``); the walk keeps each block's trace below 2
+    (``Block``).
     ``roundoff`` stacks the route's entrywise bounds G_k, times √(L·eps)
     for sums of L products, so that Σ_k max(G_k √diag ρ)² bounds the
     roundoff of each entry of the result (``_noise``); G ≥ 0 and no root
@@ -370,6 +370,7 @@ class Plan:
     dense_cost: float
     frame: tuple[int, ...] | None = field(init=False)
     diagonal: np.ndarray = field(init=False)
+    selector: np.ndarray | None = field(init=False)
     kernel: Callable[[np.ndarray, "Plan"], np.ndarray] = field(init=False)
     products: tuple[tuple[np.ndarray, int, tuple[int, ...]], ...] = field(init=False)
 
@@ -377,6 +378,7 @@ class Plan:
         frame = self.paired if self.doubled else self.axes
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "diagonal", _diagonal_at(frame, self.dims))
+        object.__setattr__(self, "selector", _selector(frame, self.dims))
         if self.doubled:
             kernel = _paired
         else:
@@ -556,6 +558,19 @@ def _diagonal_at(frame: tuple[int, ...] | None, dims: tuple[int, ...]) -> np.nda
         strides[axis], step = step, step * shape[axis]
     index = np.indices(dims).reshape(n, -1)
     return sum(index[w] * (strides[w] + strides[n + w]) for w in range(n))
+
+
+@cache
+def _selector(frame: tuple[int, ...] | None, dims: tuple[int, ...]) -> np.ndarray | None:
+    """1 at each S_ii in ``frame`` (``_diagonal_at``), else 0: the trace in one
+    product, or None where its D² multiply-adds cost more than two calls."""
+    size = math.prod(dims)
+    if size * size > 2 * CALL_COST:
+        return None
+    selector = np.zeros(size * size, dtype=np.complex128)
+    selector[_diagonal_at(frame, dims)] = 1.0
+    selector.setflags(write=False)
+    return selector
 
 
 @cache
@@ -882,7 +897,11 @@ def compile_text(text: str, lexicon: Lexicon, mechanism: str | None = None) -> C
     return compile_sentences(parse(text), lexicon, mechanism)
 
 
-@dataclass(eq=False, slots=True)
+#: A dense block is rescaled only where its trace leaves [2^-WINDOW, 2) (``Block``).
+WINDOW = 64
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Block:
     """The state of one interaction component on its ``wires`` (actor
     indices, in actor order) of ``dims``: ρ = 2^exponent·S, S of ``trace``
@@ -893,8 +912,16 @@ class Block:
     on the factor): the next gate permutes it only where its plan reads
     another frame, and ``held`` puts it back in actor order where it
     leaves the evaluator. S is Σ K ρ K† of a validated state, so it is
-    held bare, not as a DensityMatrix. One is made per gate, so it is
-    slotted, not frozen."""
+    held bare, not as a DensityMatrix.
+
+    The walk (``_trajectory``) holds blocks as bare values, made Blocks with
+    S scaled into [1/2, 2) only for a reader. It rescales a factor at every
+    gate, a dense S only where its trace leaves [2^-WINDOW, 2): below 2 no
+    plan's product overflows (``Plan.shift``). S is then 2^-2j times the S
+    of rescaling at every gate, 0 ≤ 2j ≤ WINDOW, bit for bit: each product,
+    sum and square root (``_noise``) of a gate is that power of two times
+    its own, and each test takes the same branch, unless a nonzero one lies
+    2^(WINDOW-1022) or further below the block's trace."""
 
     wires: tuple[int, ...]
     dims: tuple[int, ...]
@@ -911,10 +938,13 @@ class Block:
         return _reframed(self.dense, self.frame, None, self.dims)
 
 
-def _likelihood(blocks: Sequence[Block]) -> float:
-    """ldexp(∏ block traces, Σ exponents), inf past the float range."""
+def _likelihood(pairs: Iterable[tuple[float, int]]) -> float:
+    """ldexp(∏ traces, Σ exponents) of (trace, exponent) pairs, inf past the
+    float range; each trace's binade joins the exponents first, so that no
+    product of small traces underflows and no power of two moves a bit."""
+    parts = [(*math.frexp(trace), exponent) for trace, exponent in pairs]
     try:
-        return math.ldexp(math.prod(b.trace for b in blocks), sum(b.exponent for b in blocks))
+        return math.ldexp(math.prod(m for m, _, _ in parts), sum(e + x for _, e, x in parts))
     except OverflowError:
         return math.inf
 
@@ -968,7 +998,7 @@ class WorldState:
     def trace(self) -> float:
         """tr ρ without building ρ: 1 once renormalized, else the likelihood
         ldexp(∏ block traces, Σ exponents), inf past the float range."""
-        return 1.0 if self.renormalized else _likelihood(self.blocks)
+        return 1.0 if self.renormalized else _likelihood((b.trace, b.exponent) for b in self.blocks)
 
     @property
     def log_trace(self) -> float:
@@ -1101,7 +1131,8 @@ def _apply_gate(x: np.ndarray, frame, gate: Gate, dims: Sequence[int], trace: fl
     entry's roundoff is below ``noise`` (``_noise``); a result within
     1/ATOL of it keeps only eigenvalues above D·noise, so what roundoff
     leaves of an annihilated state is exactly 0, in actor order. The
-    cheap bound comes first, from the trace alone: the result's largest
+    cheap bound comes first, from the trace alone, read in one product
+    with the plan's ``selector`` where it has one: the result's largest
     diagonal entry is at least its trace over D, and the input's at most
     twice ``trace`` (``Plan.clears``). Only where that does not clear are
     both diagonals read, for the same test on their largest entries, and
@@ -1111,13 +1142,13 @@ def _apply_gate(x: np.ndarray, frame, gate: Gate, dims: Sequence[int], trace: fl
     if frame != plan.frame:
         x = _reframed(x, frame, plan.frame, dims)
     out = plan.kernel(x, plan).reshape(x.shape)
-    diag = out.take(plan.diagonal)
-    tr = sum(diag.tolist()).real  # at small D, one call fewer than np.add.reduce
+    sel = plan.selector
+    tr = float((sum(out.take(plan.diagonal).tolist()) if sel is None else np.vdot(sel, out)).real)
     size = x.shape[0]
     if plan.clears(tr / size, 2.0 * trace):
         return out, plan.frame, tr
     before = np.abs(x.take(plan.diagonal))
-    peak = float(np.abs(diag).max())
+    peak = float(np.abs(out.take(plan.diagonal)).max())
     noise = None if plan.clears(peak, float(before.max())) else _roundoff(plan, peak, before, dims)
     if noise is None:
         return out, plan.frame, tr
@@ -1231,102 +1262,110 @@ def _not_finite(label: str | None) -> NumericalFailureError:
 
 def _exponent(tr: float) -> int:
     """The even k with tr·2^-k in [1/2, 2), or 0 at tr = 0, but k ≥ -1022
-    so that 2^-k is a float."""
+    so that 2^-k is a float: a block is rescaled by 2^-k (``Block``)."""
     return max(math.frexp(tr)[1] & ~1, -1022)
 
 
-def _factor_block(wires, dims, exponent: int, factor: np.ndarray, owed):
-    """A new factor L as a block and the diag L L† it owes (or None),
-    scaled in place by 2^-k/2 and 2^-k (``_exponent``), which is exact;
-    k is added to ``exponent``, and L made read-only."""
+def _rescaled(factor: np.ndarray, owed) -> tuple[float, int]:
+    """A new factor L's trace and the k of ``_exponent``, L scaled in place
+    by 2^-k/2 and the diag L L† it owes (or None) by 2^-k, which is exact."""
     tr = float(np.vdot(factor, factor).real)
     k = _exponent(tr)
     factor *= math.ldexp(1.0, -k // 2)
     if owed is not None:
         owed *= math.ldexp(1.0, -k)
-    factor.setflags(write=False)
-    return Block(wires, dims, factor, None, None, math.ldexp(tr, -k), exponent + k), owed
+    return math.ldexp(tr, -k), k
 
 
-def _step(block: Block, owed, fresh: int | None, gate: Gate, priors: Sequence[np.ndarray]):
-    """``gate`` on a factor block: first the compression owed by the
-    block's last gate; then the factor step, while that costs less than the
-    dense step, with the diag ρ that the new factor's compression is owed.
-    Else, once and for all, the block's dense joint, not yet gated, and
-    None: before its first gate, the Kronecker product of its scaled
-    ``priors``, whose exponent is ``fresh``, to the block's exponent; after
-    it, L L†; in actor order."""
-    plan, factor = gate.plan, block.factor
-    if owed is not None:
-        factor = _compress(factor, owed)
-    if _factor_cost(plan, factor.shape[0], factor.shape[1]) <= plan.dense_cost:
-        out, owed = _factor_step(factor, gate, block.dims)
-        return _factor_block(block.wires, block.dims, block.exponent + plan.shift, out, owed)
-    if fresh is not None:
-        joint = linalg.kron_all(priors[w] for w in block.wires)
-        joint *= math.ldexp(1.0, fresh - block.exponent)
-    else:
-        joint = factor @ factor.conj().T
-    return Block(block.wires, block.dims, None, joint, None, block.trace, block.exponent), None
-
-
-def _trajectory(circuit: Circuit, renormalize_each_step: bool) -> Iterator[tuple[Block, ...]]:
-    """The blocks at the priors and after each gate: one per interaction
-    component, from its priors' factor; each gate on its own block only,
-    by the same arithmetic in both modes, bit for bit. A factor block takes
-    its step in ``_step``; a dense block, or one that ``_step`` has just
-    made dense, takes ``_apply_gate``, whose result is scaled in place by
-    2^-k (``_exponent``), which is exact, and frozen, and its block's
-    exponent takes the plan's shift and k.
+def _trajectory(
+    circuit: Circuit, renormalize_each_step: bool, every_step: bool = True
+) -> Iterator[tuple[Block, ...]]:
+    """The blocks at the priors and after each gate, or only after the last
+    where not ``every_step``: one per interaction component, held as bare
+    values and made ``Block``s only to be yielded; each gate on its own
+    block only, by one arithmetic in both modes and for every reader. A
+    factor block compresses what its last step owes (``_compress``) and
+    takes the factor step while that costs less than the dense step, else
+    goes dense for good: from its scaled priors (exponent ``fresh``) before
+    its first gate, else as L L†. A dense block takes ``_apply_gate``.
 
     Each step is checked where it changed the world: without
     renormalizing, the likelihood ldexp(∏ block traces, Σ exponents) must
     stay finite, and it alone can leave the float range (``Plan``);
-    renormalizing divides
-    each block by its own trace (``WorldState``), so it raises
-    ZeroTraceError once a block's trace is 0, at the priors or after the
-    gate on it, and the likelihood may pass the float range.
+    renormalizing divides each block by its own trace (``WorldState``), so
+    it raises ZeroTraceError once a block's trace is 0, at the priors or
+    after the gate on it, and the likelihood may pass the float range.
     """
     dims = tuple(a.dim for a in circuit.actors)
     # each root by 2^-e and prior by 4^-e, so that their products neither under- nor overflow
     scales = [_binade(a.root) for a in circuit.actors]
     priors = [_ldexp(a.prior.matrix, -2 * e) for a, e in zip(circuit.actors, scales)]
-    blocks, fresh = [], []  # fresh: the priors' exponent until a block's first gate
-    for wires in circuit.components:
+    wires_of = circuit.components
+    dims_of = [tuple(dims[w] for w in wires) for wires in wires_of]
+    fresh = [2 * sum(scales[w] for w in wires) for wires in wires_of]  # until the first gate
+    factors, traces, exponents = [], [], []
+    for wires, exponent in zip(wires_of, fresh):
         factor = np.ones((1, 1), dtype=np.complex128)
         for w in wires:
             factor = np.kron(factor, circuit.actors[w].root * math.ldexp(1.0, -scales[w]))
-        fresh.append(2 * sum(scales[w] for w in wires))
-        wire_dims = tuple(dims[w] for w in wires)
-        blocks.append(_factor_block(wires, wire_dims, fresh[-1], factor, None)[0])
+        tr, k = _rescaled(factor, None)
+        factors.append(factor)
+        traces.append(tr)
+        exponents.append(exponent + k)
+    n = len(wires_of)
+    states, frames, owed = [None] * n, [None] * n, [None] * n  # owed: a factor's diag ρ
+    floor = math.ldexp(1.0, -WINDOW)
+
+    def block(b: int) -> Block:  # read-only; a dense S scaled on a new array
+        k, dense = _exponent(traces[b]), states[b]
+        if k:
+            dense = dense * math.ldexp(1.0, -k)
+        (dense if factors[b] is None else factors[b]).setflags(write=False)
+        return Block(wires_of[b], dims_of[b], factors[b], dense, frames[b],
+                     math.ldexp(traces[b], -k), exponents[b] + k)
 
     if renormalize_each_step:
-        for block in blocks:
-            nonzero_trace(block.trace)
-    elif not math.isfinite(_likelihood(blocks)):
+        for tr in traces:
+            nonzero_trace(tr)
+    elif not math.isfinite(_likelihood(zip(traces, exponents))):
         raise _not_finite(None)
-    yield tuple(blocks)
-    owed = [None] * len(blocks)  # diag ρ of a factor whose compression is owed
-    for gate in circuit.gates:
-        b = gate.block
-        block = blocks[b]
-        if block.factor is not None:
-            block, owed[b] = _step(block, owed[b], fresh[b], gate, priors)
-            fresh[b] = None
-        if block.factor is None:
-            matrix, frame, tr = _apply_gate(block.dense, block.frame, gate, block.dims, block.trace)
-            k = _exponent(tr)
-            if k:
-                matrix *= math.ldexp(1.0, -k)
-            matrix.setflags(write=False)
-            exponent = block.exponent + gate.plan.shift + k
-            block = Block(block.wires, block.dims, None, matrix, frame, math.ldexp(tr, -k), exponent)
-        blocks[b] = block
-        if renormalize_each_step:
-            nonzero_trace(block.trace)
-        elif not math.isfinite(_likelihood(blocks)):
-            raise _not_finite(gate.label)
+    if every_step:
+        blocks = list(map(block, range(n)))
         yield tuple(blocks)
+    for gate in circuit.gates:
+        b, plan = gate.block, gate.plan
+        factor = factors[b]
+        if factor is not None:
+            if owed[b] is not None:
+                factor = _compress(factor, owed[b])
+            if _factor_cost(plan, *factor.shape) <= plan.dense_cost:
+                factor, owed[b] = _factor_step(factor, gate, dims_of[b])
+                traces[b], k = _rescaled(factor, owed[b])
+                exponents[b] += plan.shift + k
+            elif fresh[b] is None:
+                states[b], factor, owed[b] = factor @ factor.conj().T, None, None
+            else:
+                states[b] = linalg.kron_all(priors[w] for w in wires_of[b])
+                states[b] *= math.ldexp(1.0, fresh[b] - exponents[b])
+                factor = None
+            factors[b], fresh[b] = factor, None
+        if factor is None:
+            x, frames[b], tr = _apply_gate(states[b], frames[b], gate, dims_of[b], traces[b])
+            exponent = exponents[b] + plan.shift
+            if not floor <= tr < 2.0:
+                k = _exponent(tr)
+                x *= math.ldexp(1.0, -k)
+                tr, exponent = math.ldexp(tr, -k), exponent + k
+            states[b], traces[b], exponents[b] = x, tr, exponent
+        if renormalize_each_step:
+            nonzero_trace(traces[b])
+        elif not math.isfinite(_likelihood(zip(traces, exponents))):
+            raise _not_finite(gate.label)
+        if every_step:
+            blocks[b] = block(b)
+            yield tuple(blocks)
+    if not every_step:
+        yield tuple(map(block, range(n)))
 
 
 def _world(circuit: Circuit, blocks: tuple[Block, ...], renormalized: bool) -> WorldState:
@@ -1344,8 +1383,7 @@ def evaluate_trajectory(
 
 def evaluate(circuit: Circuit, renormalize_each_step: bool = False) -> WorldState:
     """Apply every gate in sentence order to the priors (keeping one state)."""
-    for blocks in _trajectory(circuit, renormalize_each_step):
-        pass
+    (blocks,) = _trajectory(circuit, renormalize_each_step, every_step=False)
     return _world(circuit, blocks, renormalize_each_step)
 
 

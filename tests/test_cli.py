@@ -1005,6 +1005,24 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert "verify: 29/29 passed" in proc.stdout
 
+    def test_run_imports_no_verify_or_demo_code(self):
+        """``run`` on a demo text, parser included, imports neither the
+        verify checks nor the demos."""
+        script = (
+            "import contextlib, io, sys\n"
+            "from fuzzphaser import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "print(code, [m for m in ('fuzzphaser.properties', 'fuzzphaser.demos')"
+            " if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", str(DEMO_DIR / "paint_it_black.txt"),
+             "--lexicon", str(DEMO_DIR / "colors.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.stdout == "0 []\n", proc.stderr
+
     def test_byte_identical_runs(self):
         cmd = [
             sys.executable, "-m", "fuzzphaser.cli",

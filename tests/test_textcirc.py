@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from fuzzphaser.density import DensityMatrix, PureState, from_pure, nonzero_trac
 from fuzzphaser.errors import (
     DimensionOverflowError,
     LexiconError,
+    NotPSDError,
     NumericalFailureError,
     ParseError,
     SpaceMismatchError,
@@ -26,7 +28,9 @@ from fuzzphaser.errors import (
     ZeroTraceError,
 )
 from fuzzphaser.lexicon import save_lexicon
-from fuzzphaser.properties import ALL_CHECKS, apply_gate_dense, check_local_kernel
+from fuzzphaser.properties import (
+    ALL_CHECKS, _kernel_circuits, apply_gate_dense, check_local_kernel,
+)
 from fuzzphaser.sampling import (
     DEFAULT_SEED, random_ddm, random_density, random_psd, random_pure, random_unitary,
 )
@@ -603,8 +607,9 @@ class TestRoutes:
         route on the whole block and on a part of it, where it reads its
         paired frame, and on one wire in the paired frame that the step
         before left the block in; and the factored route. On the factor it
-        meets the Kraus, thin and doubled routes, on both frames."""
-        seen, kept, factor_steps = [], [], set()
+        meets the Kraus, thin and doubled routes, on both frames. Each gate
+        of its circuits is one of the steps seen."""
+        seen, kept, factor_steps = [], [], []
         apply, step = textcirc._apply_gate, textcirc._factor_step
 
         def spy(x, frame, gate, dims, trace):
@@ -615,14 +620,17 @@ class TestRoutes:
             return apply(x, frame, gate, dims, trace)
 
         def factor_spy(factor, gate, dims):
-            factor_steps.add((gate.plan.route, gate.plan.axes is None))
+            factor_steps.append((gate.plan.route, gate.plan.axes is None))
             return step(factor, gate, dims)
 
+        seeds = np.random.SeedSequence(DEFAULT_SEED).spawn(len(ALL_CHECKS))
+        seed = seeds[ALL_CHECKS.index(check_local_kernel)]
+        circuits = _kernel_circuits(np.random.default_rng(seed), 10)  # n at 100 trials
+        gates = sum(len(circuit.gates) for circuit, _ in circuits)
         monkeypatch.setattr(textcirc, "_apply_gate", spy)
         monkeypatch.setattr(textcirc, "_factor_step", factor_spy)
-        seeds = np.random.SeedSequence(DEFAULT_SEED).spawn(len(ALL_CHECKS))
-        rng = np.random.default_rng(seeds[ALL_CHECKS.index(check_local_kernel)])
-        assert check_local_kernel(rng, 100, (2, 5)).passed
+        assert check_local_kernel(np.random.default_rng(seed), 100, (2, 5)).passed
+        assert len(seen) + len(factor_steps) == gates
         assert {(route, adjacent) for route, adjacent, _, _ in seen if route in ROUTE_NAMES[:2]} \
             == {(route, adjacent) for route in ROUTE_NAMES[:2] for adjacent in (True, False)}
         assert {(route, last) for route, adjacent, last, _ in seen
@@ -1633,8 +1641,9 @@ def _trace_test_holds(circuit: Circuit, renorm: bool) -> int:
     |S_ii| is at most twice its block's carried trace, and wherever the
     test on the trace clears the result before any cut, ``Plan.clears`` on
     the true diagonals clears it too. Stops where renormalizing meets an
-    annihilated block. Returns the number of dense steps checked."""
-    checked, apply = [], textcirc._apply_gate
+    annihilated block. Every gate the walk took must have been a factor
+    step or a checked dense step. Returns the number of dense steps checked."""
+    checked, factor_steps, apply, step = [], [], textcirc._apply_gate, textcirc._factor_step
 
     def spy(x, frame, gate, dims, trace):
         before = np.abs(x.take(textcirc._diagonal_at(frame, tuple(dims))))
@@ -1647,12 +1656,21 @@ def _trace_test_holds(circuit: Circuit, renorm: bool) -> int:
         checked.append(gate.label)
         return apply(x, frame, gate, dims, trace)
 
-    with mock.patch.object(textcirc, "_apply_gate", spy):
+    def factor_spy(factor, gate, dims):
+        factor_steps.append(gate.label)
+        return step(factor, gate, dims)
+
+    walked = 0  # the priors, then each gate the walk finished
+    with mock.patch.object(textcirc, "_apply_gate", spy), \
+            mock.patch.object(textcirc, "_factor_step", factor_spy):
         try:
             for _ in textcirc._trajectory(circuit, renorm):
-                pass
+                walked += 1
+            gates = walked - 1
         except ZeroTraceError:
             assert renorm
+            gates = walked  # with the gate that annihilated its block, if any
+    assert len(checked) + len(factor_steps) == gates
     return len(checked)
 
 
@@ -1727,6 +1745,134 @@ class TestTraceTest:
         results the roundoff cut decides, where the next step reads the
         state that the cut leaves, in actor order."""
         assert _trace_test_holds(CUT_CASES[case](), renorm) > 0 or renorm
+
+
+def _walk(circuit: Circuit, renorm: bool) -> list:
+    """The blocks at each step of the walk, as ``evaluate_trajectory`` reads
+    them, then ``evaluate``'s, up to the error that stops them, if any."""
+    steps = []
+    try:
+        steps.extend(textcirc._trajectory(circuit, renorm))
+        steps.append(evaluate(circuit, renorm).blocks)
+    except (ZeroTraceError, NumericalFailureError) as exc:
+        steps.append(str(exc))
+    return steps
+
+
+def _reduced(circuit: Circuit, blocks, renorm: bool) -> list:
+    """Each actor's reduced state of the world of ``blocks``, or the error's type."""
+    world = textcirc._world(circuit, blocks, renorm)
+    states = []
+    for actor in circuit.actors:
+        try:
+            states.append(reduced_state(world, actor.name).matrix)
+        except (ZeroTraceError, NumericalFailureError, NotPSDError) as exc:
+            states.append(type(exc))
+    return states
+
+
+class TestWindow:
+    @settings(max_examples=100)
+    @given(
+        actors=st.integers(1, 3),
+        gates=st.lists(
+            st.tuples(
+                st.sampled_from(MECHANISMS + ("near",)), st.integers(0, 2), st.integers(0, 2)
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        kets=st.lists(st.booleans(), min_size=3, max_size=3),
+        prior=st.integers(-300, 300),
+        word=st.integers(-280, 280),
+        near=st.sampled_from([3, 10, 20]),
+        form=st.sampled_from(sorted(ROUTES)),
+        renorm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rescaling_out_of_the_window_is_exact(
+        self, actors, gates, kets, prior, word, near, form, renorm, seed
+    ):
+        """A dense block rescaled only where its trace leaves [2^-WINDOW, 2)
+        gives the bits of one rescaled at every gate (WINDOW = 1, [1/2, 2)):
+        each block's state, trace, exponent and frame and each reduced state,
+        after every gate and at the end, or the error that stops the walk,
+        with priors scaled by 10^±300 and words by 10^±280, both forms and
+        both modes. "near" words keep 10^-near of e0, on which the ket
+        priors lie. Every block that leaves the evaluator is read-only."""
+        rng = np.random.default_rng(seed)
+        entries, sentences = [], [Introduce(f"A{i}") for i in range(actors)]
+        for i, ket in enumerate(kets[:actors]):
+            if ket:
+                e0 = PureState(10.0 ** (prior / 2) * np.eye(2)[0])
+                entries.append(LexiconEntry(f"A{i}", "c", "pure", "projector", e0))
+            else:
+                rho = DensityMatrix(10.0**prior * random_density(2, rng).matrix)
+                entries.append(LexiconEntry(f"A{i}", "c", "density", "fuzz", rho))
+        for g, (mechanism, subject, obj) in enumerate(gates):
+            subject, obj = subject % actors, obj % actors
+            transitive = subject != obj
+            spaces, dim = (("c", "c"), 4) if transitive else ("c", 2)
+            if mechanism == "near":
+                sigma = 10.0**word * np.diag([10.0**-near] + [1.0] * (dim - 1))
+                entries.append(LexiconEntry(f"w{g}", spaces, "density", "phaser",
+                                            DensityMatrix(sigma)))
+            else:
+                entries.append(_scaled_word(f"w{g}", mechanism, spaces, dim, 10.0**word, rng))
+            if transitive:
+                sentences.append(Transitive(f"A{subject}", f"w{g}", f"A{obj}"))
+            else:
+                sentences.append(IsA(f"A{subject}", f"w{g}"))
+        circuit = compile_sentences(sentences, Lexicon({"c": 2}, entries))
+        runs = []
+        for window in (1, textcirc.WINDOW):
+            with mock.patch.object(textcirc, "WINDOW", window), \
+                    mock.patch.object(textcirc, "EIGH_CALL", ROUTES[form]):
+                runs.append(_walk(circuit, renorm))
+        every, windowed = runs
+        assert len(every) == len(windowed)
+        for theirs, ours in zip(every, windowed):
+            if isinstance(ours, str):
+                assert ours == theirs
+                continue
+            for a, b in zip(theirs, ours):
+                assert (a.trace, a.exponent, a.frame) == (b.trace, b.exponent, b.frame)
+                state_a, state_b = (x.dense if x.factor is None else x.factor for x in (a, b))
+                assert np.array_equal(state_a, state_b)
+                assert not state_a.flags.writeable and not state_b.flags.writeable
+            for x, y in zip(_reduced(circuit, theirs, renorm), _reduced(circuit, ours, renorm)):
+                assert x is y if isinstance(x, type) else np.array_equal(x, y)
+
+    def test_long_text_rescales_rarely(self, tmp_path):
+        """On long-text seed 7 (``tests/test_bench_workloads.py``'s inputs) a
+        dense block's trace stays in [2^-WINDOW, 2) through all but a few of
+        its steps: the walk rescales under 5% of them, where rescaling at
+        every gate moved 65% (1,303 of 2,002 steps of one text). A rescale
+        shows as an input trace other than the result's trace of the block's
+        last dense step."""
+        from test_bench_workloads import SEED, _gen
+
+        from fuzzphaser.lexicon import load_lexicon
+
+        manifest = _gen().generate("long-text", SEED, tmp_path)
+        lexicon = load_lexicon(manifest["lexicon"])
+        apply, last, steps, rescaled = textcirc._apply_gate, {}, [], []
+
+        def spy(x, frame, gate, dims, trace):
+            if last.get(gate.block, trace) != trace:
+                rescaled.append(gate.label)
+            out = apply(x, frame, gate, dims, trace)
+            last[gate.block] = out[2]
+            steps.append(gate.label)
+            return out
+
+        with mock.patch.object(textcirc, "_apply_gate", spy):
+            for case in manifest["texts"]:
+                last.clear()
+                circuit = compile_text(Path(case["path"]).read_text(encoding="utf-8"), lexicon)
+                evaluate(circuit, True)
+        assert len(steps) > 7000
+        assert len(rescaled) < 0.05 * len(steps)
 
 
 #: (sentence, its Sentence) pairs for texts drawn with repeats: both forms
