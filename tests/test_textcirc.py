@@ -1843,6 +1843,26 @@ class TestWindow:
             for x, y in zip(_reduced(circuit, theirs, renorm), _reduced(circuit, ours, renorm)):
                 assert x is y if isinstance(x, type) else np.array_equal(x, y)
 
+    @pytest.mark.parametrize("renorm", [False, True])
+    def test_window_is_exact_down_to_its_floor(self, renorm):
+        """A ket prior under a phaser that keeps 10^-3 of its weight, 120
+        times on the dense joint: the trace falls through the window every
+        seventh gate, down to 2^-WINDOW, and reads the bits of rescaling at
+        every gate all the way. A floor past the normal range would not:
+        the state would fall below 2^-1022 after about 100 gates."""
+        door = LexiconEntry("Door", "c", "pure", "projector", PureState([1.0, 0.0]))
+        dim = LexiconEntry("dim", "c", "density", "phaser", DensityMatrix(np.diag([1e-3, 1.0])))
+        circuit = compile_text("Door is dim. " * 120, Lexicon({"c": 2}, [door, dim]))
+        runs = []
+        for window in (1, textcirc.WINDOW):
+            with mock.patch.object(textcirc, "WINDOW", window), \
+                    mock.patch.object(textcirc, "EIGH_CALL", ROUTES["dense"]):
+                runs.append(_walk(circuit, renorm))
+        assert len(runs[0]) == len(runs[1]) == 122
+        for (a,), (b,) in zip(*runs):
+            assert (a.trace, a.exponent) == (b.trace, b.exponent)
+            assert np.array_equal(a.dense, b.dense)
+
     def test_long_text_rescales_rarely(self, tmp_path):
         """On long-text seed 7 (``tests/test_bench_workloads.py``'s inputs) a
         dense block's trace stays in [2^-WINDOW, 2) through all but a few of
