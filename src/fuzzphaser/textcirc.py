@@ -183,8 +183,7 @@ class LexiconEntry:
     mechanism: str
     operand: object
 
-    def __post_init__(self):
-        name, space, kind, mechanism = self.name, self.space, self.kind, self.mechanism
+    def __init__(self, name: str, space, kind: str, mechanism: str, operand):
         if not name:
             raise LexiconError("entry name must be non-empty")
         spaces = (space,) if isinstance(space, str) else tuple(space)
@@ -202,11 +201,15 @@ class LexiconEntry:
             "density": DensityMatrix,
             "ddm": DoubleDensityMatrix,
         }[kind]
-        if not isinstance(self.operand, expected):
+        if not isinstance(operand, expected):
             raise LexiconError(
                 f"entry {name!r}: kind {kind!r} needs a {expected.__name__} operand"
             )
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "space", spaces)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "mechanism", mechanism)
+        object.__setattr__(self, "operand", operand)
 
     @property
     def dim(self) -> int:
@@ -914,13 +917,15 @@ class Block:
     leaves the evaluator. S is Σ K ρ K† of a validated state, so it is
     held bare, not as a DensityMatrix.
 
-    The walk (``_trajectory``) holds blocks as bare values, made Blocks with
-    S scaled into [1/2, 2) only for a reader. It rescales a factor at every
-    gate, a dense S only where its trace leaves [2^-WINDOW, 2): below 2 no
-    plan's product overflows (``Plan.shift``). S is then 2^-2j times the S
-    of rescaling at every gate, 0 ≤ 2j ≤ WINDOW, bit for bit: each product,
-    sum and square root (``_noise``) of a gate is that power of two times
-    its own, and each test takes the same branch, unless a nonzero one lies
+    The walk (``_trajectory``) holds blocks as bare values, made Blocks only
+    for a reader, a dense S scaled into [1/2, 2) there. It rescales a factor
+    at every gate, a dense S only where its trace leaves [2^-WINDOW, 2):
+    below 2 no plan's product overflows (``Plan.shift``). A factor is
+    yielded as rescaled, so its trace stays below 1/2 where 2^-k stops at
+    2^1022 (``_exponent``). S is then 2^-2j times the S of rescaling at
+    every gate, 0 ≤ 2j ≤ WINDOW, bit for bit: each product, sum and square
+    root (``_noise``) of a gate is that power of two times its own, and
+    each test takes the same branch, unless a nonzero one lies
     2^(WINDOW-1022) or further below the block's trace."""
 
     wires: tuple[int, ...]
@@ -1316,12 +1321,13 @@ def _trajectory(
     states, frames, owed = [None] * n, [None] * n, [None] * n  # owed: a factor's diag ρ
     floor = math.ldexp(1.0, -WINDOW)
 
-    def block(b: int) -> Block:  # read-only; a dense S scaled on a new array
-        k, dense = _exponent(traces[b]), states[b]
+    def block(b: int) -> Block:  # read-only; a dense S scaled on a new array, a factor as is
+        factor, dense = factors[b], states[b]
+        k = 0 if factor is not None else _exponent(traces[b])
         if k:
             dense = dense * math.ldexp(1.0, -k)
-        (dense if factors[b] is None else factors[b]).setflags(write=False)
-        return Block(wires_of[b], dims_of[b], factors[b], dense, frames[b],
+        (dense if factor is None else factor).setflags(write=False)
+        return Block(wires_of[b], dims_of[b], factor, dense, frames[b],
                      math.ldexp(traces[b], -k), exponents[b] + k)
 
     if renormalize_each_step:

@@ -1777,7 +1777,9 @@ class TestWindow:
         actors=st.integers(1, 3),
         gates=st.lists(
             st.tuples(
-                st.sampled_from(MECHANISMS + ("near",)), st.integers(0, 2), st.integers(0, 2)
+                st.sampled_from(MECHANISMS + ("near", "near ket")),
+                st.integers(0, 2),
+                st.integers(0, 2),
             ),
             min_size=1,
             max_size=12,
@@ -1785,10 +1787,21 @@ class TestWindow:
         kets=st.lists(st.booleans(), min_size=3, max_size=3),
         prior=st.integers(-300, 300),
         word=st.integers(-280, 280),
-        near=st.sampled_from([3, 10, 20]),
+        near=st.sampled_from([3, 10, 20, 155]),
         form=st.sampled_from(sorted(ROUTES)),
         renorm=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        actors=1,
+        gates=[("near ket", 0, 0), ("near ket", 0, 0)],
+        kets=[True] * 3,
+        prior=0,
+        word=0,
+        near=155,
+        form="factor",
+        renorm=False,
+        seed=0,
     )
     def test_rescaling_out_of_the_window_is_exact(
         self, actors, gates, kets, prior, word, near, form, renorm, seed
@@ -1799,7 +1812,9 @@ class TestWindow:
         after every gate and at the end, or the error that stops the walk,
         with priors scaled by 10^±300 and words by 10^±280, both forms and
         both modes. "near" words keep 10^-near of e0, on which the ket
-        priors lie. Every block that leaves the evaluator is read-only."""
+        priors lie, and "near ket" projectors 10^-2·near: at 10^-155 a
+        factor's trace falls below what 2^1022 lifts into [1/2, 2). Every
+        block that leaves the evaluator is read-only."""
         rng = np.random.default_rng(seed)
         entries, sentences = [], [Introduce(f"A{i}") for i in range(actors)]
         for i, ket in enumerate(kets[:actors]):
@@ -1817,6 +1832,9 @@ class TestWindow:
                 sigma = 10.0**word * np.diag([10.0**-near] + [1.0] * (dim - 1))
                 entries.append(LexiconEntry(f"w{g}", spaces, "density", "phaser",
                                             DensityMatrix(sigma)))
+            elif mechanism == "near ket":
+                ket = PureState([10.0**-near] + [1.0] * (dim - 1))
+                entries.append(LexiconEntry(f"w{g}", spaces, "pure", "projector", ket))
             else:
                 entries.append(_scaled_word(f"w{g}", mechanism, spaces, dim, 10.0**word, rng))
             if transitive:
@@ -1862,6 +1880,36 @@ class TestWindow:
         for (a,), (b,) in zip(*runs):
             assert (a.trace, a.exponent) == (b.trace, b.exponent)
             assert np.array_equal(a.dense, b.dense)
+
+    @pytest.mark.parametrize("renorm", [False, True])
+    @pytest.mark.parametrize("sentences", [1, 2])
+    def test_factor_trace_below_the_normal_range(self, renorm, sentences):
+        """A ket prior on the factor under a projector whose ket keeps 10^-155
+        of e0: the new factor's trace, about 10^-310, is below what 2^1022
+        (``_exponent``'s bound) lifts into [1/2, 2), so its block keeps that
+        trace below 1/2 and the exponent the plan's shift less 1022, in
+        ``evaluate`` and in ``evaluate_trajectory``; the same word again
+        leaves the likelihood as it is and brings the trace into [1/2, 2)."""
+        door = LexiconEntry("Door", "c", "pure", "projector", PureState([1.0, 0.0]))
+        dim = LexiconEntry("dim", "c", "pure", "projector", PureState([1e-155, 1.0]))
+        circuit = compile_text("Door is dim. " * sentences, Lexicon({"c": 2}, [door, dim]))
+        with mock.patch.object(textcirc, "EIGH_CALL", ROUTES["factor"]):
+            steps = [world.blocks for world in evaluate_trajectory(circuit, renorm)]
+            last = evaluate(circuit, renorm).blocks
+        assert len(steps) == sentences + 1
+        (first,) = steps[1]
+        assert first.dense is None and first.trace < 0.5
+        assert first.exponent == circuit.gates[0].plan.shift - 1022
+        likelihood = math.ldexp(first.trace, first.exponent)
+        assert likelihood == pytest.approx(1e-310, rel=1e-10)
+        for (a,) in steps[1:]:
+            assert a.dense is None and not a.factor.flags.writeable
+        (a,), (b,) = steps[-1], last
+        assert (a.trace, a.exponent) == (b.trace, b.exponent)
+        assert np.array_equal(a.factor, b.factor) and not b.factor.flags.writeable
+        if sentences == 2:
+            assert 0.5 <= b.trace < 2.0
+            assert math.ldexp(b.trace, b.exponent) == pytest.approx(likelihood, rel=1e-10)
 
     def test_long_text_rescales_rarely(self, tmp_path):
         """On long-text seed 7 (``tests/test_bench_workloads.py``'s inputs) a
