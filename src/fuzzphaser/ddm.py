@@ -146,12 +146,13 @@ def canonical_vectors(d: DoubleDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Zero-weight branches are dropped. Each factor's columns are contiguous
     and in factor order, so A_k = W_k W_k† over the columns W_k of factor k.
+    y^(1/4) is √√y, correctly rounded, so that y·16^k gives W·2^k exactly.
     """
     columns, owner = [], []
     for k, f in enumerate(d.factors):
         kept = [b for b in f.branches if b.x > 0.0]
         units = np.array([b.phi.amplitudes for b in kept]).T
-        columns.append(units * (f.y**0.25 * np.sqrt([b.x for b in kept])))
+        columns.append(units * (math.sqrt(math.sqrt(f.y)) * np.sqrt([b.x for b in kept])))
         owner += [k] * len(kept)
     return np.concatenate(columns, axis=1), np.array(owner)
 
@@ -172,7 +173,7 @@ def fuzz_parts(sigma: DensityMatrix):
         linalg.frozen(math.sqrt(value) * _weighted_sum(units[:, a:b], np.ones(b - a)))
         for (value, _), a, b in zip(groups, starts, starts[1:])
     )
-    scales = np.repeat([value**0.25 for value, _ in groups], sizes)
+    scales = np.repeat([math.sqrt(math.sqrt(value)) for value, _ in groups], sizes)
     return kraus, (units * scales, np.repeat(np.arange(len(groups)), sizes))
 
 

@@ -13,9 +13,9 @@ its own. Compiling turns each gate into Kraus operators on its own
 wires: projector [P], fuzz [√xᵢ Pᵢ], phaser [√σ], ddm [A_k], each
 A_k = Σᵢ |ω_ik⟩⟨ω_ik| over the canonical vectors of the gate's double
 density matrix. Each gate applies the operators, those vectors, or on
-the dense joint its doubled operator Σ A_k ⊗ Ā_k on the wires' (row,
-column) index pair, whole or as V·V† over the same-factor products of
-those vectors, whichever dense step costs less in products, calls and
+the dense joint its doubled operator Σ A_k ⊗ Ā_k = V·V† on the wires'
+(row, column) index pair, V the same-factor products of those vectors,
+formed or as V† and V, whichever dense step costs less in products, calls and
 entries written (a plan chosen once per word and slots, on the wires of
 its block), to the touched wires only.
 
@@ -56,7 +56,6 @@ validated, and their Hermitian part is taken there.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -293,61 +292,50 @@ class Plan:
     formed once here. Each step applies its operator on the row side and
     its adjoint on the column side (``_sandwich``). The Kraus route sums
     one step per K, the thin route chains two steps through ``mask`` (see
-    ``_apply_gate``); ``groups`` are the columns of each factor of W.
+    ``_apply_gate``), None elsewhere; ``groups`` are W's factors' columns.
 
     The doubled and factored routes apply ``doubled``, products on the
     wires' (row, column) index pair, in the ``paired`` frame, where each
     wire's row index sits next to its column index, the wires in
     ascending order, or the gate's wires first where they are not
     adjacent: that pair is read as (lead, d², trail) (``around``), so all
-    single-wire steps of a block share one frame. The doubled route's one
-    product is Φ = Σ_k K_k ⊗ K̄_k (d² × d²), and it keeps the Kraus steps
-    for the factor. The factored route's two are V† and V, Φ = V·V†, V (d²
-    × s, s = Σ_k r_k²) holding the same-factor products w_p ⊗ w̄_q of the
-    thin route's W, whose steps it keeps for the factor; V is offered only
-    on a gate that covers its block, where it holds no more entries than
-    the block's gates write in the circuit, the word's Kraus operators and
-    400 (``_route_costs``). ``frame`` is where the route's dense step reads
-    and leaves the state, ``diagonal`` where S_ii lies in it, i in actor
-    order, ``selector`` 1 there and 0 elsewhere, or None (``_selector``),
-    ``kernel`` the route's dense step, fixed here, and ``products`` the
-    doubled and factored routes' products with the side and shape each
-    reads the state in (``_products``).
+    single-wire steps of a block share one frame. Both come from V (d² ×
+    s, s = Σ_k r_k²), the same-factor products w_p ⊗ w̄_q of the thin
+    route's W (``_pairs``), whose steps both keep for the factor: the
+    doubled route's one product is Φ = V·V† (d² × d²), the factored
+    route's two are V† and V. V is offered only on a gate that covers its
+    block, where it holds no more entries than the block's gates write in
+    the circuit, the word's Kraus operators and 400 (``_route_costs``).
+    ``frame`` is where the route's dense step reads and leaves the state,
+    ``diagonal`` where S_ii lies in it, i in actor order, ``selector`` 1
+    there and 0 elsewhere, or None (``_selector``), ``kernel`` the route's
+    dense step, fixed here, and ``products`` the doubled and factored
+    routes' products with the side and shape each reads the state in
+    (``_products``).
 
     The steps are the operators times 2^-e, e the binade of their entries
     (``_binade``), so that each entry is below √2 and no product with a
     state of trace below 2 can overflow; ``shift`` is what that takes off
-    the result's exponent, 2e on the Kraus and doubled routes and 4e on
-    the thin and factored ones, which each step adds back to its block's
-    (``_trajectory``); the walk keeps each block's trace below 2
-    (``Block``).
+    the result's exponent, 2e on the Kraus route and 4e on the routes from
+    W, which each step adds back to its block's (``_trajectory``); the
+    walk keeps each block's trace below 2 (``Block``).
     ``roundoff`` stacks the route's entrywise bounds G_k, times √(L·eps)
     for sums of L products, so that Σ_k max(G_k √diag ρ)² bounds the
     roundoff of each entry of the result (``_noise``); G ≥ 0 and no root
     exceeds √max|ρ_ii|, so the cheap bound ``gain``·max|ρ_ii| bounds that,
     ``gain`` = Σ_k (max row sum of G_k)² (``clears``).
 
-    On the doubled route L = d² + m, for m operators: each entry of Φ
-    sums m products, and each result entry (i, j) sums d² products of Φ
-    with ρ's entries (a, b) on the wires, the other wires' indices held.
-    Both sums round by at most L·eps of the sum of their terms' moduli,
-    so the result entry moves by at most L·eps·Σ_k Σ_ab |K_k|_ia |K_k|_jb
-    |ρ_ab|, and |ρ_ab| ≤ √(ρ_aa ρ_bb) gives L·eps·Σ_k (|K_k| √diag ρ)_i
-    (|K_k| √diag ρ)_j ≤ Σ_k max(G_k √diag ρ)² with G_k = |K_k|·√(L·eps),
-    the Kraus route's bound with d² + m for d: ``_noise``, ``gain``,
-    ``clears`` and the cut hold for it unchanged.
-
-    On the factored route L = d² + s: y = V†ρ sums, for each same-factor
-    pair (p, q), d² products w̄_p[a] w_q[b] ρ_ab, and the result entry
-    (i, j) sums s products w_p[i] w̄_q[j] y_pq. The first sum rounds y_pq
-    by at most d²·eps·Σ_ab |w_p[a]||w_q[b]||ρ_ab|, which the second
-    carries with weight |w_p[i]||w_q[j]|, and the second rounds by at most
-    s·eps of its terms' moduli, each below that same weight times Σ_ab
-    |w_p[a]||w_q[b]||ρ_ab|. So the entry moves by at most L·eps·Σ_k
-    Σ_{p,q∈k} Σ_ab |w_p[i]||w_p[a]| |w_q[j]||w_q[b]| |ρ_ab|, and |ρ_ab| ≤
-    √(ρ_aa ρ_bb) gives L·eps·Σ_k (|W_k||W_k|ᵀ √diag ρ)_i (|W_k||W_k|ᵀ
-    √diag ρ)_j ≤ Σ_k max(G_k √diag ρ)² with G_k = |W_k||W_k|ᵀ·√(L·eps),
-    the thin route's bound with d² + s for d + r.
+    On the doubled and factored routes L = d² + s. A result entry (i, j)
+    sums w_p[i] w̄_q[j] w̄_p[a] w_q[b] ρ_ab over the s same-factor pairs (p,
+    q) and ρ's d² entries (a, b) on the wires, the other wires' indices
+    held: by s products into each entry of Φ, then d² of Φ with ρ, or by
+    d² into each y_pq of y = V†ρ, then s of V with y. However grouped, a
+    sum of n products rounds by at most n·eps of its terms' moduli, so the
+    entry moves by at most L·eps·Σ_k Σ_{p,q∈k} Σ_ab |w_p[i]||w_p[a]|
+    |w_q[j]||w_q[b]| |ρ_ab|, and |ρ_ab| ≤ √(ρ_aa ρ_bb) gives L·eps·Σ_k
+    (|W_k||W_k|ᵀ √diag ρ)_i (|W_k||W_k|ᵀ √diag ρ)_j ≤ Σ_k max(G_k √diag
+    ρ)² with G_k = |W_k||W_k|ᵀ·√(L·eps), the thin route's bound with d² +
+    s for d + r.
 
     ``dense_cost`` is the whole dense step of the route (``_route_costs``),
     the cheapest of those offered. A factor ρ = L L† takes the row side only
@@ -382,16 +370,13 @@ class Plan:
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "diagonal", _diagonal_at(frame, self.dims))
         object.__setattr__(self, "selector", _selector(frame, self.dims))
-        if self.doubled:
-            kernel = _paired
-        else:
-            kernel = _kraus if self.mask is None else _thin
+        kernel = _paired if self.doubled else _thin if self.thin else _kraus
         object.__setattr__(self, "kernel", kernel if self.steps else _zeros)
         object.__setattr__(self, "products", _products(self.doubled, *self.around))
 
     @property
     def thin(self) -> bool:
-        return self.mask is not None
+        return self.groups is not None
 
     @property
     def fan(self) -> int:
@@ -609,8 +594,8 @@ def _step_cost(q_out: int, q_in: int, rows: int, cols: int, a: int, b: int):
 
 def _route_costs(frame, d: int, size: int, m: int, ranks, gates: int = 1) -> dict[str, float]:
     """The dense step of each route on a size × size joint in ``frame``
-    (``_frame``), whole: "kraus" with m operators, "thin" with canonical
-    vectors of ``ranks`` per factor (absent when ranks is None), "doubled",
+    (``_frame``), whole: "kraus" with m operators, and where the gate has
+    canonical vectors, ``ranks`` per factor (not None), "thin", "doubled",
     one d² × d² product, and "factored", V† and V of s = Σ r_k² columns; in
     complex multiply-adds, CALL_COST per BLAS call and PASS_COST per entry
     written or copied. The Kraus and thin routes pay the joint's permuting
@@ -640,7 +625,7 @@ def _route_costs(frame, d: int, size: int, m: int, ranks, gates: int = 1) -> dic
         compress, rows, cols = _step_cost(sum(ranks), d, size, size, a, b)
         expand, _, _ = _step_cost(d, sum(ranks), rows, cols, a, b)
         costs["thin"] = moved + compress + expand + CALL_COST + rows * cols
-    if PASS_COST * d**4 <= PASS_COST * entries + CALL_COST:
+    if ranks is not None and PASS_COST * d**4 <= PASS_COST * entries + CALL_COST:
         moved = 0 if d == size else 2 * PASS_COST * entries
         costs["doubled"] = moved + d * d * entries + CALL_COST + PASS_COST * entries
     if ranks is not None and d == size:
@@ -653,22 +638,23 @@ def _route_costs(frame, d: int, size: int, m: int, ranks, gates: int = 1) -> dic
 def _ranks(vectors) -> tuple[int, ...] | None:
     """The number of canonical vectors of each factor (``vectors`` as
     ``_gate_parts`` gives them), or None for a gate without them."""
-    return None if vectors is None else tuple(Counter(vectors[1].tolist()).values())
+    groups = None if vectors is None else _columns(tuple(vectors[1].tolist()))[0]
+    return None if groups is None else tuple(g.stop - g.start for g in groups)
 
 
 def _route(kraus, vectors, sizes: list[int], order: list[int], route: str) -> tuple:
-    """The ``route`` named by ``_route_costs``: "kraus", "doubled", or
-    "thin" and "factored" by ``vectors`` (W, the factor of each column),
+    """The ``route`` named by ``_route_costs``: "kraus", or "thin",
+    "doubled" and "factored" by ``vectors`` (W, the factor of each column),
     A_k = W_k W_k†, on wires of ``sizes`` in slot order that ``order``
     sorts: ``Plan``'s route, steps and their adjoints, shift, mask, groups,
     products on the index pair, roundoff bounds and gain, in ascending wire
     order, shared by every slot tuple of the circuit with the same order.
     The steps are scaled by 2^-e, e the binade of their entries
-    (``_binade``), which is exact. The doubled route keeps the Kraus steps
-    and forms Φ from them, the factored one keeps the thin steps and forms
-    V from W, each by one product and no temporary larger than itself."""
-    d, doubled, ascending = math.prod(sizes), (), [sizes[i] for i in order]
-    if route in ("kraus", "doubled"):
+    (``_binade``), which is exact. The pair routes keep the thin steps and
+    form V from the scaled W (``_pairs``): V† and V, or Φ = V·V† summed a
+    few of V's columns at a time."""
+    d, mask, groups, doubled = math.prod(sizes), None, None, ()
+    if route == "kraus":
         n, stacked = len(sizes), np.array(kraus, dtype=np.complex128).reshape(-1, d, d)
         if order != sorted(order):  # each K's rows and columns in ascending wire order
             axes = [0, *(1 + i for i in order), *(1 + n + i for i in order)]
@@ -676,42 +662,54 @@ def _route(kraus, vectors, sizes: list[int], order: list[int], route: str) -> tu
         e = _binade(stacked)
         stacked = _ldexp(np.ascontiguousarray(stacked), -e)
         steps, adjoints = tuple(stacked), tuple(k.T for k in stacked.conj())
-        terms = d  # per result entry: d products, or Φ's m and then d² of Φ's
-        if route == "doubled":  # Φ[(i, j), (a, b)] = Σ_k S_k[i, a] S̄_k[j, b]
-            terms = d * d + len(steps)
-            pairs = stacked.reshape(-1, d * d).T  # column k: S_k's (i, a) entries
-            # its axes are i, a, j and b, one per wire each; (i, j) and (a, b) in paired order
-            axes = [k * n + w for pair in ((0, 2), (1, 3)) for w in range(n) for k in pair]
-            phi = (pairs @ pairs.conj().T).reshape(ascending * 4).transpose(axes)
-            doubled = (np.ascontiguousarray(phi).reshape(d * d, d * d),)
-        bounds, mask, groups, shift = np.abs(stacked) * math.sqrt(terms * _EPS), None, None, 2 * e
+        bounds, shift = np.abs(stacked) * math.sqrt(d * _EPS), 2 * e
     else:
         w, owner = vectors
         e, r = _binade(w), w.shape[1]
         w, shift = _ldexp(np.ascontiguousarray(_ascending(w, sizes, order)), -e), 4 * e
-        # each factor's first column; owner ascends (``canonical_vectors``)
-        owners = owner.tolist()
-        starts = [i for i in range(r) if i == 0 or owners[i] != owners[i - 1]] + [r]
-        same = owner[:, None] == owner[None, :]
+        groups, pairs = _columns(tuple(owner.tolist()))
         terms = d + r  # per result entry: d products, then r; or d², then s
-        if route == "factored":  # V[(i, j), (p, q)] = w_p[i] w̄_q[j], p and q of one factor
-            p, q = np.nonzero(same)
-            # (i, j) in the paired frame's order (i₀, j₀, i₁, j₁, …), by broadcasting
-            left = [k for n in ascending for k in (n, 1)]
-            right = [k for n in ascending for k in (1, n)]
-            v = w[:, p].reshape(*left, -1) * w.conj()[:, q].reshape(*right, -1)
-            v = v.reshape(d * d, p.size)
-            doubled, terms = (v.conj().T.copy(), v), d * d + p.size
-        # |W_k||W_k|ᵀ, not |A_k|: the routes sum W_k's products term by term.
-        # (The factors are read at the starts: np.unique's first call imports numpy.ma.)
-        magnitudes = np.abs(w)
-        factor = owner == owner[starts[:-1]][:, None, None]
-        bounds = (magnitudes * factor) @ magnitudes.T * math.sqrt(terms * _EPS)
-        groups = tuple(slice(i, j) for i, j in zip(starts, starts[1:]))  # contiguous
-        steps, mask = (w.conj().T, w), same.astype(np.float64).reshape(r, 1, r, 1)
-        adjoints = tuple(step.conj().T for step in steps)
+        if route == "thin":
+            mask = (owner[:, None] == owner[None, :]).astype(np.float64).reshape(r, 1, r, 1)
+        else:
+            ascending, terms = [sizes[i] for i in order], d * d + pairs.shape[1]
+        if route == "factored":
+            (v,) = _pairs(w, pairs, ascending, r * r)
+            doubled = (v.conj().T.copy(), v)
+        elif route == "doubled":  # each chunk with its conjugate holds at most Φ's entries and 400
+            chunks = _pairs(w, pairs, ascending, (d**4 + CALL_COST // PASS_COST) // (2 * d * d))
+            doubled = (sum(v.dot(v.conj().T) for v in chunks),)
+        # G_k = |W_k||W_k|ᵀ, not |A_k|: the routes sum W_k's products term by term
+        magnitudes, bounds = np.abs(w).T, np.empty((len(groups), d, d))
+        for g, bound in zip(groups, bounds):
+            np.dot(magnitudes[g].T, magnitudes[g], out=bound)
+        bounds *= math.sqrt(terms * _EPS)
+        steps = (w.conj().T, w)
+        adjoints = steps[::-1]
     gain = float(np.square(bounds.sum(axis=2).max(axis=1, initial=0.0)).sum())
     return route, steps, adjoints, shift, mask, groups, doubled, bounds, gain
+
+
+@cache
+def _columns(owners: tuple[int, ...]) -> tuple:
+    """For canonical vectors of factors ``owners``, contiguous and ascending
+    (``canonical_vectors``): each factor's columns as a slice, and the
+    same-factor pairs (p, q) of columns, p then q ascending."""
+    starts = [i for i, k in enumerate(owners) if i == 0 or k != owners[i - 1]] + [len(owners)]
+    groups = tuple(slice(i, j) for i, j in zip(starts, starts[1:]))
+    return groups, np.array(np.nonzero(np.equal.outer(owners, owners)))
+
+
+def _pairs(w: np.ndarray, pairs: np.ndarray, ascending: list[int], step: int) -> Iterator:
+    """V[(i, j), (p, q)] = w_p[i] w̄_q[j] over the same-factor ``pairs`` (p,
+    q), ``step`` columns at a time, (i, j) in the paired frame's order (i₀,
+    j₀, i₁, j₁, …) over wires of ``ascending``."""
+    (p, q), left = pairs, [k for n in ascending for k in (n, 1)]
+    right = [k for n in ascending for k in (1, n)]
+    for at in range(0, p.size, step):
+        v = np.take(w, p[at : at + step], 1).reshape(*left, -1)
+        v = v * np.take(w, q[at : at + step], 1).conj().reshape(*right, -1)
+        yield v.reshape(w.shape[0] ** 2, -1)
 
 
 @cache
@@ -1128,7 +1126,7 @@ def _apply_gate(x: np.ndarray, frame, gate: Gate, dims: Sequence[int], trace: fl
     thin route (``_thin``) applies the gate's canonical vectors, A_k = W_k
     W_k†: C = W† ρ W, then only C's same-factor blocks expanded as W C W†,
     2R + 2R²/d products per D² instead of 2m·d for m operators. The
-    doubled route applies Φ = Σ_k K_k ⊗ K̄_k, d² products per entry, and
+    doubled route applies Φ = V·V†, d² products per entry, and
     the factored one V† and then V, 2s, to the wires' (row, column) index
     pair in the paired frame (``_paired``).
     The result is Hermitian up to roundoff; its Hermitian part is taken
@@ -1220,7 +1218,7 @@ def _factor_step(factor: np.ndarray, gate: Gate, dims: Sequence[int]):
     if plan.axes is not None:
         frame = np.ascontiguousarray(factor.reshape(*dims, -1).transpose(*plan.axes[:n], n))
     x = frame.reshape(plan.a, plan.roundoff.shape[-1], -1)
-    if plan.mask is None:
+    if not plan.thin:
         blocks = [np.matmul(k, x) for k in plan.steps]
     else:
         wh, w = plan.steps

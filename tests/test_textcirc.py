@@ -520,8 +520,8 @@ ROUTE_NAMES = ("kraus", "thin", "doubled", "factored")
 
 
 def _route_plans(slots, dims, kraus, vectors, offered=True):
-    """The plan of each route: Kraus, thin and factored (if the gate has
-    canonical vectors) and doubled; or with ``offered``, only those that
+    """The plan of each route: Kraus, and thin, doubled and factored if the
+    gate has canonical vectors; or with ``offered``, only those that
     ``_route_costs`` offers, the doubled route where Φ holds no more than
     the joint, the factored one on the whole block where V holds no more
     than the joint and the Kraus operators."""
@@ -530,7 +530,7 @@ def _route_plans(slots, dims, kraus, vectors, offered=True):
     ranks = textcirc._ranks(vectors)
     costs = textcirc._route_costs(frame, math.prod(sizes), size, len(kraus), ranks)
     routes = [r for r in ROUTE_NAMES if r in costs or not offered and (
-        r == "doubled" or r == "factored" and vectors is not None)]
+        r in ("doubled", "factored") and vectors is not None)]
     return [textcirc.Plan(*frame, *textcirc._route(kraus, vectors, sizes, order, route),
                           costs.get(route, math.inf)) for route in routes]
 
@@ -668,6 +668,31 @@ class TestRoutes:
         assert plan.route != "doubled" and doubled < plan.dense_cost
         assert peak < d**4 * 16 / 4
 
+    def test_formed_phi_holds_no_more_than_a_few_joints(self):
+        """A ddm of 32 full-rank factors on one wire of dimension 16, in a
+        block of D = 256 that a projector verb joins: it takes the doubled
+        route, where its V would hold 16² × 8,192 entries, 32 joints, so Φ
+        is formed from a few of V's columns at a time, and compiling both
+        words peaks below 8 MB, about 8 joints of 1 MB."""
+        d, rng = 16, np.random.default_rng(29)
+        factors = []
+        for _ in range(32):
+            basis = random_unitary(d, rng)
+            branches = [DdmBranch(float(x), PureState(basis[:, i]))
+                        for i, x in enumerate(rng.uniform(0.2, 1.0, d))]
+            factors.append(DdmFactor(float(rng.uniform(0.2, 1.0)), branches))
+        entries = [LexiconEntry("w", "s", "ddm", "ddm", DoubleDensityMatrix(factors)),
+                   LexiconEntry("p", ("s", "s"), "pure", "projector", random_pure(d * d, rng))]
+        sentences = [Transitive("A", "p", "B"), IsA("A", "w")]
+        tracemalloc.start()
+        try:
+            circuit = compile_sentences(sentences, Lexicon({"s": d}, entries))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [gate.plan.route for gate in circuit.gates][1] == "doubled"
+        assert peak < 8e6
+
     def test_factored_route_holds_no_more_than_the_joint(self):
         """A ddm of 3 factors of 16 branches each on one wire of dimension
         16, alone in its block (D = 16) of three gates: V would hold 16² ×
@@ -778,7 +803,7 @@ class TestRoutes:
         gate, rho = _one_gate(word, (1,), dims, np.random.default_rng(1))
         assert len(gate.kraus) == 2
         plan = gate.plan
-        assert (plan.mask.shape[0] if plan.thin else len(plan.steps)) == 2
+        assert (plan.steps[1].shape[1] if plan.thin else len(plan.steps)) == 2
         dense = apply_gate_dense(rho, gate, dims)
         local = _applied(rho, gate, dims)
         assert linalg.max_abs(local - dense) <= 1e-10 * linalg.max_abs(dense)
@@ -1540,6 +1565,53 @@ class TestCheapBound:
                     assert plan.gain * diag.max() >= textcirc._noise(plan, roots)
         assert frames == {True, False}
 
+    def test_pair_routes_stay_within_the_exact_bound(self, tmp_path):
+        """The doubled and factored routes of every word of ``long-text``
+        (seed 7) with canonical vectors, the nouns on each wire of a block
+        of two dim-4 wires and the verbs on both in both slot orders, on
+        states whose diagonals span 10^-17 to 1: each entry of the dense
+        step's result lies within ``_noise`` of the exact one, computed in
+        np.clongdouble as Σ_k A_k ρ A_k† with A_k = W_k W_k† of the plan's
+        own scaled W, so that forming Φ or V is inside what is checked.
+        (The worst entry reads 0.12 of the bound on each route.)"""
+        from test_bench_workloads import _gen
+
+        from fuzzphaser.lexicon import load_lexicon
+
+        lexicon = load_lexicon(_gen().generate("long-text", 7, tmp_path)["lexicon"])
+        rng, dims = np.random.default_rng(37), (4, 4)
+        seen = set()
+        for entry in lexicon.entries.values():
+            _, kraus, vectors = _gate_parts(entry, entry.mechanism)
+            if entry.name[0] not in "nv" or vectors is None:
+                continue
+            for slots in [(0, 1), (1, 0)] if entry.name[0] == "v" else [(0,), (1,)]:
+                for plan in _route_plans(slots, dims, kraus, vectors, offered=False):
+                    if plan.route not in ("doubled", "factored"):
+                        continue
+                    seen.add(plan.route)
+                    w = plan.steps[1].astype(np.clongdouble)
+                    wires = sorted(slots)
+                    for _ in range(4):
+                        factor = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+                        exponents = rng.uniform(-17.0, 0.0, 16)
+                        factor *= (10.0 ** (exponents / 2) / np.linalg.norm(factor, axis=1))[:, None]
+                        rho = factor @ factor.conj().T
+                        held = textcirc._reframed(rho, None, plan.frame, dims)
+                        out = plan.kernel(held, plan).reshape(held.shape)
+                        out = textcirc._reframed(out, plan.frame, None, dims)
+                        exact = np.zeros((16, 16), dtype=np.clongdouble)
+                        for g in plan.groups:
+                            a = w[:, g] @ w[:, g].conj().T
+                            if wires == [0]:
+                                a = np.kron(a, np.eye(4, dtype=np.clongdouble))
+                            elif wires == [1]:
+                                a = np.kron(np.eye(4, dtype=np.clongdouble), a)
+                            exact += a @ rho.astype(np.clongdouble) @ a.conj().T
+                        noise = textcirc._noise(plan, np.sqrt(np.abs(rho.diagonal())))
+                        assert np.abs(out - exact).max() <= noise, (entry.name, slots, plan.route)
+        assert seen == {"doubled", "factored"}
+
     @pytest.mark.parametrize("route", ["default", *sorted(ROUTES)])
     @pytest.mark.parametrize("case", sorted(CUT_CASES))
     def test_exact_bound_at_every_gate_changes_no_bit(self, monkeypatch, route, case):
@@ -1571,8 +1643,10 @@ class TestCheapBound:
         plan's step adjoints are formed once, when its route is compiled:
         evaluating forms no route, and every product with an adjoint takes
         one of those arrays. The gates take every route; each doubled plan's
-        Φ is Σ_k S_k ⊗ S̄_k of its own steps S_k, and each factored plan's
-        V·V† is that of its A_k = W_k W_k†, in the paired frame's order."""
+        Φ is V·V† of its own scaled W, V's columns its same-factor products
+        w_p ⊗ w̄_q, and Σ_k K_k ⊗ K̄_k of its gate's Kraus operators times
+        2^-shift; each factored plan's V·V† is that of its A_k = W_k W_k†,
+        in the paired frame's order."""
         rng = np.random.default_rng(1401)
         entries = [
             LexiconEntry("A0", "c", "pure", "projector", random_pure(4, rng)),
@@ -1613,9 +1687,16 @@ class TestCheapBound:
             assert len(plan.adjoints) == len(plan.steps)
             for step, adjoint in zip(plan.steps, plan.adjoints):
                 assert adjoint.tobytes() == step.conj().T.tobytes()
+        for gate in {id(g.plan): g for g in circuit.gates}.values():
+            plan = gate.plan
             if plan.route == "doubled":  # on one wire the paired frame's order is kron's
-                kron = sum(np.kron(step, step.conj()) for step in plan.steps)
-                assert np.abs(plan.doubled[0] - kron).max() <= 1e-15 * np.abs(kron).max()
+                w = plan.steps[1]
+                v = np.stack([np.kron(w[:, p], w[:, q].conj()) for g in plan.groups
+                              for p in range(g.start, g.stop) for q in range(g.start, g.stop)], 1)
+                phi = v @ v.conj().T
+                assert np.abs(plan.doubled[0] - phi).max() <= 1e-15 * np.abs(phi).max()
+                kron = sum(np.kron(k, k.conj()) for k in gate.kraus) * 2.0**-plan.shift
+                assert np.abs(plan.doubled[0] - kron).max() <= 1e-14 * np.abs(kron).max()
             if plan.route == "factored":  # on both wires of the block
                 w = plan.steps[1]
                 kron = sum(np.kron(a, a.conj()) for a in (w[:, g] @ w[:, g].conj().T
@@ -1676,15 +1757,15 @@ def _trace_test_holds(circuit: Circuit, renorm: bool) -> int:
 
 def _pinned_route(route: str):
     """``_route_costs`` with ``route``'s cost set one unit below the
-    cheapest, wherever the gate has that route: the Kraus and doubled
-    routes always, the doubled one also where its Φ would outgrow the
-    joint, and the thin and factored ones where the gate has canonical
-    vectors, the factored one also on a part of its block."""
+    cheapest, wherever the gate has that route: the Kraus route always,
+    and the thin, doubled and factored ones where the gate has canonical
+    vectors, the doubled one also where its Φ would outgrow the joint,
+    the factored one also on a part of its block."""
     costs = textcirc._route_costs
 
     def pinned(frame, d, size, m, ranks, gates):
         by = costs(frame, d, size, m, ranks, gates)
-        if route in by or route == "doubled" or route == "factored" and ranks is not None:
+        if route in by or route in ("doubled", "factored") and ranks is not None:
             by[route] = min(by.values()) - 1
         return by
 
